@@ -13,7 +13,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Literal, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .fespace import build_constraints, build_space, transfer_to_refined
 from .linalg import max_norm
 from .problems import build_plaplace, build_quasilinear, manufactured_rhs, \
     PLaplaceParams
-from .solver import (LineSearchConfig, adaptive_newton_multigoal,
-                     nested_tolerance, newton_solve)
+from .solver import adaptive_newton_multigoal, nested_tolerance, newton_solve
 
 
 @dataclass(frozen=True)
@@ -35,32 +34,37 @@ class RunConfig:
     """Everything one experiment run needs, reproducibly."""
 
     experiment: str                    # functional catalog id
-    geometry: str                      # unit_square | cheese | slit
+    geometry: Literal["unit_square", "cheese", "slit"]
     n_initial: int = 4                 # unit-square cells per side
     initial_refines: int = 0
     distort_factor: float = 0.0
     seed: int = 0
-    system: str = "plaplace"           # plaplace | quasilinear
+    system: Literal["plaplace", "quasilinear"] = "plaplace"
     p: float = 2.0
     epsilon: float = 1.0
     manufactured: bool = False         # sin(6x+6y) data instead of f=1, g=0
     degree: int = 1
     enriched_degree: Optional[int] = None
-    cold_start: str = "ones"           # ones | homotopy (p-continuation)
+    cold_start: Literal["ones", "homotopy"] = "ones"  # p-continuation
     tol_dis: float = 1e-30
     max_levels: int = 10
     max_dofs: int = 200_000
     omegas: Optional[tuple] = None
-    combine: str = "weighted"          # weighted (J_E/J_c) | raw single goal
-    newton_mode: str = "adaptive"      # adaptive | fixed
-    marking: str = "estimator"         # estimator | uniform
+    combine: Literal["weighted", "raw"] = "weighted"  # raw: single goal
+    newton_mode: Literal["adaptive", "fixed"] = "adaptive"
+    marking: Literal["estimator", "uniform"] = "estimator"
     marking_threshold: float = 0.85
     reference_values: Optional[tuple] = None
     reference_uncertainties: Optional[tuple] = None
-    je_truth: str = "reference"        # reference | surrogate
+    je_truth: Literal["reference", "surrogate"] = "reference"
     label: str = ""
 
     def __post_init__(self):
+        for name, hint in get_type_hints(RunConfig).items():
+            value = getattr(self, name)
+            if get_origin(hint) is Literal and value not in get_args(hint):
+                raise ValueError(f"{name} must be one of {get_args(hint)}, "
+                                 f"not {value!r}")
         if self.tol_dis <= 0:
             raise ValueError("tol_dis must be positive")
         r2 = self.enriched_degree
@@ -125,19 +129,22 @@ def _sin_exact():
     return value, grad, hess
 
 
+def _plaplace_params(config):
+    """The sin(6x+6y) manufactured solution, or f = 1 with g = 0."""
+    if not config.manufactured:
+        return PLaplaceParams(config.p, config.epsilon,
+                              rhs=lambda x, y: np.ones(np.shape(x)))
+    value, grad, hess = _sin_exact()
+    base = PLaplaceParams(config.p, config.epsilon)
+    return PLaplaceParams(config.p, config.epsilon,
+                          rhs=manufactured_rhs(grad, hess, base),
+                          dirichlet=value)
+
+
 def build_problem(config):
     if config.system == "quasilinear":
         return build_quasilinear()
-    if config.manufactured:
-        value, grad, hess = _sin_exact()
-        base = PLaplaceParams(config.p, config.epsilon)
-        params = PLaplaceParams(config.p, config.epsilon,
-                                rhs=manufactured_rhs(grad, hess, base),
-                                dirichlet=value)
-    else:
-        params = PLaplaceParams(config.p, config.epsilon,
-                                rhs=lambda x, y: np.ones(np.shape(x)))
-    return build_plaplace(params)
+    return build_plaplace(_plaplace_params(config))
 
 
 def homotopy_guess(config, space, constraints, quad):
@@ -149,20 +156,14 @@ def homotopy_guess(config, space, constraints, quad):
     the cold start instead solves the p=2 problem with the same data and
     walks p to its target in a few geometric steps.
     """
-    value, grad, hess = _sin_exact()
-    base = PLaplaceParams(config.p, config.epsilon)
-    rhs = manufactured_rhs(grad, hess, base) if config.manufactured else \
-        (lambda x, y: np.ones(np.shape(x)))
-    g = value if config.manufactured else None
+    params = _plaplace_params(config)
     steps = 3
     path = [2.0] + [2.0 + (config.p - 2.0) * k / steps
                     for k in range(1, steps + 1)]
-    cfg = LineSearchConfig(gamma=0.9)
     u = None
     total = 0
     for p_k in path:
-        prob_k = build_plaplace(PLaplaceParams(p_k, config.epsilon, rhs=rhs,
-                                               dirichlet=g))
+        prob_k = build_plaplace(replace(params, p=p_k))
         if u is None:
             u = make_initial_guess(space, constraints)
         norm0 = max_norm(assemble_residual(prob_k, space, constraints, u,
@@ -170,9 +171,27 @@ def homotopy_guess(config, space, constraints, quad):
         if norm0 == 0.0:
             continue
         u, stats = newton_solve(prob_k, space, constraints, u, 1e-2 * norm0,
-                                cfg, quad)
+                                quad=quad)
         total += stats.iterations
     return u, total
+
+
+def _initial_guess(config, space, cons, quad, u_prev):
+    """Newton start on one level and the Newton steps spent on it: the
+    previous level's solution ``u_prev`` transferred to ``space``, or,
+    on the first level (``u_prev`` None), the configured cold start."""
+    if u_prev is not None:
+        return transfer_to_refined(u_prev, space, cons), 0
+    if config.cold_start == "homotopy":
+        return homotopy_guess(config, space, cons, quad)
+    return make_initial_guess(space, cons), 0
+
+
+def _nested_solve(problem, space, cons, u0, level, quad, log=None):
+    """Plain damped Newton to the nested tolerance of ``level``."""
+    norm0 = max_norm(assemble_residual(problem, space, cons, u0, quad))
+    return newton_solve(problem, space, cons, u0,
+                        nested_tolerance(level, norm0), quad=quad, log=log)
 
 
 def mark_average(cellwise, threshold=0.85):
@@ -203,29 +222,23 @@ def _je_reference(values, refs, omegas):
                      for w, v, r in zip(om, values, refs)))
 
 
-def run_adaptive(config, log=None, on_level=None):
-    return _run(config, log=log, on_level=on_level)
-
-
 def run_uniform(config, log=None, on_level=None):
-    return _run(replace(config, marking="uniform"), log=log,
-                on_level=on_level)
+    return run_adaptive(replace(config, marking="uniform"), log=log,
+                        on_level=on_level)
 
 
-def _run(config, log=None, on_level=None):
+def run_adaptive(config, log=None, on_level=None):
     emit = log or (lambda line: None)
     problem = build_problem(config)
     functionals = goals.catalog(config.experiment)
     if config.combine == "raw" and len(functionals) != 1:
         raise ValueError("raw mode needs exactly one functional")
     quad = gauss(config.r2 + 2)
-    cfg1 = LineSearchConfig(gamma=0.9)
-    cfg2 = LineSearchConfig(gamma=0.85)
 
     mesh = build_geometry(config)
     records = []
     eta_prev = 1e-8
-    prev = None                       # (u_h, u_h2) of the previous level
+    u_prev = u2_prev = None           # solutions of the previous level
     level = 1
     while True:
         t0 = time.perf_counter()
@@ -237,56 +250,33 @@ def _run(config, log=None, on_level=None):
         cons2 = build_constraints(space2, problem.dirichlet)
 
         # enriched primal, warm-started (Newton tolerances nested by level)
-        boot2 = boot1 = 0
-        if prev is None:
-            if config.cold_start == "homotopy":
-                u2_0, boot2 = homotopy_guess(config, space2, cons2, quad)
-            else:
-                u2_0 = make_initial_guess(space2, cons2)
-        else:
-            u2_0 = transfer_to_refined(prev[1], space2, cons2)
-        norm0 = max_norm(assemble_residual(problem, space2, cons2, u2_0, quad))
-        u2, stats2 = newton_solve(problem, space2, cons2, u2_0,
-                                  nested_tolerance(level, norm0), cfg1, quad,
-                                  log=log)
+        u2_0, boot2 = _initial_guess(config, space2, cons2, quad, u2_prev)
+        u2, stats2 = _nested_solve(problem, space2, cons2, u2_0, level, quad,
+                                   log)
 
         # coarse primal + adjoint, stopped by the iteration-error balance
-        if prev is None:
-            if config.cold_start == "homotopy":
-                u0, boot1 = homotopy_guess(config, space, cons, quad)
-            else:
-                u0 = make_initial_guess(space, cons)
-        else:
-            u0 = transfer_to_refined(prev[0], space, cons)
+        u0, boot1 = _initial_guess(config, space, cons, quad, u_prev)
         u2_values = multigoal.member_values(functionals, u2)
 
-        if config.combine == "weighted":
-            def adjoint_rhs(u_k):
-                vals_k = multigoal.member_values(functionals, u_k)
-                w = multigoal.combination_weights(u2_values, vals_k,
-                                                  config.omegas)
-                out = np.zeros(space.n_dofs)
-                for wi, J in zip(w, functionals):
-                    if wi != 0.0:
-                        out += wi * J.gradient(space, cons, u_k, quad)
-                return out
-        else:
-            def adjoint_rhs(u_k):
-                return functionals[0].gradient(space, cons, u_k, quad)
+        def goal_at(u_k):
+            """The level's goal, combination weights frozen at (u_k, u2)."""
+            if config.combine == "raw":
+                return functionals[0]
+            return multigoal.CombinedFunctional(
+                functionals, multigoal.member_values(functionals, u_k),
+                u2_values, config.omegas)
 
         u_h, z_h, astats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev, adjoint_rhs, cfg2, quad,
-            mode=config.newton_mode, log=log)
+            problem, space, cons, u0, eta_prev,
+            lambda u_k: goal_at(u_k).gradient(space, cons, u_k, quad),
+            quad=quad, mode=config.newton_mode, log=log)
 
         # combine, enriched adjoint, estimate
         values = multigoal.member_values(functionals, u_h)
+        goal = goal_at(u_h)
         if config.combine == "weighted":
-            combined = multigoal.CombinedFunctional(
-                functionals, values, u2_values, config.omegas)
-            goal = combined
-            je_surrogate = combined.combined_error_value()
+            je_surrogate = goal.combined_error_value()
         else:
-            goal = functionals[0]
             je_surrogate = abs(u2_values[0] - values[0])
         z2 = solve_enriched_adjoint(problem, goal, space2, cons2, u2, quad)
         breakdown = estimate(problem, goal, u_h, z_h, u2, z2, quad)
@@ -331,7 +321,7 @@ def _run(config, log=None, on_level=None):
             marked_rows = mark_average(breakdown.cellwise,
                                        config.marking_threshold)
         mesh = mesh.refine(mesh.active_cells[marked_rows])
-        prev = (u_h, u2)
+        u_prev, u2_prev = u_h, u2
         eta_prev = breakdown.eta_h
         level += 1
 
@@ -345,22 +335,13 @@ def uniform_reference(config, n_refines, log=None):
     problem = build_problem(config)
     functionals = goals.catalog(config.experiment)
     quad = gauss(config.degree + 2)
-    cfg = LineSearchConfig(gamma=0.9)
     mesh = build_geometry(config)
     u_prev = None
     for level in range(1, n_refines + 2):
         space = build_space(mesh, config.degree, problem.n_components)
         cons = build_constraints(space, problem.dirichlet)
-        if u_prev is None:
-            if config.cold_start == "homotopy":
-                u0, _ = homotopy_guess(config, space, cons, quad)
-            else:
-                u0 = make_initial_guess(space, cons)
-        else:
-            u0 = transfer_to_refined(u_prev, space, cons)
-        norm0 = max_norm(assemble_residual(problem, space, cons, u0, quad))
-        u_h, _ = newton_solve(problem, space, cons, u0,
-                              nested_tolerance(level, norm0), cfg, quad)
+        u0, _ = _initial_guess(config, space, cons, quad, u_prev)
+        u_h, _ = _nested_solve(problem, space, cons, u0, level, quad)
         emit(f"reference level {level}: dofs={space.n_dofs}")
         if level == n_refines + 1:
             return multigoal.member_values(functionals, u_h)

@@ -1,4 +1,5 @@
-"""Quadrature, local assembly, constrained scatter, weighted residuals.
+"""Quadrature, pointwise evaluation, and the constrained global assembly
+of the residual vector and the Jacobian matrix.
 
 Everything is vectorized over cells in fixed-size chunks; the bilinear
 cell geometry (straight-sided quads) is tabulated once per (mesh, rule)
@@ -195,63 +196,3 @@ def assemble_jacobian(problem, space, constraints, u, quad=None):
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(space.n_dofs, space.n_dofs)).tocsr()
     return constraints.condense_matrix(raw)
-
-
-def assemble_functional_gradient(functional, space, constraints, u, quad=None):
-    """Condensed vector of J'(u)(phi_i) for a goal-functional expression."""
-    rule = quad or default_rule(space)
-    return functional.gradient(space, constraints, u, rule)
-
-
-# ----------------------------------------------------------------------
-# weighted residual evaluations (the estimator's primitives)
-# ----------------------------------------------------------------------
-def weighted_primal_residual(problem, u, w, quad=None):
-    """rho(u)(w) = -A(u)(w); ``w`` may live in an enriched space."""
-    rule = quad or default_rule(u.space)
-    det, _, xq = cell_geometry(u.space.mesh, rule)
-    combo = _as_combo(w)
-    total = 0.0
-    for sl in _chunks(len(u.space.active)):
-        uv, ug = eval_chunk(u, rule, sl)
-        val, grd = problem.residual(xq[sl], uv, ug)
-        wv, wg = eval_combo(combo, rule, sl)
-        wdet = rule.weights[None, :] * det[sl]
-        total += np.einsum("eq,ekq,ekq->", wdet, val, wv, optimize=True)
-        total += np.einsum("eq,ekqi,ekqi->", wdet, grd, wg, optimize=True)
-    return -float(total)
-
-
-def jacobian_weighted(problem, u, trial, test, quad=None):
-    """A'(u)(trial, test) for arbitrary discrete functions/combos."""
-    rule = quad or default_rule(u.space)
-    det, _, xq = cell_geometry(u.space.mesh, rule)
-    trial = _as_combo(trial)
-    test = _as_combo(test)
-    total = 0.0
-    for sl in _chunks(len(u.space.active)):
-        uv, ug = eval_chunk(u, rule, sl)
-        blocks = problem.jacobian(xq[sl], uv, ug)
-        tv, tg = eval_combo(trial, rule, sl)
-        zv, zg = eval_combo(test, rule, sl)
-        wdet = rule.weights[None, :] * det[sl]
-        if "gg" in blocks:
-            total += np.einsum("eq,eqkmij,ekqi,emqj->", wdet, blocks["gg"],
-                               zg, tg, optimize=True)
-        if "vv" in blocks:
-            total += np.einsum("eq,eqkm,ekq,emq->", wdet, blocks["vv"],
-                               zv, tv, optimize=True)
-        if "gv" in blocks:
-            total += np.einsum("eq,eqkmi,ekqi,emq->", wdet, blocks["gv"],
-                               zg, tv, optimize=True)
-        if "vg" in blocks:
-            total += np.einsum("eq,eqkmi,ekq,emqi->", wdet, blocks["vg"],
-                               zv, tg, optimize=True)
-    return float(total)
-
-
-def weighted_adjoint_residual(problem, functional, u, z, w, quad=None):
-    """rho*(u, z)(w) = J'(u)(w) - A'(u)(w, z)."""
-    rule = quad or default_rule(u.space)
-    return functional.directional(u, w, quad=rule) \
-        - jacobian_weighted(problem, u, w, z, quad=rule)

@@ -63,7 +63,7 @@ def parse_config(text):
             kwargs[key] = float(raw)
         elif ftype == "bool":
             kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif "int" in str(ftype):        # Optional[int]
+        elif ftype == "Optional[int]":
             kwargs[key] = int(raw)
         else:
             kwargs[key] = raw

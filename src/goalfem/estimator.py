@@ -5,10 +5,13 @@ residuals,
 
     eta = 1/2 rho(u_h)(z2 - i_h z2) + 1/2 rho*(u_h, z_h)(u2 - u_h),
 
-with the enriched adjoint interpolated back for the primal weight.  The
-same densities, multiplied by the Q1 vertex hats, give nodal values
-eta_i summing exactly to the global number; hanging vertices fold their
-share onto the face endpoints so the hats still partition unity.
+with the enriched adjoint interpolated back for the primal weight.  Both
+weighted forms run through one localization routine: the primal form
+weights the residual flux, the adjoint form the "transposed flux" of
+the Jacobian blocks contracted once with z_h.  The densities, multiplied
+by the Q1 vertex hats, give nodal values eta_i summing exactly to the
+global number; hanging vertices fold their share onto the face
+endpoints so the hats still partition unity.
 """
 
 from __future__ import annotations
@@ -63,68 +66,74 @@ def _pu_hats(mesh, rule, sl):
     return N1, gpsi
 
 
-def _nodal_primal(problem, u, combo, quad):
-    """Per-vertex rho(u)(w psi_a); also returns the global rho(u)(w)."""
+def _localize(u, weight, rule, flux):
+    """PU localization of a weighted flux against the Q1 vertex hats.
+
+    ``flux(x, u_vals, u_grads, sl)`` gives (F_v, F_g) on the cell chunk
+    ``sl``.  Returns the per-vertex values of
+    int F_v.(w psi_a) + F_g:grad(w psi_a) and the global
+    int F_v.w + F_g:grad w, the latter accumulated from the un-localized
+    density rather than summed from the vertices.
+    """
     mesh = u.space.mesh
-    rule = quad
     det, _, xq = assembly.cell_geometry(mesh, rule)
+    combo = assembly._as_combo(weight)
     out = np.zeros(mesh.n_points)
     total = 0.0
     active = mesh.active_cells
     for sl in assembly._chunks(len(active)):
         uv, ug = assembly.eval_chunk(u, rule, sl)
-        val, grd = problem.residual(xq[sl], uv, ug)
+        fv, fg = flux(xq[sl], uv, ug, sl)
         wv, wg = assembly.eval_combo(combo, rule, sl)
         wdet = rule.weights[None, :] * det[sl]
-        t1 = np.einsum("ekq,ekq->eq", val, wv, optimize=True)
-        t1 += np.einsum("ekqi,ekqi->eq", grd, wg, optimize=True)
-        t2 = np.einsum("ekqi,ekq->eqi", grd, wv, optimize=True)
+        t1 = np.einsum("ekq,ekq->eq", fv, wv, optimize=True)
+        t1 += np.einsum("ekqi,ekqi->eq", fg, wg, optimize=True)
+        t2 = np.einsum("ekqi,ekq->eqi", fg, wv, optimize=True)
         N1, gpsi = _pu_hats(mesh, rule, sl)
         contrib = np.einsum("eq,eq,aq->ea", wdet, t1, N1, optimize=True)
         contrib += np.einsum("eq,eqi,eaqi->ea", wdet, t2, gpsi, optimize=True)
-        np.add.at(out, mesh.cell_verts[active[sl]], -contrib)
-        total -= float(np.einsum("eq,eq->", wdet, t1, optimize=True))
-    return out, total
-
-
-def _nodal_jacobian(problem, u, combo, z, quad):
-    """Per-vertex A'(u)(w psi_a, z) plus the global A'(u)(w, z)."""
-    mesh = u.space.mesh
-    rule = quad
-    det, _, xq = assembly.cell_geometry(mesh, rule)
-    out = np.zeros(mesh.n_points)
-    total = 0.0
-    active = mesh.active_cells
-    for sl in assembly._chunks(len(active)):
-        uv, ug = assembly.eval_chunk(u, rule, sl)
-        blocks = problem.jacobian(xq[sl], uv, ug)
-        wv, wg = assembly.eval_combo(combo, rule, sl)
-        zv, zg = assembly.eval_chunk(z, rule, sl)
-        wdet = rule.weights[None, :] * det[sl]
-        s1 = np.zeros(wdet.shape)
-        s2 = np.zeros(wdet.shape + (2,))
-        if "gg" in blocks:
-            s1 += np.einsum("eqkmij,ekqi,emqj->eq", blocks["gg"], zg, wg,
-                            optimize=True)
-            s2 += np.einsum("eqkmij,ekqi,emq->eqj", blocks["gg"], zg, wv,
-                            optimize=True)
-        if "vv" in blocks:
-            s1 += np.einsum("eqkm,ekq,emq->eq", blocks["vv"], zv, wv,
-                            optimize=True)
-        if "gv" in blocks:
-            s1 += np.einsum("eqkmi,ekqi,emq->eq", blocks["gv"], zg, wv,
-                            optimize=True)
-        if "vg" in blocks:
-            s1 += np.einsum("eqkmi,ekq,emqi->eq", blocks["vg"], zv, wg,
-                            optimize=True)
-            s2 += np.einsum("eqkmi,ekq,emq->eqi", blocks["vg"], zv, wv,
-                            optimize=True)
-        N1, gpsi = _pu_hats(mesh, rule, sl)
-        contrib = np.einsum("eq,eq,aq->ea", wdet, s1, N1, optimize=True)
-        contrib += np.einsum("eq,eqi,eaqi->ea", wdet, s2, gpsi, optimize=True)
         np.add.at(out, mesh.cell_verts[active[sl]], contrib)
-        total += float(np.einsum("eq,eq->", wdet, s1, optimize=True))
+        total += float(np.einsum("eq,eq->", wdet, t1, optimize=True))
     return out, total
+
+
+def _transposed_flux(blocks, zv, zg):
+    """Jacobian blocks contracted with the adjoint: (T_v, T_g) such that
+    A'(u)(w, z) = int T_v.w + T_g:grad w for every w."""
+    tv = np.zeros(zv.shape)
+    tg = np.zeros(zg.shape)
+    if "gg" in blocks:
+        tg += np.einsum("eqkmij,ekqi->emqj", blocks["gg"], zg, optimize=True)
+    if "vv" in blocks:
+        tv += np.einsum("eqkm,ekq->emq", blocks["vv"], zv, optimize=True)
+    if "gv" in blocks:
+        tv += np.einsum("eqkmi,ekqi->emq", blocks["gv"], zg, optimize=True)
+    if "vg" in blocks:
+        tg += np.einsum("eqkmi,ekq->emqi", blocks["vg"], zv, optimize=True)
+    return tv, tg
+
+
+def primal_weighted_form(problem, u, weight, quad):
+    """rho(u)(w psi_a) per vertex and the global rho(u)(w) = -A(u)(w);
+    the weight ``w`` may live in an enriched space or be a combination
+    [(coef, function), ...]."""
+    def flux(x, uv, ug, sl):
+        return problem.residual(x, uv, ug)
+
+    nodal, total = _localize(u, weight, quad, flux)
+    return -nodal, -total
+
+
+def adjoint_weighted_form(problem, functional, u, z, weight, quad):
+    """rho*(u, z)(w psi_a) per vertex and the global
+    rho*(u, z)(w) = J'(u)(w) - A'(u)(w, z)."""
+    def flux(x, uv, ug, sl):
+        zv, zg = assembly.eval_chunk(z, quad, sl)
+        return _transposed_flux(problem.jacobian(x, uv, ug), zv, zg)
+
+    nodal, total = _localize(u, weight, quad, flux)
+    return (functional.nodal_directional(u, weight, quad) - nodal,
+            functional.directional(u, weight, quad=quad) - total)
 
 
 def fold_hanging(mesh, nodal):
@@ -163,14 +172,13 @@ def estimate(problem, functional, u_h, z_h, u_h2, z_h2, quad=None):
     primal_weight = [(1.0, z_h2), (-1.0, ihz2)]
     adjoint_weight = [(1.0, u_h2), (-1.0, u_h)]
 
-    pn, pg = _nodal_primal(problem, u_h, primal_weight, rule)
-    jn, jg = _nodal_jacobian(problem, u_h, adjoint_weight, z_h, rule)
-    fn = functional.nodal_directional(u_h, adjoint_weight, rule)
-    fg = functional.directional(u_h, adjoint_weight, quad=rule)
+    pn, pg = primal_weighted_form(problem, u_h, primal_weight, rule)
+    an, ag = adjoint_weighted_form(problem, functional, u_h, z_h,
+                                   adjoint_weight, rule)
 
-    nodal = fold_hanging(mesh, 0.5 * (pn + fn - jn))
+    nodal = fold_hanging(mesh, 0.5 * (pn + an))
     primal_signed = 0.5 * pg
-    adjoint_signed = 0.5 * (fg - jg)
+    adjoint_signed = 0.5 * ag
     cellwise = distribute_to_cells(nodal, mesh)
     return EstimatorBreakdown(primal_signed + adjoint_signed,
                               primal_signed, adjoint_signed, nodal, cellwise)

@@ -42,15 +42,6 @@ def factorize(A, pivot_rtol=PIVOT_RTOL):
     return LuFactorization(A, pivot_rtol=pivot_rtol)
 
 
-def solve_direct(A, b, pivot_rtol=PIVOT_RTOL):
-    """LU solve with partial pivoting; raises SingularMatrix on tiny pivots."""
-    b = np.asarray(b, dtype=float)
-    if sp.issparse(A):
-        if A.shape[0] != len(b):
-            raise ValueError("dimension mismatch")
-    return factorize(A, pivot_rtol=pivot_rtol).solve(b)
-
-
 def max_norm(v, constrained=None):
     """l-infinity norm over unconstrained entries.
 

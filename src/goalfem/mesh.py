@@ -398,14 +398,6 @@ def build_slit():
     return out
 
 
-def refine(mesh, marks):
-    return mesh.refine(marks)
-
-
-def distort(mesh, factor, seed):
-    return mesh.distort(factor, seed)
-
-
 # ----------------------------------------------------------------------
 # legacy ASCII VTK export
 # ----------------------------------------------------------------------

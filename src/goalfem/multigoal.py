@@ -73,17 +73,3 @@ class CombinedFunctional:
             if w != 0.0:
                 out += w * J.nodal_directional(u, v, quad)
         return out
-
-
-def build_combined(functionals, u_h, u_h2, omegas=None):
-    """Freeze combination weights at this level's (u_h, u_h2)."""
-    return CombinedFunctional(functionals, member_values(functionals, u_h),
-                              member_values(functionals, u_h2), omegas)
-
-
-def combined_error_value(combined):
-    return combined.combined_error_value()
-
-
-def combined_derivative_rhs(combined, space, constraints, u_eval, quad):
-    return combined.gradient(space, constraints, u_eval, quad)

@@ -1,5 +1,8 @@
-"""Newton's method with residual-ratio line search and matrix reuse,
-plus the estimator-balanced variant for (multi)goal adjoints.
+"""Newton's method with residual-ratio line search and matrix reuse.
+
+One damped loop serves two stopping rules: a residual tolerance
+(``newton_solve``) and the estimator-balanced iteration-error indicator
+of the (multi)goal adjoint (``adaptive_newton_multigoal``).
 
 The Jacobian is refreshed only when the residual sup-norm contracted by
 less than 0.85 over the last update; the stale factorization is reused
@@ -90,48 +93,20 @@ def newton_solve(problem, space, constraints, u0, tol_abs, cfg=None,
     ``log`` receives one trace line per iteration (k, |A|, alpha,
     rebuilt flag).
     """
-    cfg = cfg or LineSearchConfig(gamma=0.9)
     stats = NewtonStats()
-    u = space.function(constraints.apply(u0.coeffs))
-    res = assemble_residual(problem, space, constraints, u, quad)
-    norm = max_norm(res)
-    stats.residual_norms.append(norm)
-    lu = None
-    prev_norm = None
-    while norm > tol_abs:
+
+    def stop(norm):
+        if not norm > tol_abs:
+            return "tolerance"
         if stats.iterations >= ITERATION_CAP:
             raise MaxIterations(f"|A| = {norm:.3e} > {tol_abs:.3e} "
                                 f"after {ITERATION_CAP} iterations")
-        rebuild = lu is None or norm / prev_norm > REBUILD_RATIO
-        if rebuild:
-            lu = factorize(assemble_jacobian(problem, space, constraints, u,
-                                             quad), pivot_rtol=0.0)
-        delta = constraints.distribute(lu.solve(-res))
-        try:
-            alpha, _, u, res, new_norm = line_search(
-                problem, space, constraints, u, delta, cfg, quad,
-                res_norm=norm)
-        except LineSearchExhausted:
-            if rebuild:
-                raise
-            # a stale direction may not descend at all; retry fresh
-            rebuild = True
-            lu = factorize(assemble_jacobian(problem, space, constraints, u,
-                                             quad), pivot_rtol=0.0)
-            delta = constraints.distribute(lu.solve(-res))
-            alpha, _, u, res, new_norm = line_search(
-                problem, space, constraints, u, delta, cfg, quad,
-                res_norm=norm)
-        stats.rebuilds.append(rebuild)
-        stats.alphas.append(alpha)
-        prev_norm = norm
-        norm = new_norm
-        stats.residual_norms.append(norm)
-        stats.iterations += 1
-        if log:
-            log(f"  newton k={stats.iterations} |A|={norm:.6e} "
-                f"alpha={alpha:.4g} rebuilt={rebuild}")
-    stats.termination = "tolerance"
+        return None
+
+    u = _newton(problem, space, constraints,
+                space.function(constraints.apply(u0.coeffs)), None,
+                cfg or LineSearchConfig(gamma=0.9), quad, stats, stop,
+                log=log)
     return u, stats
 
 
@@ -148,75 +123,100 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
 
     Returns (u, z, stats).
     """
-    cfg = cfg or LineSearchConfig(gamma=0.85)
     stats = AdaptiveNewtonStats()
+    target = 1e-2 * eta_prev
     u = space.function(constraints.apply(u0.coeffs))
+    z = None
+
+    def observe(u_k, res, lu):
+        nonlocal z
+        z = constraints.distribute(lu.solve(adjoint_rhs(u_k), transposed=True))
+        stats.eta_m.append(abs(float(res @ z)))
+        return f" eta_m={stats.eta_m[-1]:.3e}"
+
+    def stop(norm):
+        if mode == "adaptive":
+            if stats.eta_m[-1] <= target:
+                return "balanced"
+        elif norm <= fixed_tol:
+            return "tolerance"
+        if norm <= 1e-14 * (1.0 + stats.residual_norms[0]):
+            return "residual_floor"
+        if stats.iterations >= ITERATION_CAP:
+            raise IterationCap(f"eta_m = {stats.eta_m[-1]:.3e} vs target "
+                               f"{target:.3e}", stats)
+        return None
+
+    def stagnated(norm):
+        # float-limit stagnation of an already-converged iterate
+        return norm <= 1e-10 * (1.0 + stats.residual_norms[0])
+
+    u = _newton(problem, space, constraints, u,
+                _fresh_lu(problem, space, constraints, u, quad),
+                cfg or LineSearchConfig(gamma=0.85), quad, stats, stop,
+                stagnated, observe, log)
+    return u, space.function(z), stats
+
+
+def _fresh_lu(problem, space, constraints, u, quad):
+    return factorize(assemble_jacobian(problem, space, constraints, u, quad),
+                     pivot_rtol=0.0)
+
+
+def _newton(problem, space, constraints, u, lu, cfg, quad, stats, stop,
+            stagnated=None, observe=None, log=None):
+    """The damped Newton loop behind both solvers; returns the last
+    iterate and sets ``stats.termination``.
+
+    ``u`` is the constrained start and ``lu`` a factorization at it, or
+    None.  ``stop(norm)`` runs before every step: it returns the
+    termination reason or None to go on, and raises at the iteration
+    cap.  When not even a fresh Jacobian's direction admits a damping,
+    ``stagnated(norm)`` decides whether the loop ends as "stagnation"
+    instead of raising.  ``observe(u, res, lu)`` sees the start and
+    every accepted iterate and returns a note for the log line.
+    """
     res = assemble_residual(problem, space, constraints, u, quad)
     norm = max_norm(res)
     stats.residual_norms.append(norm)
-    floor = 1e-14 * (1.0 + norm)
+    if observe:
+        observe(u, res, lu)
 
-    lu = factorize(assemble_jacobian(problem, space, constraints, u, quad),
-                   pivot_rtol=0.0)
-    z = constraints.distribute(lu.solve(adjoint_rhs(u), transposed=True))
-    eta_m = abs(float(res @ z))
-    stats.eta_m.append(eta_m)
+    def damped_step():
+        delta = constraints.distribute(lu.solve(-res))
+        return line_search(problem, space, constraints, u, delta, cfg, quad,
+                           res_norm=norm)
 
     prev_norm = None
-    while True:
-        if mode == "adaptive":
-            if eta_m <= 1e-2 * eta_prev:
-                stats.termination = "balanced"
-                break
-        elif norm <= fixed_tol:
-            stats.termination = "tolerance"
-            break
-        if norm <= floor:
-            stats.termination = "residual_floor"
-            break
-        if stats.iterations >= ITERATION_CAP:
-            raise IterationCap(
-                f"eta_m = {eta_m:.3e} vs target {1e-2 * eta_prev:.3e}", stats)
-
-        rebuild = prev_norm is not None and norm / prev_norm > REBUILD_RATIO
+    while (reason := stop(norm)) is None:
+        rebuild = lu is None or (prev_norm is not None
+                                 and norm / prev_norm > REBUILD_RATIO)
         if rebuild:
-            lu = factorize(assemble_jacobian(problem, space, constraints, u,
-                                             quad), pivot_rtol=0.0)
-        delta = constraints.distribute(lu.solve(-res))
+            lu = _fresh_lu(problem, space, constraints, u, quad)
         try:
-            alpha, _, u, res, new_norm = line_search(
-                problem, space, constraints, u, delta, cfg, quad,
-                res_norm=norm)
-        except LineSearchExhausted:
             try:
+                alpha, _, u, res, new_norm = damped_step()
+            except LineSearchExhausted:
                 if rebuild:
                     raise
+                # a stale direction may not descend at all; retry fresh
                 rebuild = True
-                lu = factorize(assemble_jacobian(problem, space, constraints,
-                                                 u, quad), pivot_rtol=0.0)
-                delta = constraints.distribute(lu.solve(-res))
-                alpha, _, u, res, new_norm = line_search(
-                    problem, space, constraints, u, delta, cfg, quad,
-                    res_norm=norm)
-            except LineSearchExhausted:
-                # float-limit stagnation of an already-converged iterate
-                if norm <= 1e-10 * (1.0 + stats.residual_norms[0]):
-                    stats.termination = "stagnation"
-                    break
+                lu = _fresh_lu(problem, space, constraints, u, quad)
+                alpha, _, u, res, new_norm = damped_step()
+        except LineSearchExhausted:
+            if not (stagnated and stagnated(norm)):
                 raise
+            reason = "stagnation"
+            break
         stats.rebuilds.append(rebuild)
         stats.alphas.append(alpha)
         prev_norm = norm
         norm = new_norm
         stats.residual_norms.append(norm)
         stats.iterations += 1
-
-        z = constraints.distribute(lu.solve(adjoint_rhs(u), transposed=True))
-        eta_m = abs(float(res @ z))
-        stats.eta_m.append(eta_m)
+        note = observe(u, res, lu) if observe else ""
         if log:
             log(f"  newton k={stats.iterations} |A|={norm:.6e} "
-                f"alpha={alpha:.4g} rebuilt={rebuild} eta_m={eta_m:.3e}")
-
-    z_fn = space.function(z)
-    return u, z_fn, stats
+                f"alpha={alpha:.4g} rebuilt={rebuild}{note}")
+    stats.termination = reason
+    return u

@@ -20,7 +20,7 @@ from goalfem.fespace import build_constraints, build_space
 from goalfem.goals import RegionIntegral, catalog
 from goalfem.linalg import factorize
 from goalfem.mesh import build_cheese, build_slit, build_unit_square
-from goalfem.multigoal import build_combined
+from goalfem.multigoal import CombinedFunctional, member_values
 from goalfem.presets import get_preset
 from goalfem.problems import PLaplaceParams, build_plaplace, build_quasilinear
 
@@ -172,7 +172,8 @@ def test_criterion_4_weighted_gap_identity():
             u_h = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
             u_h2 = space.function(
                 u_h.coeffs + 0.01 * rng.normal(size=space.n_dofs))
-            c = build_combined(fns, u_h, u_h2)
+            c = CombinedFunctional(fns, member_values(fns, u_h),
+                                   member_values(fns, u_h2))
             lhs = c.combined_error_value()
             rhs = float(np.sum(c.weights * (c.values_h2 - c.values_h)))
             assert abs(lhs - rhs) <= 1e-14 * abs(lhs)

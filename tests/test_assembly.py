@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from goalfem.assembly import (assemble_functional_gradient, assemble_jacobian,
-                              assemble_residual, cell_geometry, gauss,
-                              jacobian_weighted, space_tab,
-                              weighted_adjoint_residual,
-                              weighted_primal_residual)
+from goalfem.assembly import (assemble_jacobian, assemble_residual,
+                              cell_geometry, gauss, space_tab)
 from goalfem.errors import QuadratureFailure
-from goalfem.estimator import solve_enriched_adjoint
+from goalfem.estimator import (adjoint_weighted_form, primal_weighted_form,
+                               solve_enriched_adjoint)
 from goalfem.fespace import build_constraints, build_space
 from goalfem.goals import PointValue, Product, RegionIntegral
 from goalfem.linalg import factorize, max_norm
-from goalfem.mesh import build_unit_square
-from goalfem.problems import PLaplaceParams, build_plaplace
+from goalfem.mesh import build_slit, build_unit_square
+from goalfem.problems import PLaplaceParams, build_plaplace, build_quasilinear
 
 from conftest import linear_solve, poisson_problem, poisson_setup
 
@@ -145,18 +143,16 @@ class TestFunctionalGradient:
         problem, _, space, cons, u, _ = poisson_setup(n=2, degree=1)
         J = RegionIntegral()
         quad = gauss(3)
-        g1 = assemble_functional_gradient(J, space, cons, u, quad)
-        g2 = assemble_functional_gradient(
-            J, space, cons, space.function(rng.normal(size=space.n_dofs)),
-            quad)
+        g1 = J.gradient(space, cons, u, quad)
+        g2 = J.gradient(space, cons,
+                        space.function(rng.normal(size=space.n_dofs)), quad)
         assert np.allclose(g1, g2)
         # entries are int phi_i over the free hat: 0.25 for the interior node
         assert g1[~cons.constrained] == pytest.approx([0.25], abs=1e-14)
 
     def test_point_gradient_is_delta(self):
         problem, _, space, cons, u, _ = poisson_setup(n=2, degree=1)
-        g = assemble_functional_gradient(PointValue((0.5, 0.5)), space, cons,
-                                         u, gauss(3))
+        g = PointValue((0.5, 0.5)).gradient(space, cons, u, gauss(3))
         expected = np.zeros(space.n_dofs)
         free = np.flatnonzero(~cons.constrained)
         expected[free] = 1.0   # the interior hat equals 1 at its node
@@ -166,7 +162,7 @@ class TestFunctionalGradient:
         problem, _, space, cons, u, _ = poisson_setup(n=3, degree=1)
         J = Product([RegionIntegral(), PointValue((0.4, 0.6))])
         quad = gauss(3)
-        g = assemble_functional_gradient(J, space, cons, u, quad)
+        g = J.gradient(space, cons, u, quad)
         d = cons.distribute(rng.normal(size=space.n_dofs))
         h = 1e-6
         fd = (J.value(space.function(u.coeffs + h * d))
@@ -174,16 +170,37 @@ class TestFunctionalGradient:
         assert g @ d == pytest.approx(fd, abs=1e-7 * (1 + abs(fd)))
 
 
+def check_transposed_flux(prob, space, rng):
+    """The adjoint form with a zero goal is -A'(u)(w, z) = -z.(A w) for
+    the assembled Jacobian, and its PU localization sums to it."""
+    quad = gauss(space.degree + 2)
+    u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
+    A = assemble_jacobian(prob, space, build_constraints(space), u, quad)
+    w = rng.normal(size=space.n_dofs)
+    z = rng.normal(size=space.n_dofs)
+    direct = float(z @ (A @ w))
+    nodal, total = adjoint_weighted_form(
+        prob, RegionIntegral(weight=0.0), u, space.function(z),
+        space.function(w), quad)
+    assert -total == pytest.approx(direct, rel=1e-12)
+    assert nodal.sum() == pytest.approx(total, rel=1e-12)
+
+
 class TestWeightedResiduals:
+    """The estimator's primal and adjoint weighted forms (global parts)."""
+
     def test_zero_weight(self):
         problem, _, space, cons, u, _ = poisson_setup(n=2, degree=1)
         z = space.function(np.zeros(space.n_dofs))
-        assert weighted_primal_residual(problem, u, z) == 0.0
+        nodal, total = primal_weighted_form(problem, u, z, gauss(3))
+        assert total == 0.0
+        assert np.all(nodal == 0.0)
 
     def test_galerkin_orthogonality(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=4, degree=1)
         w = space.function(cons.distribute(rng.normal(size=space.n_dofs)))
-        assert abs(weighted_primal_residual(problem, u, w)) <= 1e-11
+        _, total = primal_weighted_form(problem, u, w, gauss(3))
+        assert abs(total) <= 1e-11
 
     def test_linear_identity_with_enriched_adjoint(self):
         # -A(u_h)(z2) equals J(u2) - J(u_h) for a linear goal: the Poisson
@@ -196,7 +213,7 @@ class TestWeightedResiduals:
         u2, _ = linear_solve(problem, space2, cons2, quad)
         J = RegionIntegral()
         z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        lhs = weighted_primal_residual(problem, u, z2, quad)
+        _, lhs = primal_weighted_form(problem, u, z2, quad)
         rhs = J.value(u2) - J.value(u)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -208,7 +225,7 @@ class TestWeightedResiduals:
         rhs = J.gradient(space, cons, u, quad)
         z = space.function(cons.distribute(lu.solve(rhs, transposed=True)))
         w = space.function(cons.distribute(rng.normal(size=space.n_dofs)))
-        out = weighted_adjoint_residual(problem, J, u, z, w, quad)
+        _, out = adjoint_weighted_form(problem, J, u, z, w, quad)
         assert abs(out) <= 1e-11
 
     def test_p2_primal_adjoint_symmetry(self):
@@ -224,30 +241,28 @@ class TestWeightedResiduals:
         z = space.function(cons.distribute(
             lu.solve(J.gradient(space, cons, u, quad), transposed=True)))
         z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        primal = weighted_primal_residual(
+        _, primal = primal_weighted_form(
             problem, u, [(1.0, z2), (-1.0, z)], quad)
-        adjoint = weighted_adjoint_residual(
+        _, adjoint = adjoint_weighted_form(
             problem, J, u, z, [(1.0, u2), (-1.0, u)], quad)
         assert primal == pytest.approx(adjoint, rel=1e-8)
 
     def test_weight_linearity(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=3, degree=2)
+        quad = gauss(4)
         ws = [space.function(rng.normal(size=space.n_dofs)) for _ in range(3)]
-        single = sum(weighted_primal_residual(problem, u, w) for w in ws)
-        combo = weighted_primal_residual(problem, u,
-                                         [(1.0, w) for w in ws])
+        single = sum(primal_weighted_form(problem, u, w, quad)[1] for w in ws)
+        _, combo = primal_weighted_form(problem, u, [(1.0, w) for w in ws],
+                                        quad)
         assert combo == pytest.approx(single, abs=1e-12 * (1 + abs(single)))
 
     def test_jacobian_weighted_matches_matrix(self, rng):
-        prob = build_plaplace(PLaplaceParams(4.0, 1.0))
-        mesh = build_unit_square(3)
-        space = build_space(mesh, 1)
-        cons = build_constraints(space, prob.dirichlet)
-        u = space.function(cons.apply(rng.normal(size=space.n_dofs)))
-        raw_cons = build_constraints(space)
-        A = assemble_jacobian(prob, space, raw_cons, u)
-        w = rng.normal(size=space.n_dofs)
-        z = rng.normal(size=space.n_dofs)
-        direct = float(z @ (A @ w))
-        weak = jacobian_weighted(prob, u, space.function(w), space.function(z))
-        assert weak == pytest.approx(direct, rel=1e-12)
+        # p-Laplacian: the transposed flux of the gg block alone
+        check_transposed_flux(build_plaplace(PLaplaceParams(4.0, 1.0)),
+                              build_space(build_unit_square(3), 1), rng)
+
+    def test_transposed_flux_vector_system(self, rng):
+        # slit system: the vv, gg and gv blocks together
+        check_transposed_flux(build_quasilinear(),
+                              build_space(build_slit().refine_uniform(1), 1, 3),
+                              rng)

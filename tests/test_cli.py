@@ -49,6 +49,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("[other]\nx = 1\n")
 
+    @pytest.mark.parametrize("key, typo", [
+        ("geometry", "unit-square"),
+        ("system", "quasilinar"),
+        ("combine", "weighed"),
+        ("newton_mode", "adaptiv"),
+        ("marking", "estimater"),
+        ("je_truth", "surogate"),
+        ("cold_start", "homotophy"),
+    ])
+    def test_misspelled_choice_rejected(self, key, typo):
+        entries = {"experiment": "example1a", "geometry": "unit_square",
+                   key: typo}
+        ini = "[run]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+        with pytest.raises(ValueError, match=key):
+            parse_config(ini)
+
 
 class TestRunVerb:
     def test_run_config_writes_outputs(self, tmp_path):
@@ -103,6 +119,13 @@ class TestRunVerb:
         assert main(["run", "--preset", "nope",
                      "--out-dir", str(tmp_path)]) == 3
         assert main(["run", "--out-dir", str(tmp_path)]) == 3
+
+    def test_config_typo_exit_3(self, tmp_path):
+        ini = tmp_path / "typo.ini"
+        ini.write_text(TINY_INI.replace("combine = raw", "combine = weighed"))
+        assert main(["run", "--config", str(ini),
+                     "--out-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / "tiny_adaptive.csv").exists()
 
     def test_solver_failure_exit_2(self, tmp_path):
         # an interior plateau with eps = 1e-10 defeats the damped Newton

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import goalfem.solver as sv
 from goalfem.assembly import assemble_residual, gauss
+from goalfem.errors import IterationCap, LineSearchExhausted, MaxIterations
 from goalfem.estimator import make_initial_guess
 from goalfem.fespace import build_constraints, build_space
 from goalfem.goals import RegionIntegral
@@ -12,7 +14,7 @@ from goalfem.solver import (LineSearchConfig, acceptance_factor,
                             adaptive_newton_multigoal, line_search,
                             nested_tolerance, newton_solve)
 
-from conftest import poisson_problem
+from conftest import linear_solve, poisson_problem
 
 
 def p4_problem():
@@ -98,7 +100,6 @@ class TestNewton:
         problem = p4_problem()
         space = build_space(build_unit_square(4), 1)
         cons = build_constraints(space, problem.dirichlet)
-        import goalfem.solver as sv
         old = sv.REBUILD_RATIO
         sv.REBUILD_RATIO = -1.0    # rebuild every step
         try:
@@ -199,3 +200,102 @@ class TestAdaptiveNewton:
             problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
             quad=quad, mode="fixed", fixed_tol=1e-8)
         assert stats.residual_norms[-1] <= 1e-8
+
+    def test_residual_floor_ends_fixed_mode(self):
+        # fixed_tol = 0 is out of reach; the linear solve lands on roundoff
+        problem = poisson_problem()
+        space, cons, rhs, quad = self._setup(problem)
+        u0 = make_initial_guess(space, cons)
+        _, _, stats = adaptive_newton_multigoal(
+            problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
+            quad=quad, mode="fixed", fixed_tol=0.0)
+        assert stats.termination == "residual_floor"
+        norms = stats.residual_norms
+        assert norms[-1] <= 1e-14 * (1.0 + norms[0])
+
+    def test_iteration_cap_carries_stats(self, monkeypatch):
+        monkeypatch.setattr(sv, "ITERATION_CAP", 2)
+        problem = p4_problem()
+        space, cons, rhs, quad = self._setup(problem, n=2)
+        u0 = make_initial_guess(space, cons)
+        with pytest.raises(IterationCap) as err:
+            adaptive_newton_multigoal(problem, space, cons, u0,
+                                      eta_prev=1e-8, adjoint_rhs=rhs,
+                                      quad=quad)
+        stats = err.value.stats
+        assert stats.iterations == 2
+        assert len(stats.eta_m) == len(stats.residual_norms) == 3
+        assert stats.eta_m[-1] > 1e-10
+
+
+class TestSharedNewtonLoop:
+    def test_stale_direction_retried_with_fresh_jacobian(self):
+        # with a single damping trial some stale directions fail; the
+        # retry rebuilds although the last step contracted well
+        problem = p4_problem()
+        space = build_space(build_unit_square(2), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        u0 = make_initial_guess(space, cons)
+        tol = 1e-8 * max_norm(assemble_residual(problem, space, cons, u0))
+        u, stats = newton_solve(problem, space, cons, u0, tol,
+                                LineSearchConfig(gamma=0.9, l_max=1))
+        norms = stats.residual_norms
+        retried = [k for k in range(1, stats.iterations)
+                   if stats.rebuilds[k]
+                   and norms[k] / norms[k - 1] <= sv.REBUILD_RATIO]
+        assert retried
+        assert stats.termination == "tolerance"
+        assert max_norm(assemble_residual(problem, space, cons, u)) <= tol
+
+    def test_newton_cap_raises_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(sv, "ITERATION_CAP", 2)
+        problem = p4_problem()
+        space = build_space(build_unit_square(2), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        u0 = make_initial_guess(space, cons)
+        n0 = max_norm(assemble_residual(problem, space, cons, u0))
+        with pytest.raises(MaxIterations):
+            newton_solve(problem, space, cons, u0, 1e-8 * n0)
+
+    def _near_solution(self, rng):
+        """A Poisson iterate whose residual (~1e-12) sits between the
+        residual floor and the stagnation threshold."""
+        problem = poisson_problem()
+        space = build_space(build_unit_square(3), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        u, _ = linear_solve(problem, space, cons)
+        kick = cons.distribute(1e-12 * rng.normal(size=space.n_dofs))
+        return problem, space, cons, space.function(u.coeffs + kick)
+
+    def _exhausted(self, monkeypatch):
+        calls = []
+
+        def never_accepts(*args, **kwargs):
+            calls.append(1)
+            raise LineSearchExhausted("no damping")
+
+        monkeypatch.setattr(sv, "line_search", never_accepts)
+        return calls
+
+    def test_exhausted_search_near_solution_is_stagnation(self, rng,
+                                                          monkeypatch):
+        problem, space, cons, u0 = self._near_solution(rng)
+        calls = self._exhausted(monkeypatch)
+        J = RegionIntegral()
+        quad = gauss(3)
+        u, _, stats = adaptive_newton_multigoal(
+            problem, space, cons, u0, eta_prev=1.0,
+            adjoint_rhs=lambda u_k: J.gradient(space, cons, u_k, quad),
+            quad=quad, mode="fixed", fixed_tol=0.0)
+        assert stats.termination == "stagnation"
+        assert stats.iterations == 0
+        assert len(calls) == 2          # the stale try and the fresh retry
+        assert np.array_equal(u.coeffs, u0.coeffs)
+
+    def test_exhausted_search_raises_in_plain_newton(self, rng,
+                                                     monkeypatch):
+        problem, space, cons, u0 = self._near_solution(rng)
+        calls = self._exhausted(monkeypatch)
+        with pytest.raises(LineSearchExhausted):
+            newton_solve(problem, space, cons, u0, 1e-20)
+        assert len(calls) == 1          # the first step is already fresh
