@@ -6,6 +6,11 @@ cell geometry (straight-sided quads) is tabulated once per (mesh, rule)
 and cached on the mesh.  One Gauss rule is shared by every assembly of a
 run so that coarse and enriched pairings commit the same quadrature
 crime.
+
+Local Jacobians skip the (test, trial) component pairs whose coefficient
+block is zero on the whole chunk (most of them: the kernels' blocks are
+dense arrays over all pairs) and form each remaining pair with one
+batched matmul over the quadrature points and the trial index.
 """
 
 from __future__ import annotations
@@ -154,6 +159,52 @@ def assemble_residual(problem, space, constraints, u, quad=None):
     return constraints.condense_rhs(raw)
 
 
+# block kind -> (test side, trial side) of A'(u)(phi_j, phi_i); False
+# pairs the coefficient with basis values, True with basis gradients
+_KINDS = {"vv": (False, False), "vg": (False, True),
+          "gv": (True, False), "gg": (True, True)}
+
+
+def coefficient_pairs(blocks):
+    """The (k, m) component pairs of the Jacobian blocks that carry a
+    nonzero entry.
+
+    Yields ``(test_grad, trial_grad, k, m, c)`` with ``c[e, q, i, j]`` the
+    pair's coefficients; ``i`` runs over the test side and ``j`` over the
+    trial side, each of length 2 on a gradient side and 1 on a value
+    side.  Pairs that are zero throughout the chunk contribute nothing
+    and are skipped (non-finite entries are nonzero and kept).
+    """
+    for kind, block in blocks.items():
+        test_grad, trial_grad = _KINDS[kind]
+        ne, nq, ncomp = block.shape[:3]
+        block = block.reshape(ne, nq, ncomp, ncomp,
+                              2 if test_grad else 1, 2 if trial_grad else 1)
+        nonzero = np.any(block != 0, axis=(0, 1, 4, 5))
+        for k, m in zip(*np.nonzero(nonzero)):
+            yield test_grad, trial_grad, k, m, block[:, :, k, m]
+
+
+def local_matrices(blocks, wdet, N, gphi, ncomp):
+    """Local Jacobians A[e, k, b, m, d] = A'(u)(phi_d e_m, phi_b e_k).
+
+    Per nonzero component pair, the weighted coefficients are contracted
+    with the test basis over the 2-vector index, then one batched matmul
+    over (quadrature point, trial index) pairs the result with the trial
+    basis.  ``N`` is (nb, nq), ``gphi`` (ne, nb, nq, 2), ``wdet`` (ne, nq).
+    """
+    ne, nb, nq, _ = gphi.shape
+    # test basis as (e, q, b, i); trial basis as ((q, j), d)
+    test = (N.T[None, :, :, None], gphi.transpose(0, 2, 1, 3))
+    trial = (N.T, gphi.transpose(0, 2, 3, 1).reshape(ne, 2 * nq, nb))
+    A = np.zeros((ne, ncomp, nb, ncomp, nb))
+    for test_grad, trial_grad, k, m, c in coefficient_pairs(blocks):
+        left = test[test_grad] @ (wdet[:, :, None, None] * c)
+        left = left.transpose(0, 2, 1, 3).reshape(ne, nb, -1)
+        A[:, k, :, m, :] += left @ trial[trial_grad]
+    return A
+
+
 def assemble_jacobian(problem, space, constraints, u, quad=None):
     """Matrix of A'(u)(phi_j, phi_i) (rows = test), condensed."""
     rule = quad or default_rule(space)
@@ -167,23 +218,11 @@ def assemble_jacobian(problem, space, constraints, u, quad=None):
         uv, ug = eval_chunk(u, rule, sl)
         blocks = problem.jacobian(xq[sl], uv, ug)
         wdet = rule.weights[None, :] * det[sl]
-        gphi = phys_gradients(space, rule, sl)
-        ne = uv.shape[0]
-        A = np.zeros((ne, ncomp, nb, ncomp, nb))
-        if "gg" in blocks:
-            A += np.einsum("eq,eqkmij,ebqi,edqj->ekbmd", wdet, blocks["gg"],
-                           gphi, gphi, optimize=True)
-        if "vv" in blocks:
-            A += np.einsum("eq,eqkm,bq,dq->ekbmd", wdet, blocks["vv"],
-                           N, N, optimize=True)
-        if "gv" in blocks:
-            A += np.einsum("eq,eqkmi,ebqi,dq->ekbmd", wdet, blocks["gv"],
-                           gphi, N, optimize=True)
-        if "vg" in blocks:
-            A += np.einsum("eq,eqkmi,bq,edqi->ekbmd", wdet, blocks["vg"],
-                           N, gphi, optimize=True)
+        A = local_matrices(blocks, wdet, N, phys_gradients(space, rule, sl),
+                           ncomp)
         if not np.all(np.isfinite(A)):
             raise QuadratureFailure("non-finite jacobian integrand")
+        ne = uv.shape[0]
         gdof = np.empty((ne, ncomp, nb), dtype=np.int64)
         nodes = space.cell_nodes[sl]
         for comp in range(ncomp):

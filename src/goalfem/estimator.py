@@ -102,14 +102,11 @@ def _transposed_flux(blocks, zv, zg):
     A'(u)(w, z) = int T_v.w + T_g:grad w for every w."""
     tv = np.zeros(zv.shape)
     tg = np.zeros(zg.shape)
-    if "gg" in blocks:
-        tg += np.einsum("eqkmij,ekqi->emqj", blocks["gg"], zg, optimize=True)
-    if "vv" in blocks:
-        tv += np.einsum("eqkm,ekq->emq", blocks["vv"], zv, optimize=True)
-    if "gv" in blocks:
-        tv += np.einsum("eqkmi,ekqi->emq", blocks["gv"], zg, optimize=True)
-    if "vg" in blocks:
-        tg += np.einsum("eqkmi,ekq->emqi", blocks["vg"], zv, optimize=True)
+    z = (zv[..., None], zg)          # adjoint on the test side, (e, k, q, i)
+    out = (tv[..., None], tg)        # views, indexed by the trial side
+    for test_grad, trial_grad, k, m, c in assembly.coefficient_pairs(blocks):
+        out[trial_grad][:, m] += np.einsum("eqi,eqij->eqj",
+                                           z[test_grad][:, k], c)
     return tv, tg
 
 

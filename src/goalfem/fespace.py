@@ -99,7 +99,6 @@ class FeSpace:
         self.n_components = int(n_components)
         self._build()
         self._basis_cache = {}
-        self._fn_cache = {}
 
     def _build(self):
         r = self.degree
@@ -241,6 +240,8 @@ class ConstraintSet:
     def __init__(self, n_dofs, rows):
         self.n_dofs = n_dofs
         self.rows = rows
+        # condensed goal gradients, filled by Functional.leaf_gradient
+        self.gradient_cache = {}
         self._close()
         self._assemble_matrix()
 

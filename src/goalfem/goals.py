@@ -44,6 +44,17 @@ class Functional:
             out += c * leaf.leaf_nodal_directional(u, v, quad)
         return out
 
+    def leaf_gradient(self, space, constraints, u, quad):
+        """Condensed gradient of a leaf.  Leaves are linear in u, so it
+        is cached on the constraint set it was condensed with; the key
+        holds the leaf and the space themselves, never their ids."""
+        key = (self, space, quad.n)
+        out = constraints.gradient_cache.get(key)
+        if out is None:
+            out = constraints.condense_rhs(self._raw_gradient(space, quad))
+            constraints.gradient_cache[key] = out
+        return out
+
     def __mul__(self, other):
         return Product([self, other])
 
@@ -81,18 +92,12 @@ class PointValue(Functional):
             total += c * self._eval_in_cell(f, frow, ref)
         return total
 
-    def leaf_gradient(self, space, constraints, u, quad):
-        key = (id(self), id(constraints), quad.n)
-        cached = space._fn_cache.get(key)
-        if cached is not None:
-            return cached
+    def _raw_gradient(self, space, quad):
         row, ref = locate_point(space.mesh, self.point, self.side)
         N, _ = tensor_basis(space.degree, ref[None, :])
         raw = np.zeros(space.n_dofs)
         raw[space.dof(self.component, space.cell_nodes[row])] = N[:, 0]
-        out = constraints.condense_rhs(raw)
-        space._fn_cache[key] = out
-        return out
+        return raw
 
     def leaf_nodal_directional(self, u, v, quad):
         mesh = u.space.mesh
@@ -229,11 +234,7 @@ class RegionIntegral(Functional):
     def leaf_directional(self, u, v, quad=None):
         return self._accumulate(assembly._as_combo(v), quad)
 
-    def leaf_gradient(self, space, constraints, u, quad):
-        key = (id(self), id(constraints), quad.n)
-        cached = space._fn_cache.get(key)
-        if cached is not None:
-            return cached
+    def _raw_gradient(self, space, quad):
         mesh = space.mesh
         rule = quad
         det, _, xq = assembly.cell_geometry(mesh, rule)
@@ -259,9 +260,7 @@ class RegionIntegral(Functional):
             for comp in range(ncomp):
                 np.add.at(raw, space.dof(comp, nodes),
                           area * (Np @ (wts * w[:, comp])))
-        out = constraints.condense_rhs(raw)
-        space._fn_cache[key] = out
-        return out
+        return raw
 
     def leaf_nodal_directional(self, u, v, quad):
         return self._accumulate(assembly._as_combo(v), quad, per_vertex=True)

@@ -9,7 +9,8 @@ less than 0.85 over the last update; the stale factorization is reused
 otherwise, including (transposed) for the adjoint solves of the
 balanced variant.  Tiny pivots are tolerated here on purpose: the
 barely-regularized p-Laplacian produces quasi-singular Jacobians that
-the damped updates handle.
+the damped updates handle.  A solve that overflows still raises
+``SingularMatrix``.
 """
 
 from __future__ import annotations

@@ -3,15 +3,17 @@ import pytest
 import scipy.sparse as sp
 
 from goalfem.assembly import (assemble_jacobian, assemble_residual,
-                              cell_geometry, gauss, space_tab)
+                              cell_geometry, coefficient_pairs, gauss,
+                              local_matrices, space_tab)
 from goalfem.errors import QuadratureFailure
-from goalfem.estimator import (adjoint_weighted_form, primal_weighted_form,
-                               solve_enriched_adjoint)
+from goalfem.estimator import (_transposed_flux, adjoint_weighted_form,
+                               primal_weighted_form, solve_enriched_adjoint)
 from goalfem.fespace import build_constraints, build_space
 from goalfem.goals import PointValue, Product, RegionIntegral
 from goalfem.linalg import factorize, max_norm
 from goalfem.mesh import build_slit, build_unit_square
-from goalfem.problems import PLaplaceParams, build_plaplace, build_quasilinear
+from goalfem.problems import (PLaplaceParams, ProblemDefinition,
+                              build_plaplace, build_quasilinear)
 
 from conftest import linear_solve, poisson_problem, poisson_setup
 
@@ -136,6 +138,125 @@ class TestJacobian:
         x = factorize(K).solve(-(C.T @ raw_r))
         du_reduced = C @ x
         assert np.max(np.abs(du_reduced - du_condensed)) <= 1e-10
+
+
+def einsum_local_matrices(blocks, wdet, N, gphi, ncomp):
+    """Reference: the dense einsum contraction of every block entry."""
+    ne, nb = gphi.shape[:2]
+    A = np.zeros((ne, ncomp, nb, ncomp, nb))
+    if "gg" in blocks:
+        A += np.einsum("eq,eqkmij,ebqi,edqj->ekbmd", wdet, blocks["gg"],
+                       gphi, gphi)
+    if "vv" in blocks:
+        A += np.einsum("eq,eqkm,bq,dq->ekbmd", wdet, blocks["vv"], N, N)
+    if "gv" in blocks:
+        A += np.einsum("eq,eqkmi,ebqi,dq->ekbmd", wdet, blocks["gv"], gphi, N)
+    if "vg" in blocks:
+        A += np.einsum("eq,eqkmi,bq,edqi->ekbmd", wdet, blocks["vg"], N, gphi)
+    return A
+
+
+def einsum_transposed_flux(blocks, zv, zg):
+    """Reference: the dense einsum contraction of the blocks with z."""
+    tv = np.zeros(zv.shape)
+    tg = np.zeros(zg.shape)
+    if "gg" in blocks:
+        tg += np.einsum("eqkmij,ekqi->emqj", blocks["gg"], zg)
+    if "vv" in blocks:
+        tv += np.einsum("eqkm,ekq->emq", blocks["vv"], zv)
+    if "gv" in blocks:
+        tv += np.einsum("eqkmi,ekqi->emq", blocks["gv"], zg)
+    if "vg" in blocks:
+        tg += np.einsum("eqkmi,ekq->emqi", blocks["vg"], zv)
+    return tv, tg
+
+
+def random_blocks(rng, ne, nq, ncomp):
+    """Dense random blocks of all four kinds; the (0, ncomp-1) pair of
+    every kind is zero throughout, (1, 1) is zero on the first cell."""
+    tails = {"vv": (), "vg": (2,), "gv": (2,), "gg": (2, 2)}
+    blocks = {}
+    for kind, tail in tails.items():
+        b = rng.normal(size=(ne, nq, ncomp, ncomp) + tail)
+        b[:, :, 0, ncomp - 1] = 0.0
+        b[0, :, 1, 1] = 0.0
+        blocks[kind] = b
+    return blocks
+
+
+class TestLocalMatrices:
+    """The nonzero-pair matmul contraction against the dense einsum."""
+
+    RTOL = 1e-13
+
+    def close(self, got, ref):
+        return np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nb, nq", [(4, 9), (9, 16)])
+    def test_matches_einsum(self, nb, nq, rng):
+        ne, ncomp = 7, 3
+        N = rng.normal(size=(nb, nq))
+        gphi = rng.normal(size=(ne, nb, nq, 2))
+        wdet = rng.uniform(0.1, 1.0, size=(ne, nq))
+        blocks = random_blocks(rng, ne, nq, ncomp)
+        ref = einsum_local_matrices(blocks, wdet, N, gphi, ncomp)
+        assert self.close(local_matrices(blocks, wdet, N, gphi, ncomp), ref)
+        # each kind alone, so no kind's error hides behind another's
+        for kind, block in blocks.items():
+            one = {kind: block}
+            assert self.close(local_matrices(one, wdet, N, gphi, ncomp),
+                              einsum_local_matrices(one, wdet, N, gphi, ncomp))
+
+    def test_zero_pairs_skipped(self, rng):
+        ne, nq, ncomp = 5, 9, 3
+        blocks = random_blocks(rng, ne, nq, ncomp)
+        pairs = {(tg, rg, k, m) for tg, rg, k, m, _ in coefficient_pairs(blocks)}
+        sides = [(False, False), (False, True), (True, False), (True, True)]
+        expected = {(tg, rg, k, m) for tg, rg in sides
+                    for k in range(ncomp) for m in range(ncomp)
+                    if (k, m) != (0, ncomp - 1)}
+        assert pairs == expected
+
+    def test_chunk_with_a_vanishing_pair(self, rng):
+        # a pair nonzero in general (the slit's coupling gv[2, 0]) can be
+        # exactly zero on one chunk; skipping it there changes nothing
+        ne, nb, nq, ncomp = 6, 4, 9, 3
+        N = rng.normal(size=(nb, nq))
+        gphi = rng.normal(size=(ne, nb, nq, 2))
+        wdet = rng.uniform(0.1, 1.0, size=(ne, nq))
+        blocks = random_blocks(rng, ne, nq, ncomp)
+        blocks["gv"][:, :, 2, 0] = 0.0
+        blocks["vv"][:, :, 1, 1] = 0.0
+        got = local_matrices(blocks, wdet, N, gphi, ncomp)
+        assert self.close(got, einsum_local_matrices(blocks, wdet, N, gphi,
+                                                     ncomp))
+        without_gv = {kind: b for kind, b in blocks.items() if kind != "gv"}
+        assert np.all(got[:, 2, :, 0, :] == local_matrices(
+            without_gv, wdet, N, gphi, ncomp)[:, 2, :, 0, :])
+
+    def test_transposed_flux_matches_einsum(self, rng):
+        ne, nq, ncomp = 7, 9, 3
+        blocks = random_blocks(rng, ne, nq, ncomp)
+        zv = rng.normal(size=(ne, ncomp, nq))
+        zg = rng.normal(size=(ne, ncomp, nq, 2))
+        for got, ref in zip(_transposed_flux(blocks, zv, zg),
+                            einsum_transposed_flux(blocks, zv, zg)):
+            assert self.close(got, ref)
+
+    def test_nonfinite_block_raises(self):
+        def jacobian(x, u, grad_u):
+            vv = np.ones(u.shape[:1] + u.shape[2:] + (1, 1))
+            vv[0, 0] = np.nan
+            return {"vv": vv}
+
+        prob = build_plaplace(PLaplaceParams(2.0, 1.0))
+        bad = ProblemDefinition("nan", 1, prob.residual, jacobian,
+                                prob.dirichlet)
+        space = build_space(build_unit_square(2), 1)
+        cons = build_constraints(space, bad.dirichlet)
+        with pytest.raises(QuadratureFailure):
+            assemble_jacobian(bad, space, cons,
+                              space.function(np.zeros(space.n_dofs)))
 
 
 class TestFunctionalGradient:

@@ -9,7 +9,7 @@ from goalfem.goals import (PointValue, Power, Product, RegionIntegral, Scale,
 from goalfem.mesh import build_cheese, build_slit, build_unit_square
 from goalfem.problems import build_quasilinear
 
-from conftest import poisson_setup
+from conftest import poisson_problem, poisson_setup
 
 
 def constant_fn(space, value):
@@ -123,6 +123,43 @@ class TestDerivatives:
             nodal = J.nodal_directional(u, [(1.0, v)], quad)
             total = J.directional(u, v, quad=quad)
             assert np.sum(nodal) == pytest.approx(total, rel=1e-12, abs=1e-14)
+
+
+class TestGradientCache:
+    """Condensed leaf gradients are cached per constraint set."""
+
+    @staticmethod
+    def unit_square_q1():
+        space = build_space(build_unit_square(4), 1)
+        return space, space.function(np.zeros(space.n_dofs)), gauss(3)
+
+    def test_each_constraint_set_gets_its_own_gradient(self):
+        space, u, quad = self.unit_square_q1()
+        free = build_constraints(space)
+        clamped = build_constraints(space, poisson_problem().dirichlet)
+        for J in (RegionIntegral(), PointValue((0.1, 0.1))):
+            g_free = J.gradient(space, free, u, quad)
+            g_clamped = J.gradient(space, clamped, u, quad)
+            assert np.all(g_clamped[clamped.constrained] == 0.0)
+            assert np.any(g_free[clamped.constrained] != 0.0)
+            # repeated calls hit each set's own cache
+            assert np.array_equal(J.gradient(space, free, u, quad), g_free)
+            assert np.array_equal(J.gradient(space, clamped, u, quad),
+                                  g_clamped)
+
+    def test_recycled_constraint_set_gets_fresh_gradient(self):
+        # a constraint set built after another was collected may reuse
+        # its id; the hats of Q1 sum to one, so the unconstrained
+        # gradient of the domain integral sums to the area
+        space, u, quad = self.unit_square_q1()
+        J = RegionIntegral()
+        for _ in range(10):
+            clamped = build_constraints(space, poisson_problem().dirichlet)
+            assert J.gradient(space, clamped, u, quad).sum() < 0.9
+            del clamped
+            free = build_constraints(space)
+            assert J.gradient(space, free, u, quad).sum() == \
+                pytest.approx(1.0, rel=1e-13)
 
 
 class TestCatalog:
