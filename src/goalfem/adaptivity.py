@@ -53,7 +53,6 @@ class RunConfig:
     combine: Literal["weighted", "raw"] = "weighted"  # raw: single goal
     newton_mode: Literal["adaptive", "fixed"] = "adaptive"
     marking: Literal["estimator", "uniform"] = "estimator"
-    marking_threshold: float = 0.85
     reference_values: Optional[tuple] = None
     reference_uncertainties: Optional[tuple] = None
     je_truth: Literal["reference", "surrogate"] = "reference"
@@ -70,6 +69,14 @@ class RunConfig:
         r2 = self.enriched_degree
         if r2 is not None and r2 <= self.degree:
             raise ValueError("enriched degree must exceed the primal degree")
+        n_goals = len(goals.catalog(self.experiment))
+        for name in ("omegas", "reference_values", "reference_uncertainties"):
+            value = getattr(self, name)
+            if value is not None and len(value) != n_goals:
+                raise ValueError(f"{name} has {len(value)} entries, but "
+                                 f"{self.experiment} has {n_goals} goals")
+        if self.combine == "raw" and n_goals != 1:
+            raise ValueError("raw mode needs exactly one functional")
 
     @property
     def r2(self):
@@ -231,8 +238,6 @@ def run_adaptive(config, log=None, on_level=None):
     emit = log or (lambda line: None)
     problem = build_problem(config)
     functionals = goals.catalog(config.experiment)
-    if config.combine == "raw" and len(functionals) != 1:
-        raise ValueError("raw mode needs exactly one functional")
     quad = gauss(config.r2 + 2)
 
     mesh = build_geometry(config)
@@ -318,8 +323,7 @@ def run_adaptive(config, log=None, on_level=None):
         if config.marking == "uniform":
             marked_rows = np.arange(len(mesh.active_cells))
         else:
-            marked_rows = mark_average(breakdown.cellwise,
-                                       config.marking_threshold)
+            marked_rows = mark_average(breakdown.cellwise)
         mesh = mesh.refine(mesh.active_cells[marked_rows])
         u_prev, u2_prev = u_h, u2
         eta_prev = breakdown.eta_h

@@ -104,7 +104,7 @@ def eval_chunk(f, rule, sl):
     """Values and gradients of a discrete function on one cell chunk."""
     space = f.space
     N, _ = space_tab(space, rule)
-    uloc = space.local_coeffs(f.coeffs)[sl]
+    uloc = space.local_coeffs(f.coeffs, sl)
     gphi = phys_gradients(space, rule, sl)
     vals = np.einsum("ecb,bq->ecq", uloc, N, optimize=True)
     grads = np.einsum("ecb,ebqi->ecqi", uloc, gphi, optimize=True)
@@ -153,9 +153,7 @@ def assemble_residual(problem, space, constraints, u, quad=None):
         gphi = phys_gradients(space, rule, sl)
         rloc = np.einsum("eq,ekq,bq->ekb", wdet, val, N, optimize=True)
         rloc += np.einsum("eq,ekqi,ebqi->ekb", wdet, grd, gphi, optimize=True)
-        nodes = space.cell_nodes[sl]
-        for comp in range(space.n_components):
-            np.add.at(raw, space.dof(comp, nodes), rloc[:, comp, :])
+        np.add.at(raw, space.cell_dofs[sl], rloc)
     return constraints.condense_rhs(raw)
 
 
@@ -223,11 +221,7 @@ def assemble_jacobian(problem, space, constraints, u, quad=None):
         if not np.all(np.isfinite(A)):
             raise QuadratureFailure("non-finite jacobian integrand")
         ne = uv.shape[0]
-        gdof = np.empty((ne, ncomp, nb), dtype=np.int64)
-        nodes = space.cell_nodes[sl]
-        for comp in range(ncomp):
-            gdof[:, comp, :] = space.dof(comp, nodes)
-        gdof = gdof.reshape(ne, nloc)
+        gdof = space.cell_dofs[sl].reshape(ne, nloc)
         rows.append(np.broadcast_to(gdof[:, :, None], (ne, nloc, nloc)).ravel())
         cols.append(np.broadcast_to(gdof[:, None, :], (ne, nloc, nloc)).ravel())
         vals.append(A.reshape(ne, nloc, nloc).ravel())

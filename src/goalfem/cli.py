@@ -62,7 +62,11 @@ def parse_config(text):
         elif ftype == "float":
             kwargs[key] = float(raw)
         elif ftype == "bool":
-            kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
+            try:
+                kwargs[key] = cp["run"].getboolean(key)
+            except ValueError:
+                raise ValueError(f"{key} must be a boolean, not {raw!r}") \
+                    from None
         elif ftype == "Optional[int]":
             kwargs[key] = int(raw)
         else:

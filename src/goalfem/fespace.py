@@ -4,7 +4,13 @@ Scalar support points are equispaced tensor nodes per cell, unified
 across cells through topological keys (vertex / edge-position / cell
 interior), so DOF numbering is deterministic: cells are scanned by
 ascending id, local nodes in tensor order (x fastest).  Vector spaces
-use a block layout, ``dof = component * n_nodes + node``.
+use a block layout, ``dof = component * n_nodes + node``, tabulated
+once as ``FeSpace.cell_dofs[cell_row, component, local]``; every cell
+gather (``local_coeffs``) and scatter goes through that table.
+
+Hanging-node and Dirichlet constraints are one affine map u = C u + b
+(``ConstraintSet``): the sparse matrix C, closed so that no master is
+itself constrained, the mask of constrained DOFs and the vector b.
 """
 
 from __future__ import annotations
@@ -164,6 +170,8 @@ class FeSpace:
 
         self.cell_nodes = cell_nodes
         self.n_nodes = len(coords)
+        self.cell_dofs = self.dof(np.arange(self.n_components)[:, None],
+                                  cell_nodes[:, None, :])
         self.node_coords = np.asarray(coords)
         self.vertex_node = vertex_node
         self.edge_nodes = edge_nodes
@@ -199,10 +207,10 @@ class FeSpace:
         """Scalar nodes interior to edge (a, b), ordered from min(a, b)."""
         return self.edge_nodes.get(_ekey(a, b))
 
-    def local_coeffs(self, coeffs):
-        """Per-cell coefficient blocks, shape (n_active, n_comp, nb)."""
-        per_comp = np.asarray(coeffs).reshape(self.n_components, self.n_nodes)
-        return np.transpose(per_comp[:, self.cell_nodes], (1, 0, 2))
+    def local_coeffs(self, coeffs, rows=slice(None)):
+        """Coefficient blocks of the active-cell ``rows``, shape
+        (..., n_comp, nb)."""
+        return np.asarray(coeffs)[self.cell_dofs[rows]]
 
     def function(self, coeffs=None):
         if coeffs is None:
@@ -231,63 +239,53 @@ def build_space(mesh, degree, n_components=1):
 # constraints
 # ----------------------------------------------------------------------
 class ConstraintSet:
-    """Resolved affine constraints: dof = sum(w * master) + inhomogeneity.
+    """Closed affine constraints u = C u + b.
 
-    After closure no master is itself constrained, which makes constraint
-    application a projection.
+    ``matrix`` C carries the master weights on each constrained row and
+    a unit diagonal on every free row, ``constrained`` marks the
+    constrained rows and ``inhomogeneity`` b is zero off them.  After
+    closure no master is itself constrained (C has no entry in a
+    constrained column), which makes constraint application a
+    projection.
     """
 
-    def __init__(self, n_dofs, rows):
-        self.n_dofs = n_dofs
-        self.rows = rows
+    def __init__(self, n_dofs, hanging=((), (), ()), fixed=None):
+        """``hanging`` holds the triplets (dofs, masters, weights) of the
+        rows dof = sum(weight * master); ``fixed`` maps a DOF to its
+        value, which overrides a hanging row of the same DOF."""
+        fixed = fixed or {}
+        dofs, masters = (np.asarray(a, dtype=np.int64) for a in hanging[:2])
+        weights = np.asarray(hanging[2], dtype=float)
+        fixed_dofs = np.array(list(fixed), dtype=np.int64)
+        b = np.zeros(n_dofs)
+        b[fixed_dofs] = list(fixed.values())
+        mask = np.zeros(n_dofs, dtype=bool)
+        mask[dofs] = True
+        mask[fixed_dofs] = True
+        keep = ~np.isin(dofs, fixed_dofs)
+        free = np.flatnonzero(~mask)
+        C = sp.csr_matrix(
+            (np.concatenate([weights[keep], np.ones(free.size)]),
+             (np.concatenate([dofs[keep], free]),
+              np.concatenate([masters[keep], free]))),
+            shape=(n_dofs, n_dofs))
+        # substitute constrained masters: u = C (C u + b) + b.  A chain
+        # through d constrained DOFs closes after ceil(log2 d) squarings,
+        # so a system still open after more than that has a cycle
+        n_constrained = int(mask.sum())
+        squarings = 0
+        while np.any(mask[C.indices] & np.repeat(mask, np.diff(C.indptr))):
+            if 2 ** squarings >= n_constrained:
+                raise AssertionError("constraint chains did not close")
+            b = C @ b + b
+            C = C @ C
+            squarings += 1
+        C.sum_duplicates()
+        self.matrix = C
+        self.constrained = mask
+        self.inhomogeneity = b
         # condensed goal gradients, filled by Functional.leaf_gradient
         self.gradient_cache = {}
-        self._close()
-        self._assemble_matrix()
-
-    def _close(self):
-        for dof in list(self.rows):
-            masters, weights, inhom = self.rows[dof]
-            guard = 0
-            while any(m in self.rows for m in masters):
-                nm, nw = [], []
-                for m, w in zip(masters, weights):
-                    sub = self.rows.get(m)
-                    if sub is None:
-                        nm.append(m)
-                        nw.append(w)
-                    else:
-                        sm, sw, si = sub
-                        nm.extend(sm)
-                        nw.extend(w * np.asarray(sw))
-                        inhom += w * si
-                masters, weights = nm, nw
-                guard += 1
-                if guard > 100:
-                    raise AssertionError("constraint chains did not close")
-            merged = {}
-            for m, w in zip(masters, weights):
-                merged[m] = merged.get(m, 0.0) + w
-            self.rows[dof] = (list(merged), list(merged.values()), inhom)
-
-    def _assemble_matrix(self):
-        n = self.n_dofs
-        mask = np.zeros(n, dtype=bool)
-        inhom = np.zeros(n)
-        ii, jj, vv = [], [], []
-        for dof, (masters, weights, b) in self.rows.items():
-            mask[dof] = True
-            inhom[dof] = b
-            ii.extend([dof] * len(masters))
-            jj.extend(masters)
-            vv.extend(weights)
-        free = np.flatnonzero(~mask)
-        ii.extend(free)
-        jj.extend(free)
-        vv.extend(np.ones(free.size))
-        self.matrix = sp.csr_matrix((vv, (ii, jj)), shape=(n, n))
-        self.constrained = mask
-        self.inhomogeneity = inhom
 
     @property
     def n_constrained(self):
@@ -328,10 +326,10 @@ def build_constraints(space, dirichlet=()):
     """
     r = space.degree
     mesh = space.mesh
-    rows = {}
+    dofs, masters, weights = [], [], []
+    fixed = {}
 
     # hanging faces: fine-side nodes interpolate the coarse edge trace
-    ts = np.arange(1, r) / r if r > 1 else np.empty(0)
     for _, (a, b), m in mesh.hanging_interfaces():
         coarse_nodes = [space.vertex_node[a]]
         run = space.edge_node_run(a, b)
@@ -349,13 +347,14 @@ def build_constraints(space, dirichlet=()):
             for k, nid in enumerate(sub, start=1):
                 fine.append((nid, t_of[lo] + (k / r) * (t_of[hi] - t_of[lo])))
 
+        coarse_nodes = np.asarray(coarse_nodes)
         for nid, t in fine:
             w = lagrange_1d(r, np.array([t]))[:, 0]
             keep = np.abs(w) > 1e-14
             for comp in range(space.n_components):
-                rows[int(space.dof(comp, nid))] = (
-                    list(space.dof(comp, np.asarray(coarse_nodes)[keep])),
-                    list(w[keep]), 0.0)
+                dofs.extend([space.dof(comp, nid)] * int(keep.sum()))
+                masters.extend(space.dof(comp, coarse_nodes[keep]))
+                weights.extend(w[keep])
 
     # Dirichlet values by nodal interpolation of the data
     emap = mesh.active_edge_map()
@@ -378,15 +377,15 @@ def build_constraints(space, dirichlet=()):
                 side = float(np.sign(centroid[1] - y)) if centroid[1] != y else 0.0
                 val = float(g(x, y, side))
                 dof = int(space.dof(comp, nid))
-                prev = rows.get(dof)
-                if prev is not None and not prev[0]:
-                    if abs(prev[2] - val) > 1e-12 * (1.0 + abs(prev[2])):
+                prev = fixed.get(dof)
+                if prev is not None:
+                    if abs(prev - val) > 1e-12 * (1.0 + abs(prev)):
                         raise ConflictingConstraints(
-                            f"dof {dof} at ({x}, {y}): {prev[2]} vs {val}")
+                            f"dof {dof} at ({x}, {y}): {prev} vs {val}")
                     continue
-                rows[dof] = ([], [], val)
+                fixed[dof] = val
 
-    return ConstraintSet(space.n_dofs, rows)
+    return ConstraintSet(space.n_dofs, (dofs, masters, weights), fixed)
 
 
 # ----------------------------------------------------------------------
@@ -402,8 +401,7 @@ def interpolate_between(source, target_space, constraints=None):
     uloc = source.space.local_coeffs(source.coeffs)
     vals = np.einsum("ecb,bt->ect", uloc, B)
     out = np.zeros(target_space.n_dofs)
-    for comp in range(target_space.n_components):
-        out[target_space.dof(comp, target_space.cell_nodes)] = vals[:, comp, :]
+    out[target_space.cell_dofs] = vals
     f = target_space.function(out)
     if constraints is not None:
         f = target_space.function(constraints.apply(out))
@@ -449,9 +447,7 @@ def transfer_to_refined(source, target_space, constraints=None):
             B, _ = source.space.basis_at(pts)
             basis_cache[key] = B
         src_row = source.space.active_row[cc]
-        vals = src_loc[src_row] @ B  # (ncomp, nb_t)
-        for comp in range(target_space.n_components):
-            out[target_space.dof(comp, target_space.cell_nodes[row])] = vals[comp]
+        out[target_space.cell_dofs[row]] = src_loc[src_row] @ B
 
     f = target_space.function(out)
     if constraints is not None:
@@ -509,16 +505,3 @@ def locate_point(mesh, point, side=0):
             return int(row), ref
     raise PointOutsideDomain(f"point {tuple(p)} not found in any active cell")
 
-
-def evaluate_at_point(f, point, component=0, side=0):
-    """Value of a discrete function at a physical point.
-
-    Points on cell interfaces are evaluated on the active cell with the
-    smallest id; ``side`` (+-1) disambiguates the two slit lips by the
-    vertical position of the owning cell.
-    """
-    space = f.space
-    row, ref = locate_point(space.mesh, point, side)
-    N, _ = tensor_basis(space.degree, ref[None, :])
-    uloc = space.local_coeffs(f.coeffs)
-    return float(uloc[row, component] @ N[:, 0])

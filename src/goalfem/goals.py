@@ -79,8 +79,7 @@ class PointValue(Functional):
 
     def _eval_in_cell(self, f, row, ref):
         N, _ = tensor_basis(f.space.degree, ref[None, :])
-        nodes = f.space.cell_nodes[row]
-        coeffs = f.coeffs[f.space.dof(self.component, nodes)]
+        coeffs = f.space.local_coeffs(f.coeffs, row)[self.component]
         return float(coeffs @ N[:, 0])
 
     def leaf_directional(self, u, v, quad=None):
@@ -96,7 +95,7 @@ class PointValue(Functional):
         row, ref = locate_point(space.mesh, self.point, self.side)
         N, _ = tensor_basis(space.degree, ref[None, :])
         raw = np.zeros(space.n_dofs)
-        raw[space.dof(self.component, space.cell_nodes[row])] = N[:, 0]
+        raw[space.cell_dofs[row, self.component]] = N[:, 0]
         return raw
 
     def leaf_nodal_directional(self, u, v, quad):
@@ -191,7 +190,7 @@ class RegionIntegral(Functional):
             vals = None
             for c, f in funcs:
                 v = np.einsum("ecb,bq->ecq",
-                              f.space.local_coeffs(f.coeffs)[full],
+                              f.space.local_coeffs(f.coeffs, full),
                               assembly.space_tab(f.space, rule)[0],
                               optimize=True)
                 vals = c * v if vals is None else vals + c * v
@@ -215,9 +214,7 @@ class RegionIntegral(Functional):
             vals = None
             for c, f in funcs:
                 N, _ = f.space.basis_at(pts)
-                nodes = f.space.cell_nodes[row]
-                loc = np.stack([f.coeffs[f.space.dof(k, nodes)] for k in range(ncomp)])
-                v = loc @ N
+                v = f.space.local_coeffs(f.coeffs, row) @ N
                 vals = c * v if vals is None else vals + c * v
             dens = np.einsum("qk,kq->q", w, vals)
             if per_vertex:
@@ -246,9 +243,7 @@ class RegionIntegral(Functional):
             w = self._weights_at(xq[full], ncomp)
             wdet = rule.weights[None, :] * det[full]
             loc = np.einsum("eq,eqk,bq->ekb", wdet, w, N, optimize=True)
-            nodes = space.cell_nodes[full]
-            for comp in range(ncomp):
-                np.add.at(raw, space.dof(comp, nodes), loc[:, comp, :])
+            np.add.at(raw, space.cell_dofs[full], loc)
         for row, pts, wts in partial:
             corners = mesh.corners()[row]
             phys = corners[0][None, :] + pts[:, 0:1] * (corners[1] - corners[0]) \
@@ -256,10 +251,8 @@ class RegionIntegral(Functional):
             area = (corners[1, 0] - corners[0, 0]) * (corners[2, 1] - corners[0, 1])
             w = self._weights_at(phys, ncomp)
             Np, _ = space.basis_at(pts)
-            nodes = space.cell_nodes[row]
-            for comp in range(ncomp):
-                np.add.at(raw, space.dof(comp, nodes),
-                          area * (Np @ (wts * w[:, comp])))
+            np.add.at(raw, space.cell_dofs[row],
+                      area * (Np @ (wts[:, None] * w)).T)
         return raw
 
     def leaf_nodal_directional(self, u, v, quad):

@@ -129,7 +129,7 @@ class TestJacobian:
         r = assemble_residual(problem, space, cons, u0)
         du_condensed = cons.distribute(factorize(A).solve(-r))
 
-        empty = ConstraintSet(space.n_dofs, {})
+        empty = ConstraintSet(space.n_dofs)
         raw_A = assemble_jacobian(problem, space, empty, u0)
         raw_r = assemble_residual(problem, space, empty, u0)
         free = np.flatnonzero(~cons.constrained)

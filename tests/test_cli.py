@@ -57,6 +57,7 @@ class TestConfig:
         ("marking", "estimater"),
         ("je_truth", "surogate"),
         ("cold_start", "homotophy"),
+        ("manufactured", "ture"),
     ])
     def test_misspelled_choice_rejected(self, key, typo):
         entries = {"experiment": "example1a", "geometry": "unit_square",
@@ -64,6 +65,42 @@ class TestConfig:
         ini = "[run]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
         with pytest.raises(ValueError, match=key):
             parse_config(ini)
+
+
+# per goal-count field: an INI line with the wrong number of entries
+_GOAL_COUNT_TYPOS = [
+    ("omegas", "experiment = example2\ngeometry = slit\n"
+               "system = quasilinear\nomegas = 2.0\n"),
+    ("omegas", "experiment = example1a\ngeometry = unit_square\n"
+               "omegas = 1.0, 2.0\n"),
+    ("reference_values", "experiment = example1c\ngeometry = cheese\n"
+                         "reference_values = 0.5\n"),
+    ("reference_uncertainties", "experiment = example1c\n"
+                                "geometry = cheese\n"
+                                "reference_uncertainties = 1e-5\n"),
+    ("raw", "experiment = example1c\ngeometry = cheese\n"
+            "combine = raw\n"),
+]
+
+
+class TestGoalCount:
+    @pytest.mark.parametrize("field, body", _GOAL_COUNT_TYPOS)
+    def test_parse_config_rejects(self, field, body):
+        with pytest.raises(ValueError, match=field):
+            parse_config("[run]\n" + body)
+
+    @pytest.mark.parametrize("field, body", _GOAL_COUNT_TYPOS)
+    def test_cli_exit_3(self, tmp_path, field, body):
+        ini = tmp_path / "count.ini"
+        ini.write_text("[run]\n" + body + "label = count\nmax_levels = 1\n")
+        assert main(["run", "--config", str(ini),
+                     "--out-dir", str(tmp_path)]) == 3
+        assert not (tmp_path / "count_adaptive.csv").exists()
+
+    def test_matching_counts_accepted(self):
+        cfg = parse_config("[run]\nexperiment = example2\ngeometry = slit\n"
+                           "omegas = " + ", ".join(["1.0"] * 6) + "\n")
+        assert cfg.omegas == (1.0,) * 6
 
 
 class TestRunVerb:

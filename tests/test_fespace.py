@@ -2,17 +2,36 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goalfem.errors import MeshMismatch, PointOutsideDomain
-from goalfem.fespace import (build_constraints, build_space,
-                             evaluate_at_point, interpolate_between,
-                             transfer_to_refined)
-from goalfem.mesh import build_slit, build_unit_square
+from goalfem import fespace
+from goalfem.errors import (ConflictingConstraints, MeshMismatch,
+                            PointOutsideDomain)
+from goalfem.fespace import (ConstraintSet, build_constraints, build_space,
+                             interpolate_between, transfer_to_refined)
+from goalfem.goals import PointValue
+from goalfem.mesh import build_cheese, build_slit, build_unit_square
 from goalfem.problems import build_quasilinear
 
 
 def zero(x, y, side):
     return 0.0
+
+
+def point_value(f, point, component=0, side=0):
+    return PointValue(point, component, side).value(f)
+
+
+def hanging_rows(cons):
+    """(masters, weights, inhomogeneity) of every constrained row of C
+    that has masters."""
+    C = cons.matrix
+    for dof in np.flatnonzero(cons.constrained):
+        lo, hi = C.indptr[dof], C.indptr[dof + 1]
+        if hi > lo:
+            yield C.indices[lo:hi], C.data[lo:hi], cons.inhomogeneity[dof]
 
 
 class TestDofCounts:
@@ -26,6 +45,13 @@ class TestDofCounts:
     def test_components_multiply(self):
         s = build_space(build_unit_square(2), 1, n_components=3)
         assert s.n_dofs == 27
+
+    def test_cell_dofs_block_layout(self):
+        s = build_space(build_unit_square(2).refine([1]), 2, n_components=3)
+        assert s.cell_dofs.shape == (len(s.active), 3, 9)
+        for comp in range(3):
+            assert np.array_equal(s.cell_dofs[:, comp, :],
+                                  s.dof(comp, s.cell_nodes))
 
     def test_numbering_deterministic(self):
         a = build_space(build_unit_square(3), 2)
@@ -47,7 +73,7 @@ class TestConstraints:
         mesh = build_unit_square(2).refine([0])
         s = build_space(mesh, 1)
         cons = build_constraints(s)
-        halves = [row for row in cons.rows.values() if row[0]]
+        halves = list(hanging_rows(cons))
         assert len(halves) == 2
         for masters, weights, inhom in halves:
             assert sorted(weights) == [0.5, 0.5] and inhom == 0.0
@@ -57,9 +83,8 @@ class TestConstraints:
         for degree in (1, 2, 3):
             s = build_space(mesh, degree)
             cons = build_constraints(s)
-            for masters, weights, _ in cons.rows.values():
-                if masters:
-                    assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+            for masters, weights, _ in hanging_rows(cons):
+                assert sum(weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_slit_lip_values(self):
         # imposing the exact trace on the lips: the two DOF copies at
@@ -127,6 +152,162 @@ class TestConstraints:
                                - eval_in_cell(f, fine, p)) <= 1e-12
 
 
+def reference_closure(n_dofs, hanging, fixed):
+    """The dict-of-rows closure the CSR closure replaced, kept as the
+    reference: each row (masters, weights, inhomogeneity) substitutes
+    its constrained masters until none is left, then merges repeated
+    masters.  Returns (matrix, constrained, inhomogeneity)."""
+    rows = {}
+    for dof, master, weight in zip(*hanging):
+        masters, weights, _ = rows.setdefault(int(dof), ([], [], 0.0))
+        masters.append(int(master))
+        weights.append(weight)
+    for dof, val in fixed.items():
+        rows[dof] = ([], [], val)
+
+    for dof in list(rows):
+        masters, weights, inhom = rows[dof]
+        guard = 0
+        while any(m in rows for m in masters):
+            nm, nw = [], []
+            for m, w in zip(masters, weights):
+                sub = rows.get(m)
+                if sub is None:
+                    nm.append(m)
+                    nw.append(w)
+                else:
+                    sm, sw, si = sub
+                    nm.extend(sm)
+                    nw.extend(w * np.asarray(sw))
+                    inhom += w * si
+            masters, weights = nm, nw
+            guard += 1
+            if guard > 100:
+                raise AssertionError("constraint chains did not close")
+        merged = {}
+        for m, w in zip(masters, weights):
+            merged[m] = merged.get(m, 0.0) + w
+        rows[dof] = (list(merged), list(merged.values()), inhom)
+
+    mask = np.zeros(n_dofs, dtype=bool)
+    inhom = np.zeros(n_dofs)
+    ii, jj, vv = [], [], []
+    for dof, (masters, weights, b) in rows.items():
+        mask[dof] = True
+        inhom[dof] = b
+        ii.extend([dof] * len(masters))
+        jj.extend(masters)
+        vv.extend(weights)
+    free = np.flatnonzero(~mask)
+    ii.extend(free)
+    jj.extend(free)
+    vv.extend(np.ones(free.size))
+    return sp.csr_matrix((vv, (ii, jj)), shape=(n_dofs, n_dofs)), mask, inhom
+
+
+def build_recorded(space, dirichlet):
+    """build_constraints plus the arguments it passed to ConstraintSet."""
+    seen = []
+
+    class Recording(ConstraintSet):
+        def __init__(self, *args):
+            seen.append(args)
+            super().__init__(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fespace, "ConstraintSet", Recording)
+        cons = build_constraints(space, dirichlet)
+    return cons, seen[0]
+
+
+_MESHES = {"square": lambda: build_unit_square(3), "cheese": build_cheese,
+           "slit": build_slit}
+
+
+class TestClosure:
+    @given(kind=st.sampled_from(sorted(_MESHES)),
+           degree=st.integers(1, 4), n_comp=st.sampled_from([1, 3]),
+           marks=st.lists(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                   max_size=6), min_size=1, max_size=3),
+           u_seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_closure(self, kind, degree, n_comp, marks,
+                                       u_seed):
+        mesh = _MESHES[kind]()
+        for round_marks in marks:
+            active = mesh.active_cells
+            rows = {min(int(t * len(active)), len(active) - 1)
+                    for t in round_marks}
+            mesh = mesh.refine(active[sorted(rows)])
+        space = build_space(mesh, degree, n_comp)
+        # the two slit lips (y = 0, x < 0) take different values
+        dirichlet = [("dirichlet", k, lambda x, y, side, k=k:
+                      1.0 + k + x - 2.0 * y + side * min(x, 0.0) * (y == 0))
+                     for k in range(n_comp)]
+        cons, args = build_recorded(space, dirichlet)
+        C_ref, mask_ref, b_ref = reference_closure(*args)
+
+        assert np.array_equal(cons.constrained, mask_ref)
+        C = cons.matrix
+        assert C.has_canonical_format
+        assert abs(C - C_ref).max() <= 1e-15 * abs(C_ref).max()
+        assert np.max(np.abs(cons.inhomogeneity - b_ref)) \
+            <= 1e-15 * max(1.0, np.max(np.abs(b_ref)))
+        # closed: no constrained row references a constrained column
+        mask = cons.constrained
+        assert C[mask][:, mask].nnz == 0
+        u = np.random.default_rng(u_seed).normal(size=space.n_dofs)
+        once = cons.apply(u)
+        assert np.array_equal(cons.apply(once), once)
+
+    def test_chain_closes(self):
+        # 0 -> {1, 3}, 1 -> {2, 4}, 2 fixed; 5 -> 6 -> 7 -> 8 -> 9 -> 3
+        cons = ConstraintSet(
+            10, ([0, 0, 1, 1, 5, 6, 7, 8, 9], [1, 3, 2, 4, 6, 7, 8, 9, 3],
+                 [0.5, 0.5, 0.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0]), {2: 4.0})
+        assert np.flatnonzero(cons.constrained).tolist() == [0, 1, 2, 5, 6,
+                                                             7, 8, 9]
+        dense = cons.matrix.toarray()
+        assert dense[0].tolist() == [0, 0, 0, 0.5, 0.375, 0, 0, 0, 0, 0]
+        assert dense[1].tolist() == [0, 0, 0, 0, 0.75, 0, 0, 0, 0, 0]
+        assert not dense[2].any()
+        for dof in (5, 6, 7, 8, 9):
+            assert np.flatnonzero(dense[dof]).tolist() == [3]
+        assert cons.inhomogeneity.tolist() == [0.5, 1.0, 4.0] + [0.0] * 7
+
+    @pytest.mark.parametrize("hanging", [
+        ([0, 1], [1, 0], [1.0, 1.0]),
+        ([0, 0, 1, 1], [1, 2, 0, 2], [0.5, 0.5, 0.5, 0.5]),
+        ([0, 1, 2], [1, 2, 0], [1.0, 1.0, 1.0]),
+    ])
+    def test_cycle_raises(self, hanging):
+        with pytest.raises(AssertionError):
+            ConstraintSet(4, hanging)
+
+    def test_no_constraints(self):
+        cons = ConstraintSet(3)
+        assert not cons.constrained.any()
+        assert (cons.matrix != sp.identity(3)).nnz == 0
+
+
+class TestConflictingDirichlet:
+    def data(self, delta):
+        mesh = build_unit_square(2)
+        space = build_space(mesh, 1)
+        return space, [("dirichlet", 0, lambda x, y, side: 1.0),
+                       ("dirichlet", 0, lambda x, y, side: 1.0 + delta)]
+
+    def test_values_apart_raise(self):
+        space, dirichlet = self.data(1e-9)
+        with pytest.raises(ConflictingConstraints):
+            build_constraints(space, dirichlet)
+
+    def test_roundoff_apart_accepted(self):
+        space, dirichlet = self.data(1e-14)
+        cons = build_constraints(space, dirichlet)
+        assert np.all(cons.inhomogeneity[cons.constrained] == 1.0)
+
+
 class TestInterpolation:
     def test_constant_preserved(self):
         m = build_unit_square(2)
@@ -175,15 +356,15 @@ class TestInterpolation:
         s2 = build_space(m2, 2)
         g = transfer_to_refined(f, s2)
         for p in rng.uniform(0.01, 0.99, size=(10, 2)):
-            assert evaluate_at_point(g, p) == pytest.approx(
-                evaluate_at_point(f, p), abs=1e-12)
+            assert point_value(g, p) == pytest.approx(
+                point_value(f, p), abs=1e-12)
 
 
 class TestPointEvaluation:
     def test_constant(self):
         s = build_space(build_unit_square(3), 1)
         f = s.function(np.full(s.n_dofs, 7.5))
-        assert evaluate_at_point(f, (0.37, 0.91)) == pytest.approx(7.5)
+        assert point_value(f, (0.37, 0.91)) == pytest.approx(7.5)
 
     def test_bilinear_average(self):
         # corner values 0,1,1,2 at (0,0),(1,0),(0,1),(1,1) average to 1
@@ -193,12 +374,12 @@ class TestPointEvaluation:
             x, y = s.node_coords[i]
             coeffs[i] = {(0, 0): 0, (1, 0): 1, (0, 1): 1, (1, 1): 2}[(x, y)]
         f = s.function(coeffs)
-        assert evaluate_at_point(f, (0.5, 0.5)) == pytest.approx(1.0)
+        assert point_value(f, (0.5, 0.5)) == pytest.approx(1.0)
 
     def test_outside_domain(self):
         s = build_space(build_unit_square(2), 1)
         with pytest.raises(PointOutsideDomain):
-            evaluate_at_point(s.function(np.zeros(9)), (1.5, 0.5))
+            point_value(s.function(np.zeros(9)), (1.5, 0.5))
 
     def test_slit_side_hint(self):
         # distinct coefficients on the two lip copies are recovered by
@@ -212,8 +393,8 @@ class TestPointEvaluation:
                 if tuple(mesh.points[v]) == (-0.5, 0.0):
                     coeffs[s.vertex_node[v]] = np.sign(centroids[row][1])
         f = s.function(coeffs)
-        up = evaluate_at_point(f, (-0.5, 0.0), side=+1)
-        down = evaluate_at_point(f, (-0.5, 0.0), side=-1)
+        up = point_value(f, (-0.5, 0.0), side=+1)
+        down = point_value(f, (-0.5, 0.0), side=-1)
         assert up == pytest.approx(1.0, abs=1e-14)
         assert down == pytest.approx(-1.0, abs=1e-14)
 
@@ -228,5 +409,5 @@ class TestPointEvaluation:
         s = build_space(mesh, 1)
         vals = slit_exact(s.node_coords[:, 0], s.node_coords[:, 1], 1.0)
         f = s.function(vals)
-        assert evaluate_at_point(f, (-0.5, 0.01)) == pytest.approx(
+        assert point_value(f, (-0.5, 0.01)) == pytest.approx(
             expected, abs=1e-3)
