@@ -19,7 +19,7 @@ import numpy as np
 
 from . import goals, mesh as meshmod, multigoal
 from .assembly import assemble_residual, gauss
-from .errors import MalformedCsv
+from .errors import GoalFemError, MalformedCsv
 from .estimator import (distribute_to_cells, effectivity, estimate,
                         make_initial_guess, solve_enriched_adjoint)
 from .fespace import build_constraints, build_space, transfer_to_refined
@@ -235,13 +235,27 @@ def run_uniform(config, log=None, on_level=None):
 
 
 def run_adaptive(config, log=None, on_level=None):
+    """The records of the run's levels.  A ``GoalFemError`` raised at
+    some level leaves with the records of the levels before it attached
+    as ``exc.records``."""
+    records = []
+    try:
+        for record in _levels(config, log, on_level):
+            records.append(record)
+    except GoalFemError as exc:
+        exc.records = records
+        raise
+    return records
+
+
+def _levels(config, log, on_level):
+    """Run the adaptive loop, yielding each level's record."""
     emit = log or (lambda line: None)
     problem = build_problem(config)
     functionals = goals.catalog(config.experiment)
     quad = gauss(config.r2 + 2)
 
     mesh = build_geometry(config)
-    records = []
     eta_prev = 1e-8
     u_prev = u2_prev = None           # solutions of the previous level
     level = 1
@@ -301,7 +315,7 @@ def run_adaptive(config, log=None, on_level=None):
             i_eff = i_effp = i_effa = math.nan
 
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        records.append(ConvergenceRecord(
+        yield ConvergenceRecord(
             level=level, n_dofs=space.n_dofs, n_cells=len(mesh.active_cells),
             values=tuple(values), rel_errors=rel_errors,
             je_error=truth, je_surrogate=je_surrogate,
@@ -311,7 +325,7 @@ def run_adaptive(config, log=None, on_level=None):
             newton_steps=astats.iterations + boot1,
             enriched_newton_steps=stats2.iterations + boot2,
             eta_m=astats.eta_m[-1] if astats.eta_m else math.nan,
-            wall_ms=wall_ms))
+            wall_ms=wall_ms)
         emit(f"level {level}: dofs={space.n_dofs} eta_h={breakdown.eta_h:.3e} "
              f"J_E_err={truth:.3e} newton={astats.iterations} "
              f"(enriched {stats2.iterations})")
@@ -328,8 +342,6 @@ def run_adaptive(config, log=None, on_level=None):
         u_prev, u2_prev = u_h, u2
         eta_prev = breakdown.eta_h
         level += 1
-
-    return records
 
 
 def uniform_reference(config, n_refines, log=None):

@@ -16,6 +16,7 @@ batched matmul over the quadrature points and the trial index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +36,10 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=None)
 def gauss(n):
+    """The rule of order n, built once and shared (callers never modify
+    it; goal values ask for their default rule on every call)."""
     t, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w

@@ -126,11 +126,19 @@ def cmd_run(args):
     for suffix, runner in jobs:
         on_level = _vtk_callback(out_dir, f"{tag}_{suffix}") if args.vtk else None
         print(f"== {tag} ({suffix}) ==", flush=True)
-        records = runner(config, log=log, on_level=on_level)
-        stem = os.path.join(out_dir, f"{tag}_{suffix}")
-        write_csv(records, stem + ".csv")
-        write_gnuplot(records, stem + ".dat")
-        print(f"wrote {stem}.csv")
+        failure = None
+        try:
+            records = runner(config, log=log, on_level=on_level)
+        except GoalFemError as exc:
+            # keep the levels completed before the failure, then exit 2
+            failure, records = exc, getattr(exc, "records", [])
+        if records:
+            stem = os.path.join(out_dir, f"{tag}_{suffix}")
+            write_csv(records, stem + ".csv")
+            write_gnuplot(records, stem + ".dat")
+            print(f"wrote {stem}.csv")
+        if failure is not None:
+            raise failure
     return 0
 
 

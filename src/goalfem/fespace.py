@@ -284,7 +284,7 @@ class ConstraintSet:
         self.matrix = C
         self.constrained = mask
         self.inhomogeneity = b
-        # condensed goal gradients, filled by Functional.leaf_gradient
+        # condensed goal gradients, filled by LinearLeaf.leaf_gradient
         self.gradient_cache = {}
 
     @property
@@ -298,11 +298,9 @@ class ConstraintSet:
             + self.inhomogeneity[self.constrained]
         return out
 
-    def distribute(self, x, with_inhomogeneity=False):
-        out = self.matrix @ x
-        if with_inhomogeneity:
-            out = out + self.inhomogeneity
-        return out
+    def distribute(self, x):
+        """Homogeneous constrained extension C x of master values."""
+        return self.matrix @ x
 
     def condense_matrix(self, A):
         # constrained columns of C vanish, so C^T A C already has zero

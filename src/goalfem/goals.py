@@ -1,11 +1,15 @@
 """Goal-functional expression trees with exact directional derivatives.
 
-Leaves are point evaluations and weighted region integrals; composite
-nodes (sum, scale, shift, product, integer power) differentiate through
-``linearize``, which flattens the chain/product rule into a list of
-(coefficient, leaf) pairs at the evaluation state.  Every derivative
-flavor (scalar directional, assembled gradient, PU-nodal directional)
-reuses that flattening, so they cannot drift apart.
+A leaf is a linear functional given by one weighted sample set,
+J(u) = sum_s w_s . u(x_s): a point value is one sample, a region integral
+is its quadrature points with the weight, the quadrature weight and the
+cell Jacobian multiplied in.  The value, the directional derivative J'(v),
+the assembled gradient and the PU-nodal form J'(v psi_a) are four
+reductions of that one sum.  Composite nodes (sum, scale, shift, product,
+integer power) differentiate through ``linearize``, which flattens the
+chain/product rule into a list of (coefficient, leaf) pairs at the
+evaluation state, so no derivative form of a composite can drift from
+another.
 """
 
 from __future__ import annotations
@@ -44,10 +48,68 @@ class Functional:
             out += c * leaf.leaf_nodal_directional(u, v, quad)
         return out
 
+
+class LinearLeaf(Functional):
+    """A leaf J(u) = sum_s w_s . u(x_s) over a weighted sample set.
+
+    Subclasses supply ``_samples(mesh, rule, ncomp)``: groups
+    ``(rows, ref_pts, w)`` where ``w[e, p, k]`` weights component k at
+    reference point p of active-cell row ``rows[e]``.  The groups are
+    cached on the mesh per leaf (and per rule order unless
+    ``rule_free``).  Every space on a mesh numbers its active cells
+    alike, so one sample set serves all of them.
+    """
+
+    rule_free = False
+
+    def linearize(self, u):
+        return [(1.0, self)]
+
+    def _groups(self, mesh, rule, ncomp):
+        key = ("samples", self, ncomp, None if self.rule_free else rule.n)
+        hit = mesh._caches.get(key)
+        if hit is None:
+            hit = mesh._caches[key] = self._samples(mesh, rule, ncomp)
+        return hit
+
+    def _densities(self, v, quad):
+        """(rows, ref_pts, w . v(x)) per group, v a function or combo."""
+        combo = assembly._as_combo(v)
+        space = combo[0][1].space
+        rule = quad or assembly.default_rule(space)
+        for rows, pts, w in self._groups(space.mesh, rule,
+                                         space.n_components):
+            vals = sum(c * (f.space.local_coeffs(f.coeffs, rows)
+                            @ f.space.basis_at(pts)[0]) for c, f in combo)
+            yield rows, pts, np.einsum("epk,ekp->ep", w, vals)
+
+    def value(self, u):
+        return float(sum(d.sum() for _, _, d in self._densities(u, None)))
+
+    def leaf_directional(self, u, v, quad=None):
+        return float(sum(d.sum() for _, _, d in self._densities(v, quad)))
+
+    def leaf_nodal_directional(self, u, v, quad):
+        mesh = u.space.mesh
+        out = np.zeros(mesh.n_points)
+        for rows, pts, d in self._densities(v, quad):
+            hats, _ = tensor_basis(1, pts)
+            np.add.at(out, mesh.cell_verts[mesh.active_cells[rows]],
+                      d @ hats.T)
+        return out
+
+    def _raw_gradient(self, space, quad):
+        raw = np.zeros(space.n_dofs)
+        for rows, pts, w in self._groups(space.mesh, quad,
+                                         space.n_components):
+            N, _ = space.basis_at(pts)
+            np.add.at(raw, space.cell_dofs[rows], np.swapaxes(w, 1, 2) @ N.T)
+        return raw
+
     def leaf_gradient(self, space, constraints, u, quad):
-        """Condensed gradient of a leaf.  Leaves are linear in u, so it
-        is cached on the constraint set it was condensed with; the key
-        holds the leaf and the space themselves, never their ids."""
+        """Condensed gradient, cached on the constraint set it was
+        condensed with; the key holds the leaf and the space themselves,
+        never their ids."""
         key = (self, space, quad.n)
         out = constraints.gradient_cache.get(key)
         if out is None:
@@ -55,66 +117,32 @@ class Functional:
             constraints.gradient_cache[key] = out
         return out
 
-    def __mul__(self, other):
-        return Product([self, other])
 
-    def __pow__(self, k):
-        return Power(self, k)
-
-
-class PointValue(Functional):
+class PointValue(LinearLeaf):
     """u_component(x0), with a slit-side hint when x0 sits on a lip."""
+
+    rule_free = True
 
     def __init__(self, point, component=0, side=0):
         self.point = np.asarray(point, dtype=float)
         self.component = component
         self.side = side
 
-    def linearize(self, u):
-        return [(1.0, self)]
-
-    def value(self, u):
-        row, ref = locate_point(u.space.mesh, self.point, self.side)
-        return self._eval_in_cell(u, row, ref)
-
-    def _eval_in_cell(self, f, row, ref):
-        N, _ = tensor_basis(f.space.degree, ref[None, :])
-        coeffs = f.space.local_coeffs(f.coeffs, row)[self.component]
-        return float(coeffs @ N[:, 0])
-
-    def leaf_directional(self, u, v, quad=None):
-        mesh = u.space.mesh
+    def _samples(self, mesh, rule, ncomp):
         row, ref = locate_point(mesh, self.point, self.side)
-        total = 0.0
-        for c, f in assembly._as_combo(v):
-            frow = f.space.active_row[int(mesh.active_cells[row])]
-            total += c * self._eval_in_cell(f, frow, ref)
-        return total
-
-    def _raw_gradient(self, space, quad):
-        row, ref = locate_point(space.mesh, self.point, self.side)
-        N, _ = tensor_basis(space.degree, ref[None, :])
-        raw = np.zeros(space.n_dofs)
-        raw[space.cell_dofs[row, self.component]] = N[:, 0]
-        return raw
-
-    def leaf_nodal_directional(self, u, v, quad):
-        mesh = u.space.mesh
-        row, ref = locate_point(mesh, self.point, self.side)
-        val = self.leaf_directional(u, v)
-        hats, _ = tensor_basis(1, ref[None, :])
-        out = np.zeros(mesh.n_points)
-        np.add.at(out, mesh.cell_verts[mesh.active_cells[row]], val * hats[:, 0])
-        return out
+        w = np.zeros((1, 1, ncomp))
+        w[0, 0, self.component] = 1.0
+        return [(np.array([row]), ref[None, :], w)]
 
 
-class RegionIntegral(Functional):
+class RegionIntegral(LinearLeaf):
     """int_R weight(x) . u(x) dx over the domain or an axis-aligned box.
 
     ``weight(x, y)`` returns either an array broadcastable against x
     (pairs with component 0) or stacks the component weights on the last
     axis.  Cells partially covered by the box are integrated over the
-    overlap through an affine sub-mapping of the reference square.
+    overlap through an affine sub-mapping of the reference square, one
+    sample group per such cell.
     """
 
     def __init__(self, weight=None, box=None):
@@ -122,9 +150,6 @@ class RegionIntegral(Functional):
             lambda x, y, _c=(1.0 if weight is None else float(weight)):
             np.full(np.shape(x), _c))
         self.box = tuple(box) if box is not None else None
-
-    def linearize(self, u):
-        return [(1.0, self)]
 
     def _weights_at(self, x, ncomp):
         w = np.asarray(self.weight(x[..., 0], x[..., 1]), dtype=float)
@@ -136,127 +161,35 @@ class RegionIntegral(Functional):
             raise ValueError("weight returned an unexpected shape")
         return w
 
-    def _plan(self, mesh, rule):
-        """Split active cells into fully-covered and partial-overlap sets."""
-        key = ("boxplan", self.box, rule.n)
-        hit = mesh._caches.get(key)
-        if hit is not None:
-            return hit
+    def _samples(self, mesh, rule, ncomp):
+        det, _, xq = assembly.cell_geometry(mesh, rule)
+        wdet = (rule.weights[None, :] * det)[..., None]
         if self.box is None:
-            hit = (np.arange(len(mesh.active_cells)), [])
-            mesh._caches[key] = hit
-            return hit
-        bx0, bx1, by0, by1 = self.box
+            full = np.arange(len(det))
+            return [(full, rule.points, self._weights_at(xq, ncomp) * wdet)]
         corners = mesh.corners()
-        x0 = corners[:, :, 0].min(axis=1)
-        x1 = corners[:, :, 0].max(axis=1)
-        y0 = corners[:, :, 1].min(axis=1)
-        y1 = corners[:, :, 1].max(axis=1)
-        full, partial = [], []
-        for row in range(corners.shape[0]):
-            ox0, ox1 = max(x0[row], bx0), min(x1[row], bx1)
-            oy0, oy1 = max(y0[row], by0), min(y1[row], by1)
-            if ox0 >= ox1 or oy0 >= oy1:
-                continue
-            if ox0 == x0[row] and ox1 == x1[row] and oy0 == y0[row] and oy1 == y1[row]:
-                full.append(row)
-                continue
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        olo = np.maximum(lo, self.box[0::2])
+        ohi = np.minimum(hi, self.box[1::2])
+        overlap = np.all(olo < ohi, axis=1)
+        covered = overlap & np.all((olo == lo) & (ohi == hi), axis=1)
+        full = np.flatnonzero(covered)
+        groups = [(full, rule.points,
+                   self._weights_at(xq[full], ncomp) * wdet[full])]
+        for row in np.flatnonzero(overlap & ~covered):
             cc = corners[row]
             axis_aligned = (cc[0, 1] == cc[1, 1] and cc[2, 1] == cc[3, 1]
                             and cc[0, 0] == cc[2, 0] and cc[1, 0] == cc[3, 0])
             if not axis_aligned:
                 raise ValueError("box integrals need axis-aligned partial cells")
-            sx, sy = x1[row] - x0[row], y1[row] - y0[row]
-            r0 = np.array([(ox0 - x0[row]) / sx, (oy0 - y0[row]) / sy])
-            r1 = np.array([(ox1 - x0[row]) / sx, (oy1 - y0[row]) / sy])
+            size = hi[row] - lo[row]
+            r0 = (olo[row] - lo[row]) / size
+            r1 = (ohi[row] - lo[row]) / size
             pts = r0 + rule.points * (r1 - r0)
-            wts = rule.weights * np.prod(r1 - r0)
-            partial.append((row, pts, wts))
-        hit = (np.asarray(full, dtype=np.int64), partial)
-        mesh._caches[key] = hit
-        return hit
-
-    def _accumulate(self, funcs, quad, per_vertex=False):
-        """Integrate weight . (sum of funcs) -- totals or per-vertex-hat."""
-        space0 = funcs[0][1].space
-        mesh = space0.mesh
-        rule = quad or assembly.default_rule(space0)
-        ncomp = space0.n_components
-        det, _, xq = assembly.cell_geometry(mesh, rule)
-        full, partial = self._plan(mesh, rule)
-        out = np.zeros(mesh.n_points) if per_vertex else 0.0
-
-        if len(full):
-            vals = None
-            for c, f in funcs:
-                v = np.einsum("ecb,bq->ecq",
-                              f.space.local_coeffs(f.coeffs, full),
-                              assembly.space_tab(f.space, rule)[0],
-                              optimize=True)
-                vals = c * v if vals is None else vals + c * v
-            w = self._weights_at(xq[full], ncomp)      # (nf, nq, ncomp)
-            dens = np.einsum("eqk,ekq->eq", w, vals, optimize=True)
-            wdet = rule.weights[None, :] * det[full]
-            if per_vertex:
-                hats, _ = tensor_basis(1, rule.points)
-                contrib = np.einsum("eq,eq,aq->ea", wdet, dens, hats,
-                                    optimize=True)
-                np.add.at(out, mesh.cell_verts[mesh.active_cells[full]], contrib)
-            else:
-                out += float(np.einsum("eq,eq->", wdet, dens))
-
-        for row, pts, wts in partial:
-            corners = mesh.corners()[row]
-            phys = corners[0][None, :] + pts[:, 0:1] * (corners[1] - corners[0]) \
-                + pts[:, 1:2] * (corners[2] - corners[0])
-            area = (corners[1, 0] - corners[0, 0]) * (corners[2, 1] - corners[0, 1])
-            w = self._weights_at(phys, ncomp)
-            vals = None
-            for c, f in funcs:
-                N, _ = f.space.basis_at(pts)
-                v = f.space.local_coeffs(f.coeffs, row) @ N
-                vals = c * v if vals is None else vals + c * v
-            dens = np.einsum("qk,kq->q", w, vals)
-            if per_vertex:
-                hats, _ = tensor_basis(1, pts)
-                np.add.at(out, mesh.cell_verts[mesh.active_cells[row]],
-                          area * (hats @ (wts * dens)))
-            else:
-                out += float(area * np.sum(wts * dens))
-        return out
-
-    def value(self, u):
-        return self._accumulate([(1.0, u)], None)
-
-    def leaf_directional(self, u, v, quad=None):
-        return self._accumulate(assembly._as_combo(v), quad)
-
-    def _raw_gradient(self, space, quad):
-        mesh = space.mesh
-        rule = quad
-        det, _, xq = assembly.cell_geometry(mesh, rule)
-        N, _ = assembly.space_tab(space, rule)
-        full, partial = self._plan(mesh, rule)
-        raw = np.zeros(space.n_dofs)
-        ncomp = space.n_components
-        if len(full):
-            w = self._weights_at(xq[full], ncomp)
-            wdet = rule.weights[None, :] * det[full]
-            loc = np.einsum("eq,eqk,bq->ekb", wdet, w, N, optimize=True)
-            np.add.at(raw, space.cell_dofs[full], loc)
-        for row, pts, wts in partial:
-            corners = mesh.corners()[row]
-            phys = corners[0][None, :] + pts[:, 0:1] * (corners[1] - corners[0]) \
-                + pts[:, 1:2] * (corners[2] - corners[0])
-            area = (corners[1, 0] - corners[0, 0]) * (corners[2, 1] - corners[0, 1])
-            w = self._weights_at(phys, ncomp)
-            Np, _ = space.basis_at(pts)
-            np.add.at(raw, space.cell_dofs[row],
-                      area * (Np @ (wts[:, None] * w)).T)
-        return raw
-
-    def leaf_nodal_directional(self, u, v, quad):
-        return self._accumulate(assembly._as_combo(v), quad, per_vertex=True)
+            wts = rule.weights * np.prod(r1 - r0) * np.prod(size)
+            w = self._weights_at(lo[row] + pts * size, ncomp)
+            groups.append((np.array([row]), pts, (wts[:, None] * w)[None]))
+        return groups
 
 
 class Sum(Functional):

@@ -57,15 +57,9 @@ def factorize(A, pivot_rtol=PIVOT_RTOL):
     return LuFactorization(A, pivot_rtol=pivot_rtol)
 
 
-def max_norm(v, constrained=None):
-    """l-infinity norm over unconstrained entries.
-
-    ``constrained`` is an optional boolean mask of entries to ignore
-    (condensed residuals are zero there anyway).
-    """
+def max_norm(v):
+    """l-infinity norm, 0 for an empty vector."""
     v = np.asarray(v)
-    if constrained is not None:
-        v = v[~np.asarray(constrained)]
     if v.size == 0:
         return 0.0
     return float(np.max(np.abs(v)))

@@ -7,12 +7,18 @@ equivalent linear-combination functional J_c = sum_i w_i J_i with
 w_i = omega_i sign(J_i(u_h2) - J_i(u_h)) / |J_i(u_h)|.  The adjoint is
 solved in the J_c orientation (J_E' = -J_c'); the estimator is reported
 in absolute value, so the orientation only fixes signs reproducibly.
+
+J_c is the multitarget functional of Hartmann (SISC 2008) written as a
+goals expression, sum_i Scale(w_i, J_i): its value, directional
+derivative, assembled gradient and PU-nodal form are those of any goal
+tree, so one adjoint solve serves all N goals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import goals
 from .errors import ZeroReferenceFunctional
 
 
@@ -31,8 +37,11 @@ def combination_weights(values_ref, values_at, omegas=None):
     return omegas * np.sign(values_ref - values_at) / mags
 
 
-class CombinedFunctional:
-    """J_c with weights frozen at one (u_h, u_h2) pair of a level."""
+class CombinedFunctional(goals.Sum):
+    """J_c = sum_i w_i J_i, a ``goals.Sum`` of ``Scale(w_i, J_i)`` with the
+    weights frozen at one (u_h, u_h2) pair of a level.  Its gradient at
+    u_h is the coarse adjoint right-hand side, at u_h2 the enriched one;
+    a zero weight contributes an exact zero."""
 
     def __init__(self, functionals, values_h, values_h2, omegas=None):
         self.functionals = list(functionals)
@@ -42,34 +51,11 @@ class CombinedFunctional:
                        else np.asarray(omegas, dtype=float))
         self.weights = combination_weights(self.values_h2, self.values_h,
                                            self.omegas)
+        super().__init__(goals.Scale(w, J)
+                         for w, J in zip(self.weights, self.functionals))
 
     def combined_error_value(self):
         """J_E(u_h): sum of omega-weighted relative member errors."""
         return float(np.sum(self.omegas
                             * np.abs(self.values_h2 - self.values_h)
                             / np.abs(self.values_h)))
-
-    def value(self, u):
-        """J_c(u) = sum w_i J_i(u)."""
-        return float(sum(w * J.value(u)
-                         for w, J in zip(self.weights, self.functionals)))
-
-    def directional(self, u, v, quad=None):
-        return float(sum(w * J.directional(u, v, quad=quad)
-                         for w, J in zip(self.weights, self.functionals)))
-
-    def gradient(self, space, constraints, u_eval, quad):
-        """Assembled J_c'(u_eval); ``u_eval`` is u_h for the coarse adjoint
-        and u_h2 for the enriched one (weights stay frozen)."""
-        out = np.zeros(space.n_dofs)
-        for w, J in zip(self.weights, self.functionals):
-            if w != 0.0:
-                out += w * J.gradient(space, constraints, u_eval, quad)
-        return out
-
-    def nodal_directional(self, u, v, quad):
-        out = np.zeros(u.space.mesh.n_points)
-        for w, J in zip(self.weights, self.functionals):
-            if w != 0.0:
-                out += w * J.nodal_directional(u, v, quad)
-        return out

@@ -173,6 +173,33 @@ class TestRunVerb:
                        .replace("label = tiny", "label = hard"))
         assert main(["run", "--config", str(ini),
                      "--out-dir", str(tmp_path)]) == 2
+        # no level completed: no output
+        assert not (tmp_path / "hard_adaptive.csv").exists()
+
+    def test_failed_level_keeps_completed_levels(self, tmp_path,
+                                                 monkeypatch):
+        from goalfem import adaptivity
+        from goalfem.errors import SingularMatrix
+
+        real, calls = adaptivity.solve_enriched_adjoint, []
+
+        def fail_at_level_2(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SingularMatrix("injected at level 2")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(adaptivity, "solve_enriched_adjoint",
+                            fail_at_level_2)
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_INI)
+        assert main(["run", "--config", str(ini),
+                     "--out-dir", str(tmp_path)]) == 2
+        csv_path = tmp_path / "tiny_adaptive.csv"
+        rows = read_rows(csv_path)
+        assert len(rows) == 2 and rows[1][0] == "1"
+        assert (tmp_path / "tiny_adaptive.dat").exists()
+        assert main(["report", str(csv_path)]) == 0
 
 
 class TestReportVerb:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from goalfem import goals
 from goalfem.assembly import gauss
 from goalfem.errors import FunctionalSingular, UnknownExperiment
-from goalfem.fespace import build_constraints, build_space
+from goalfem.fespace import ConstraintSet, build_constraints, build_space
 from goalfem.goals import (PointValue, Power, Product, RegionIntegral, Scale,
                            Shift, Sum, _phi_d, catalog, example2_base)
 from goalfem.mesh import build_cheese, build_slit, build_unit_square
@@ -115,14 +116,64 @@ class TestDerivatives:
             assert abs(an - fd) <= 1e-6 * (1 + abs(J.value(u)))
 
     def test_nodal_directional_sums_to_directional(self, rng):
-        _, _, space, cons, u, _ = poisson_setup(n=2, degree=1)
+        # the unconstrained gradient against v and the PU-nodal sum both
+        # reproduce the directional derivative
+        square = build_space(build_unit_square(2), 1)
+        slit = build_space(build_slit().refine_uniform(1), 1, 3)
+        base = example2_base()
+        cases = [(square, J) for J in (
+            RegionIntegral(), PointValue((0.3, 0.3)),
+            Product([RegionIntegral(), PointValue((0.7, 0.2))]),
+            # the box cuts cells: partially covered cells are sampled too
+            RegionIntegral(lambda x, y: 1.0 + x * y,
+                           box=(0.2, 0.7, 0.1, 0.6)))]
+        cases += [(slit, J) for J in (
+            base["J_C"], base["J_D"],
+            # the two lips of the slit carry different values
+            PointValue((-0.5, 0.0), component=1, side=1),
+            PointValue((-0.5, 0.0), component=1, side=-1))]
         quad = gauss(3)
-        for J in (RegionIntegral(), PointValue((0.3, 0.3)),
-                  Product([RegionIntegral(), PointValue((0.7, 0.2))])):
+        for space, J in cases:
+            u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
             v = space.function(rng.normal(size=space.n_dofs))
-            nodal = J.nodal_directional(u, [(1.0, v)], quad)
             total = J.directional(u, v, quad=quad)
-            assert np.sum(nodal) == pytest.approx(total, rel=1e-12, abs=1e-14)
+            grad = J.gradient(space, ConstraintSet(space.n_dofs), u, quad)
+            nodal = J.nodal_directional(u, [(1.0, v)], quad)
+            assert grad @ v.coeffs == pytest.approx(total, rel=1e-13)
+            assert np.sum(nodal) == pytest.approx(total, rel=1e-13)
+
+
+class TestPointSearch:
+    """The owning cell of a goal point is searched once per mesh."""
+
+    def test_one_search_per_mesh_and_point(self, rng, monkeypatch):
+        searched = []
+        real = goals.locate_point
+
+        def counting(mesh, point, side=0):
+            searched.append(tuple(point))
+            return real(mesh, point, side)
+
+        monkeypatch.setattr(goals, "locate_point", counting)
+        p = PointValue((0.3, 0.6))
+        J = Product([p, PointValue((0.7, 0.2)), RegionIntegral()])
+        mesh = build_unit_square(3)
+        for _ in range(2):
+            searched.clear()
+            for degree in (1, 2):       # spaces on one mesh share samples
+                space = build_space(mesh, degree)
+                cons = build_constraints(space)
+                u = space.function(rng.normal(size=space.n_dofs))
+                v = space.function(rng.normal(size=space.n_dofs))
+                for _ in range(3):
+                    for quad in (gauss(3), gauss(5)):
+                        for G in (p, J):
+                            G.value(u)
+                            G.gradient(space, cons, u, quad)
+                            G.directional(u, v, quad)
+                            G.nodal_directional(u, v, quad)
+            assert sorted(searched) == [(0.3, 0.6), (0.7, 0.2)]
+            mesh = mesh.refine(mesh.active_cells[:3])
 
 
 class TestGradientCache:

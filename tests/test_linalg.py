@@ -110,11 +110,6 @@ class TestMaxNorm:
     def test_zero(self):
         assert max_norm(np.zeros(5)) == 0.0
 
-    def test_constrained_excluded(self):
-        v = np.array([1.0, -9.0, 2.0])
-        mask = np.array([False, True, False])
-        assert max_norm(v, constrained=mask) == 2.0
-
     def test_solved_poisson_residual(self):
         problem, _, space, cons, u, _ = poisson_setup(n=4, degree=1)
         r = assemble_residual(problem, space, cons, u)

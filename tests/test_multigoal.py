@@ -102,6 +102,20 @@ class TestDerivativeRhs:
         rhs = c.gradient(space, cons, u, gauss(3))
         assert np.all(rhs == 0.0)
 
+    def test_gradient_is_weighted_member_sum_example1c(self, rng):
+        fns = catalog("example1c")
+        space = build_space(build_cheese().refine_uniform(1), 1)
+        cons = build_constraints(space)
+        u_h = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
+        u_h2 = space.function(u_h.coeffs + 0.01 * rng.normal(size=space.n_dofs))
+        c = frozen(fns, u_h, u_h2)
+        quad = gauss(3)
+        rhs = c.gradient(space, cons, u_h, quad)
+        expected = sum(w * J.gradient(space, cons, u_h, quad)
+                       for w, J in zip(c.weights, fns))
+        assert np.max(np.abs(rhs - expected)) \
+            <= 1e-14 * np.max(np.abs(expected))
+
     def test_fd_of_weighted_sum(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=3, degree=1)
         fns = [RegionIntegral(), PointValue((0.4, 0.4))]
