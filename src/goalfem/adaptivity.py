@@ -298,7 +298,7 @@ def _levels(config, log, on_level):
         else:
             je_surrogate = abs(u2_values[0] - values[0])
         z2 = solve_enriched_adjoint(problem, goal, space2, cons2, u2, quad)
-        breakdown = estimate(problem, goal, u_h, z_h, u2, z2, quad)
+        breakdown = estimate(problem, goal, cons, u_h, z_h, u2, z2, quad)
 
         rel_errors = _relative_errors(values, config.reference_values)
         if config.combine == "weighted":

@@ -1,11 +1,17 @@
 """Quadrature, pointwise evaluation, and the constrained global assembly
 of the residual vector and the Jacobian matrix.
 
-Everything is vectorized over cells in fixed-size chunks; the bilinear
-cell geometry (straight-sided quads) is tabulated once per (mesh, rule)
-and cached on the mesh.  One Gauss rule is shared by every assembly of a
-run so that coarse and enriched pairings commit the same quadrature
-crime.
+Everything is vectorized over cells in fixed-size chunks.  Two
+tabulations are cached on the mesh: the bilinear cell geometry
+(straight-sided quads) per rule, and the cell basis per (degree, rule),
+``B[e, d, q, b]``, holding the value (d = 0) and the two physical
+gradient components (d = 1, 2) of each local basis function b at each
+quadrature point q of every active cell e.  Evaluating a function,
+integrating densities against the test functions and forming local
+Jacobians are then batched matmuls against B: the basis / pointwise
+kernel split of cell-based operator evaluation.  One Gauss rule is
+shared by every assembly of a run so that coarse and enriched pairings
+commit the same quadrature crime.
 
 Local Jacobians skip the (test, trial) component pairs whose coefficient
 block is zero on the whole chunk (most of them: the kernels' blocks are
@@ -83,12 +89,25 @@ def cell_geometry(mesh, rule):
     return hit
 
 
-def space_tab(space, rule):
-    key = ("tab", rule.n)
-    hit = space._basis_cache.get(key)
-    if hit is None:
-        hit = space.basis_at(rule.points)
-        space._basis_cache[key] = hit
+def cell_basis(mesh, degree, rule):
+    """The Q^degree cell basis at the rule's points, ``B[e, d, q, b]``.
+
+    Local basis function b of active-cell row e at point q: its value
+    (d = 0) and its physical x and y derivatives (d = 1, 2).  Cached per
+    (mesh, degree, rule order), so spaces of any component count on one
+    mesh share it.
+    """
+    key = ("basis", degree, rule.n)
+    hit = mesh._caches.get(key)
+    if hit is not None:
+        return hit
+    _, invJT, _ = cell_geometry(mesh, rule)
+    N, dN = tensor_basis(degree, rule.points)
+    hit = np.empty((len(invJT), 3) + N.T.shape)
+    hit[:, 0] = N.T
+    # (e, q, i, j) @ (q, j, b) -> (e, q, i, b)
+    hit[:, 1:] = (invJT @ dN.transpose(1, 2, 0)).transpose(0, 2, 1, 3)
+    mesh._caches[key] = hit
     return hit
 
 
@@ -97,41 +116,32 @@ def _chunks(n):
         yield slice(start, min(start + CHUNK, n))
 
 
-def phys_gradients(space, rule, sl):
-    """Physical basis gradients for one chunk, (nc, nb, nq, 2)."""
-    _, invJT, _ = cell_geometry(space.mesh, rule)
-    _, dN = space_tab(space, rule)
-    return np.einsum("cqij,bqj->cbqi", invJT[sl], dN, optimize=True)
-
-
 def eval_chunk(f, rule, sl):
-    """Values and gradients of a discrete function on one cell chunk."""
+    """Values (e, k, q) and gradients (e, k, q, 2) of a discrete function
+    on one cell chunk."""
     space = f.space
-    N, _ = space_tab(space, rule)
+    B = cell_basis(space.mesh, space.degree, rule)[sl]
+    ne, _, nq, nb = B.shape
     uloc = space.local_coeffs(f.coeffs, sl)
-    gphi = phys_gradients(space, rule, sl)
-    vals = np.einsum("ecb,bq->ecq", uloc, N, optimize=True)
-    grads = np.einsum("ecb,ebqi->ecqi", uloc, gphi, optimize=True)
-    return vals, grads
+    out = (uloc @ B.reshape(ne, 3 * nq, nb).transpose(0, 2, 1)).reshape(
+        ne, -1, 3, nq)
+    return out[:, :, 0], out[:, :, 1:].transpose(0, 1, 3, 2)
 
 
-def eval_combo(combo, rule, sl):
-    """Pointwise values/gradients of a weighted sum of discrete functions."""
-    vals = grads = None
-    for coef, f in combo:
-        v, g = eval_chunk(f, rule, sl)
-        if vals is None:
-            vals, grads = coef * v, coef * g
-        else:
-            vals += coef * v
-            grads += coef * g
-    return vals, grads
+def basis_integrals(val, grd, wdet, B):
+    """int val_k phi_b + grd_k . grad phi_b over each cell of a chunk,
+    shaped (e, k, b).
 
-
-def _as_combo(w):
-    if isinstance(w, (list, tuple)):
-        return list(w)
-    return [(1.0, w)]
+    ``val`` (e, k, q) and ``grd`` (e, k, q, 2) are densities at the
+    quadrature points, ``wdet`` (e, q) the weights times det J and ``B``
+    the chunk's cell basis; one batched matmul over (d, q).
+    """
+    ne, _, nq, nb = B.shape
+    F = np.empty(val.shape[:2] + (3, nq))
+    F[:, :, 0] = val
+    F[:, :, 1:] = grd.transpose(0, 1, 3, 2)
+    F *= wdet[:, None, None, :]
+    return F.reshape(ne, -1, 3 * nq) @ B.reshape(ne, 3 * nq, nb)
 
 
 # ----------------------------------------------------------------------
@@ -145,19 +155,16 @@ def assemble_residual(problem, space, constraints, u, quad=None):
     """
     rule = quad or default_rule(space)
     det, _, xq = cell_geometry(space.mesh, rule)
-    N, _ = space_tab(space, rule)
+    basis = cell_basis(space.mesh, space.degree, rule)
     raw = np.zeros(space.n_dofs)
-    nactive = len(space.active)
-    for sl in _chunks(nactive):
+    for sl in _chunks(len(space.active)):
         uv, ug = eval_chunk(u, rule, sl)
         val, grd = problem.residual(xq[sl], uv, ug)
         if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
             raise QuadratureFailure("non-finite residual integrand")
         wdet = rule.weights[None, :] * det[sl]
-        gphi = phys_gradients(space, rule, sl)
-        rloc = np.einsum("eq,ekq,bq->ekb", wdet, val, N, optimize=True)
-        rloc += np.einsum("eq,ekqi,ebqi->ekb", wdet, grd, gphi, optimize=True)
-        np.add.at(raw, space.cell_dofs[sl], rloc)
+        np.add.at(raw, space.cell_dofs[sl],
+                  basis_integrals(val, grd, wdet, basis[sl]))
     return constraints.condense_rhs(raw)
 
 
@@ -187,23 +194,25 @@ def coefficient_pairs(blocks):
             yield test_grad, trial_grad, k, m, block[:, :, k, m]
 
 
-def local_matrices(blocks, wdet, N, gphi, ncomp):
+def local_matrices(blocks, wdet, B, ncomp):
     """Local Jacobians A[e, k, b, m, d] = A'(u)(phi_d e_m, phi_b e_k).
 
-    Per nonzero component pair, the weighted coefficients are contracted
-    with the test basis over the 2-vector index, then one batched matmul
-    over (quadrature point, trial index) pairs the result with the trial
-    basis.  ``N`` is (nb, nq), ``gphi`` (ne, nb, nq, 2), ``wdet`` (ne, nq).
+    ``B`` is the chunk's cell basis (e, 3, q, b) and ``wdet`` (e, q).  Per
+    nonzero component pair, the weighted coefficients are contracted
+    with the test basis over the test side's vector index, then one
+    batched matmul over (trial index, quadrature point) pairs the result
+    with the trial basis.
     """
-    ne, nb, nq, _ = gphi.shape
-    # test basis as (e, q, b, i); trial basis as ((q, j), d)
-    test = (N.T[None, :, :, None], gphi.transpose(0, 2, 1, 3))
-    trial = (N.T, gphi.transpose(0, 2, 3, 1).reshape(ne, 2 * nq, nb))
+    ne, _, nq, nb = B.shape
+    # the rows of a value side and of a gradient side, (e, i, q, b)
+    sides = (B[:, :1], B[:, 1:])
     A = np.zeros((ne, ncomp, nb, ncomp, nb))
     for test_grad, trial_grad, k, m, c in coefficient_pairs(blocks):
-        left = test[test_grad] @ (wdet[:, :, None, None] * c)
-        left = left.transpose(0, 2, 1, 3).reshape(ne, nb, -1)
-        A[:, k, :, m, :] += left @ trial[trial_grad]
+        # (e, q, b, i) @ (e, q, i, j) -> (e, q, b, j) -> (e, b, (j, q))
+        left = sides[test_grad].transpose(0, 2, 3, 1) \
+            @ (wdet[:, :, None, None] * c)
+        left = left.transpose(0, 2, 3, 1).reshape(ne, nb, -1)
+        A[:, k, :, m, :] += left @ sides[trial_grad].reshape(ne, -1, nb)
     return A
 
 
@@ -211,7 +220,7 @@ def assemble_jacobian(problem, space, constraints, u, quad=None):
     """Matrix of A'(u)(phi_j, phi_i) (rows = test), condensed."""
     rule = quad or default_rule(space)
     det, _, xq = cell_geometry(space.mesh, rule)
-    N, _ = space_tab(space, rule)
+    basis = cell_basis(space.mesh, space.degree, rule)
     nb = space.n_local
     ncomp = space.n_components
     nloc = ncomp * nb
@@ -220,8 +229,7 @@ def assemble_jacobian(problem, space, constraints, u, quad=None):
         uv, ug = eval_chunk(u, rule, sl)
         blocks = problem.jacobian(xq[sl], uv, ug)
         wdet = rule.weights[None, :] * det[sl]
-        A = local_matrices(blocks, wdet, N, phys_gradients(space, rule, sl),
-                           ncomp)
+        A = local_matrices(blocks, wdet, basis[sl], ncomp)
         if not np.all(np.isfinite(A)):
             raise QuadratureFailure("non-finite jacobian integrand")
         ne = uv.shape[0]

@@ -5,13 +5,23 @@ residuals,
 
     eta = 1/2 rho(u_h)(z2 - i_h z2) + 1/2 rho*(u_h, z_h)(u2 - u_h),
 
-with the enriched adjoint interpolated back for the primal weight.  Both
-weighted forms run through one localization routine: the primal form
-weights the residual flux, the adjoint form the "transposed flux" of
-the Jacobian blocks contracted once with z_h.  The densities, multiplied
-by the Q1 vertex hats, give nodal values eta_i summing exactly to the
-global number; hanging vertices fold their share onto the face
-endpoints so the hats still partition unity.
+with the enriched adjoint interpolated back for the primal weight.
+Each weight is built once as a single function of the enriched space:
+Q^r is contained in Q^r2 on one mesh, so the coarse parts i_h z2 and u_h
+are interpolated into it exactly.  i_h z2 is the coarse nodal
+interpolant of z2 passed through the level's coarse constraint set,
+``constraints.distribute``.  That set also carries the Dirichlet rows,
+which it zeroes; this equals the hanging-only projection because z2 is
+extended by the enriched constraints and so vanishes on the Dirichlet
+boundary, where the data of the adjoint are homogeneous.
+
+Both weighted forms run through one localization routine: the primal
+form weights the residual flux, the adjoint form the "transposed flux"
+of the Jacobian blocks contracted once with z_h.  The densities,
+integrated against the Q1 vertex hats of ``assembly.cell_basis``, give
+nodal values eta_i summing exactly to the global number; hanging
+vertices fold their share onto the face endpoints so the hats still
+partition unity.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 
 from . import assembly
 from .errors import ZeroTrueError
-from .fespace import build_constraints, interpolate_between, tensor_basis
+from .fespace import interpolate_between
 from .linalg import factorize
 
 
@@ -58,14 +68,6 @@ def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2,
     return space2.function(constraints2.distribute(lu.solve(rhs, transposed=True)))
 
 
-def _pu_hats(mesh, rule, sl):
-    """Q1 hat values and physical gradients on a cell chunk."""
-    N1, dN1 = tensor_basis(1, rule.points)
-    _, invJT, _ = assembly.cell_geometry(mesh, rule)
-    gpsi = np.einsum("cqij,aqj->caqi", invJT[sl], dN1, optimize=True)
-    return N1, gpsi
-
-
 def _localize(u, weight, rule, flux):
     """PU localization of a weighted flux against the Q1 vertex hats.
 
@@ -77,23 +79,23 @@ def _localize(u, weight, rule, flux):
     """
     mesh = u.space.mesh
     det, _, xq = assembly.cell_geometry(mesh, rule)
-    combo = assembly._as_combo(weight)
+    hats = assembly.cell_basis(mesh, 1, rule)
     out = np.zeros(mesh.n_points)
     total = 0.0
     active = mesh.active_cells
     for sl in assembly._chunks(len(active)):
         uv, ug = assembly.eval_chunk(u, rule, sl)
         fv, fg = flux(xq[sl], uv, ug, sl)
-        wv, wg = assembly.eval_combo(combo, rule, sl)
+        wv, wg = assembly.eval_chunk(weight, rule, sl)
         wdet = rule.weights[None, :] * det[sl]
-        t1 = np.einsum("ekq,ekq->eq", fv, wv, optimize=True)
-        t1 += np.einsum("ekqi,ekqi->eq", fg, wg, optimize=True)
-        t2 = np.einsum("ekqi,ekq->eqi", fg, wv, optimize=True)
-        N1, gpsi = _pu_hats(mesh, rule, sl)
-        contrib = np.einsum("eq,eq,aq->ea", wdet, t1, N1, optimize=True)
-        contrib += np.einsum("eq,eqi,eaqi->ea", wdet, t2, gpsi, optimize=True)
-        np.add.at(out, mesh.cell_verts[active[sl]], contrib)
-        total += float(np.einsum("eq,eq->", wdet, t1, optimize=True))
+        # F.(w psi) + F_g:grad(w psi) = psi (F.w + F_g:grad w)
+        #                               + grad psi . (F_g^T w)
+        t1 = (fv * wv).sum(axis=1) + (fg * wg).sum(axis=(1, 3))
+        t2 = (fg * wv[..., None]).sum(axis=1)
+        contrib = assembly.basis_integrals(t1[:, None], t2[:, None], wdet,
+                                           hats[sl])
+        np.add.at(out, mesh.cell_verts[active[sl]], contrib[:, 0])
+        total += float(np.sum(wdet * t1))
     return out, total
 
 
@@ -105,15 +107,14 @@ def _transposed_flux(blocks, zv, zg):
     z = (zv[..., None], zg)          # adjoint on the test side, (e, k, q, i)
     out = (tv[..., None], tg)        # views, indexed by the trial side
     for test_grad, trial_grad, k, m, c in assembly.coefficient_pairs(blocks):
-        out[trial_grad][:, m] += np.einsum("eqi,eqij->eqj",
-                                           z[test_grad][:, k], c)
+        # (e, q, 1, i) @ (e, q, i, j) -> (e, q, 1, j)
+        out[trial_grad][:, m] += (z[test_grad][:, k, :, None] @ c)[:, :, 0]
     return tv, tg
 
 
 def primal_weighted_form(problem, u, weight, quad):
     """rho(u)(w psi_a) per vertex and the global rho(u)(w) = -A(u)(w);
-    the weight ``w`` may live in an enriched space or be a combination
-    [(coef, function), ...]."""
+    the weight ``w`` may live in an enriched space on u's mesh."""
     def flux(x, uv, ug, sl):
         return problem.residual(x, uv, ug)
 
@@ -153,21 +154,24 @@ def distribute_to_cells(nodal, mesh):
     return share[corners].sum(axis=1)
 
 
-def estimate(problem, functional, u_h, z_h, u_h2, z_h2, quad=None):
+def estimate(problem, functional, constraints, u_h, z_h, u_h2, z_h2,
+             quad=None):
     """Estimator breakdown from the four solutions of one level.
 
-    ``functional`` must expose ``directional`` and ``nodal_directional``
-    evaluated at the coarse state (single goals and frozen combinations
-    both do).
+    ``constraints`` is the coarse space's constraint set, which forms
+    i_h z_h2 (see the module docstring).  ``functional`` must expose
+    ``directional`` and ``nodal_directional`` evaluated at the coarse
+    state (single goals and frozen combinations both do).
     """
-    space = u_h.space
+    space, space2 = u_h.space, z_h2.space
     mesh = space.mesh
-    rule = quad or assembly.default_rule(z_h2.space)
+    rule = quad or assembly.default_rule(space2)
 
-    hanging_only = build_constraints(space)
-    ihz2 = interpolate_between(z_h2, space, constraints=hanging_only)
-    primal_weight = [(1.0, z_h2), (-1.0, ihz2)]
-    adjoint_weight = [(1.0, u_h2), (-1.0, u_h)]
+    ihz2 = space.function(constraints.distribute(
+        interpolate_between(z_h2, space).coeffs))
+    primal_weight, adjoint_weight = (
+        space2.function(f2.coeffs - interpolate_between(f, space2).coeffs)
+        for f2, f in ((z_h2, ihz2), (u_h2, u_h)))
 
     pn, pg = primal_weighted_form(problem, u_h, primal_weight, rule)
     an, ag = adjoint_weighted_form(problem, functional, u_h, z_h,

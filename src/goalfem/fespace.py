@@ -227,9 +227,6 @@ class DiscreteFunction:
         self.space = space
         self.coeffs = coeffs
 
-    def copy(self):
-        return DiscreteFunction(self.space, self.coeffs.copy())
-
 
 def build_space(mesh, degree, n_components=1):
     return FeSpace(mesh, degree, n_components)
@@ -286,10 +283,6 @@ class ConstraintSet:
         self.inhomogeneity = b
         # condensed goal gradients, filled by LinearLeaf.leaf_gradient
         self.gradient_cache = {}
-
-    @property
-    def n_constrained(self):
-        return int(self.constrained.sum())
 
     def apply(self, u):
         """Overwrite constrained entries from masters + inhomogeneity."""
@@ -389,7 +382,7 @@ def build_constraints(space, dirichlet=()):
 # ----------------------------------------------------------------------
 # interpolation and evaluation
 # ----------------------------------------------------------------------
-def interpolate_between(source, target_space, constraints=None):
+def interpolate_between(source, target_space):
     """Nodal interpolation onto another space on the same mesh."""
     if source.space.mesh is not target_space.mesh:
         raise MeshMismatch("source and target live on different meshes")
@@ -400,10 +393,7 @@ def interpolate_between(source, target_space, constraints=None):
     vals = np.einsum("ecb,bt->ect", uloc, B)
     out = np.zeros(target_space.n_dofs)
     out[target_space.cell_dofs] = vals
-    f = target_space.function(out)
-    if constraints is not None:
-        f = target_space.function(constraints.apply(out))
-    return f
+    return target_space.function(out)
 
 
 _CHILD_OFFSET = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])

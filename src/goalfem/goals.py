@@ -73,14 +73,12 @@ class LinearLeaf(Functional):
         return hit
 
     def _densities(self, v, quad):
-        """(rows, ref_pts, w . v(x)) per group, v a function or combo."""
-        combo = assembly._as_combo(v)
-        space = combo[0][1].space
+        """(rows, ref_pts, w . v(x)) per group of the function v."""
+        space = v.space
         rule = quad or assembly.default_rule(space)
         for rows, pts, w in self._groups(space.mesh, rule,
                                          space.n_components):
-            vals = sum(c * (f.space.local_coeffs(f.coeffs, rows)
-                            @ f.space.basis_at(pts)[0]) for c, f in combo)
+            vals = space.local_coeffs(v.coeffs, rows) @ space.basis_at(pts)[0]
             yield rows, pts, np.einsum("epk,ekp->ep", w, vals)
 
     def value(self, u):

@@ -56,16 +56,14 @@ class AdaptiveNewtonStats(NewtonStats):
     eta_m: list = field(default_factory=list)
 
 
-def line_search(problem, space, constraints, u, delta, cfg, quad=None,
-                res_norm=None):
-    """Smallest L with |A(u + gamma^L du)| < c(L) |A(u)| (sup norms).
+def line_search(problem, space, constraints, u, delta, cfg, quad=None, *,
+                res_norm):
+    """Smallest L with |A(u + gamma^L du)| < c(L) |A(u)| (sup norms),
+    ``res_norm`` being |A(u)|.
 
     Returns (alpha, L, new_u, new_residual, new_norm); the caller reuses
     the accepted residual.
     """
-    if res_norm is None:
-        res_norm = max_norm(assemble_residual(problem, space, constraints, u,
-                                              quad))
     if res_norm == 0.0:
         raise ValueError("line search requires a nonzero residual")
     for L in range(cfg.l_max):

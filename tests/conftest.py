@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from goalfem.assembly import assemble_jacobian, assemble_residual, gauss
 from goalfem.fespace import build_constraints, build_space
 from goalfem.linalg import factorize
-from goalfem.mesh import build_unit_square
+from goalfem.mesh import build_cheese, build_slit, build_unit_square
 from goalfem.problems import PLaplaceParams, build_plaplace
 
 
@@ -37,3 +38,29 @@ def poisson_setup(n=4, degree=1, quad_n=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+MESHES = {"square": lambda: build_unit_square(3).distort(0.2, seed=7),
+          "cheese": build_cheese, "slit": build_slit}
+
+# a base mesh and rounds of marks; each mark is a fraction of the way
+# through the round's active cells
+mesh_marks = st.tuples(
+    st.sampled_from(sorted(MESHES)),
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+             min_size=1, max_size=3))
+
+
+def marked_cells(mesh, fractions):
+    """Active cell ids picked by the fractions of one round."""
+    active = mesh.active_cells
+    rows = {min(int(t * len(active)), len(active) - 1) for t in fractions}
+    return active[sorted(rows)]
+
+
+def refined_mesh(kind, marks):
+    """The base mesh ``kind`` refined by every round of ``marks``."""
+    mesh = MESHES[kind]()
+    for fractions in marks:
+        mesh = mesh.refine(marked_cells(mesh, fractions))
+    return mesh

@@ -104,7 +104,7 @@ def test_criterion_1_poisson_exactness():
         z = space.function(cons.distribute(lu.solve(
             J.gradient(space, cons, u, quad), transposed=True)))
         z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        bd = estimate(problem, J, u, z, u2, z2, quad)
+        bd = estimate(problem, J, cons, u, z, u2, z2, quad)
         gap = J.value(u2) - J.value(u)
         assert abs(bd.eta_signed - gap) <= 1e-10 * abs(gap)
         assert abs(bd.eta_primal_signed - bd.eta_adjoint_signed) \

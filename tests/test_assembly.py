@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goalfem import assembly
 from goalfem.assembly import (assemble_jacobian, assemble_residual,
-                              cell_geometry, coefficient_pairs, gauss,
-                              local_matrices, space_tab)
+                              cell_basis, cell_geometry, coefficient_pairs,
+                              eval_chunk, gauss, local_matrices)
 from goalfem.errors import QuadratureFailure
 from goalfem.estimator import (_transposed_flux, adjoint_weighted_form,
                                primal_weighted_form, solve_enriched_adjoint)
-from goalfem.fespace import build_constraints, build_space
+from goalfem.fespace import (ConstraintSet, build_constraints, build_space,
+                             interpolate_between, tensor_basis)
 from goalfem.goals import PointValue, Product, RegionIntegral
 from goalfem.linalg import factorize, max_norm
 from goalfem.mesh import build_slit, build_unit_square
 from goalfem.problems import (PLaplaceParams, ProblemDefinition,
                               build_plaplace, build_quasilinear)
 
-from conftest import linear_solve, poisson_problem, poisson_setup
+from conftest import (linear_solve, mesh_marks, poisson_problem,
+                      poisson_setup, refined_mesh)
 
 
 class TestQuadrature:
@@ -35,8 +40,8 @@ class TestQuadrature:
         space = build_space(mesh, degree)
         rule = gauss(degree + 3)
         det, _, _ = cell_geometry(mesh, rule)
-        N, _ = space_tab(space, rule)
-        mass = np.einsum("q,eq,bq,dq->ebd",
+        N = cell_basis(mesh, space.degree, rule)[:, 0]
+        mass = np.einsum("q,eq,eqb,eqd->ebd",
                          rule.weights, det, N, N)
         assert np.allclose(mass.sum(axis=(1, 2)), 1.0 / 16.0, atol=1e-14)
 
@@ -140,6 +145,45 @@ class TestJacobian:
         assert np.max(np.abs(du_reduced - du_condensed)) <= 1e-10
 
 
+def einsum_phys_gradients(mesh, degree, rule):
+    """Reference: physical basis gradients (e, b, q, i) by one einsum."""
+    _, invJT, _ = cell_geometry(mesh, rule)
+    _, dN = tensor_basis(degree, rule.points)
+    return np.einsum("cqij,bqj->cbqi", invJT, dN, optimize=True)
+
+
+def einsum_eval(space, coeffs, N, gphi):
+    """Reference: values (e, k, q) and gradients (e, k, q, i) on every
+    active cell."""
+    uloc = space.local_coeffs(coeffs)
+    return (np.einsum("ecb,bq->ecq", uloc, N, optimize=True),
+            np.einsum("ecb,ebqi->ecqi", uloc, gphi, optimize=True))
+
+
+def einsum_residual(problem, space, u, rule):
+    """Reference: the unconstrained residual vector by the einsum
+    contraction of the kernel densities with the test basis."""
+    det, _, xq = cell_geometry(space.mesh, rule)
+    N, _ = tensor_basis(space.degree, rule.points)
+    gphi = einsum_phys_gradients(space.mesh, space.degree, rule)
+    val, grd = problem.residual(xq, *einsum_eval(space, u.coeffs, N, gphi))
+    wdet = rule.weights[None, :] * det
+    rloc = np.einsum("eq,ekq,bq->ekb", wdet, val, N, optimize=True)
+    rloc += np.einsum("eq,ekqi,ebqi->ekb", wdet, grd, gphi, optimize=True)
+    raw = np.zeros(space.n_dofs)
+    np.add.at(raw, space.cell_dofs, rloc)
+    return raw
+
+
+def basis_layout(N, gphi):
+    """Values N (b, q) and gradients gphi (e, b, q, i) in the cell-basis
+    layout (e, d, q, b)."""
+    B = np.empty((gphi.shape[0], 3) + N.T.shape)
+    B[:, 0] = N.T
+    B[:, 1:] = gphi.transpose(0, 3, 2, 1)
+    return B
+
+
 def einsum_local_matrices(blocks, wdet, N, gphi, ncomp):
     """Reference: the dense einsum contraction of every block entry."""
     ne, nb = gphi.shape[:2]
@@ -199,12 +243,13 @@ class TestLocalMatrices:
         gphi = rng.normal(size=(ne, nb, nq, 2))
         wdet = rng.uniform(0.1, 1.0, size=(ne, nq))
         blocks = random_blocks(rng, ne, nq, ncomp)
+        B = basis_layout(N, gphi)
         ref = einsum_local_matrices(blocks, wdet, N, gphi, ncomp)
-        assert self.close(local_matrices(blocks, wdet, N, gphi, ncomp), ref)
+        assert self.close(local_matrices(blocks, wdet, B, ncomp), ref)
         # each kind alone, so no kind's error hides behind another's
         for kind, block in blocks.items():
             one = {kind: block}
-            assert self.close(local_matrices(one, wdet, N, gphi, ncomp),
+            assert self.close(local_matrices(one, wdet, B, ncomp),
                               einsum_local_matrices(one, wdet, N, gphi, ncomp))
 
     def test_zero_pairs_skipped(self, rng):
@@ -227,12 +272,13 @@ class TestLocalMatrices:
         blocks = random_blocks(rng, ne, nq, ncomp)
         blocks["gv"][:, :, 2, 0] = 0.0
         blocks["vv"][:, :, 1, 1] = 0.0
-        got = local_matrices(blocks, wdet, N, gphi, ncomp)
+        B = basis_layout(N, gphi)
+        got = local_matrices(blocks, wdet, B, ncomp)
         assert self.close(got, einsum_local_matrices(blocks, wdet, N, gphi,
                                                      ncomp))
         without_gv = {kind: b for kind, b in blocks.items() if kind != "gv"}
         assert np.all(got[:, 2, :, 0, :] == local_matrices(
-            without_gv, wdet, N, gphi, ncomp)[:, 2, :, 0, :])
+            without_gv, wdet, B, ncomp)[:, 2, :, 0, :])
 
     def test_transposed_flux_matches_einsum(self, rng):
         ne, nq, ncomp = 7, 9, 3
@@ -257,6 +303,67 @@ class TestLocalMatrices:
         with pytest.raises(QuadratureFailure):
             assemble_jacobian(bad, space, cons,
                               space.function(np.zeros(space.n_dofs)))
+
+
+class TestCellBasis:
+    """The cached cell basis and the matmuls against it, checked against
+    the einsum formulas they replaced."""
+
+    RTOL = 1e-13
+
+    def close(self, got, ref):
+        return np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
+
+    @given(case=mesh_marks, degree=st.integers(1, 4),
+           n_comp=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_einsum_formulas(self, case, degree, n_comp, seed):
+        mesh = refined_mesh(*case)
+        rule = gauss(degree + 2)
+        space = build_space(mesh, degree, n_comp)
+        B = cell_basis(mesh, degree, rule)
+        N, _ = tensor_basis(degree, rule.points)
+        gphi = einsum_phys_gradients(mesh, degree, rule)
+        assert B.shape == (len(mesh.active_cells), 3, len(rule.weights),
+                           space.n_local)
+        assert np.all(B[:, 0] == N.T)
+        assert self.close(B, basis_layout(N, gphi))
+
+        rng = np.random.default_rng(seed)
+        u = space.function(0.5 * rng.normal(size=space.n_dofs))
+        for got, ref in zip(eval_chunk(u, rule, slice(None)),
+                            einsum_eval(space, u.coeffs, N, gphi)):
+            assert self.close(got, ref)
+
+        problem = build_quasilinear() if n_comp == 3 else build_plaplace(
+            PLaplaceParams(4.0, 0.5, rhs=lambda x, y: np.sin(3.0 * x + y)))
+        got = assemble_residual(problem, space, ConstraintSet(space.n_dofs),
+                                u, rule)
+        assert self.close(got, einsum_residual(problem, space, u, rule))
+
+    def test_one_tabulation_per_mesh_degree_rule(self, rng, monkeypatch):
+        calls = []
+
+        def counting(r, pts):
+            calls.append(r)
+            return tensor_basis(r, pts)
+
+        monkeypatch.setattr(assembly, "tensor_basis", counting)
+        mesh = build_unit_square(3).refine([4])
+        rule = gauss(4)
+        first = cell_basis(mesh, 2, rule)
+        prob = build_plaplace(PLaplaceParams(3.0, 1.0))
+        for n_comp, problem in ((1, prob), (3, build_quasilinear())):
+            space = build_space(mesh, 2, n_comp)
+            cons = ConstraintSet(space.n_dofs)
+            u = space.function(rng.normal(size=space.n_dofs))
+            assemble_residual(problem, space, cons, u, rule)
+            assemble_jacobian(problem, space, cons, u, rule)
+            assert cell_basis(mesh, 2, rule) is first
+        assert calls.count(2) == 1
+        assert cell_basis(mesh, 2, gauss(5)) is not first
+        assert cell_basis(mesh, 3, rule) is not first
+        assert calls.count(2) == 2
 
 
 class TestFunctionalGradient:
@@ -362,20 +469,24 @@ class TestWeightedResiduals:
         z = space.function(cons.distribute(
             lu.solve(J.gradient(space, cons, u, quad), transposed=True)))
         z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        _, primal = primal_weighted_form(
-            problem, u, [(1.0, z2), (-1.0, z)], quad)
-        _, adjoint = adjoint_weighted_form(
-            problem, J, u, z, [(1.0, u2), (-1.0, u)], quad)
+        _, primal = primal_weighted_form(problem, u, space2.function(
+            z2.coeffs - interpolate_between(z, space2).coeffs), quad)
+        _, adjoint = adjoint_weighted_form(problem, J, u, z, space2.function(
+            u2.coeffs - interpolate_between(u, space2).coeffs), quad)
         assert primal == pytest.approx(adjoint, rel=1e-8)
 
     def test_weight_linearity(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=3, degree=2)
         quad = gauss(4)
-        ws = [space.function(rng.normal(size=space.n_dofs)) for _ in range(3)]
-        single = sum(primal_weighted_form(problem, u, w, quad)[1] for w in ws)
-        _, combo = primal_weighted_form(problem, u, [(1.0, w) for w in ws],
-                                        quad)
-        assert combo == pytest.approx(single, abs=1e-12 * (1 + abs(single)))
+        ws = [rng.normal(size=space.n_dofs) for _ in range(3)]
+        parts = [primal_weighted_form(problem, u, space.function(w), quad)
+                 for w in ws]
+        nodal, total = primal_weighted_form(problem, u,
+                                            space.function(sum(ws)), quad)
+        single = sum(t for _, t in parts)
+        assert total == pytest.approx(single, abs=1e-12 * (1 + abs(single)))
+        assert np.allclose(nodal, sum(n for n, _ in parts), rtol=0,
+                           atol=1e-12 * (1 + np.abs(nodal).max()))
 
     def test_jacobian_weighted_matches_matrix(self, rng):
         # p-Laplacian: the transposed flux of the gg block alone

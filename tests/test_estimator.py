@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalfem.assembly import assemble_jacobian, gauss
 from goalfem.errors import ZeroTrueError
-from goalfem.estimator import (EstimatorBreakdown, distribute_to_cells,
-                               effectivity, estimate, fold_hanging,
-                               make_initial_guess, solve_enriched_adjoint)
-from goalfem.fespace import build_constraints, build_space
-from goalfem.goals import PointValue, RegionIntegral
+from goalfem.estimator import (EstimatorBreakdown, adjoint_weighted_form,
+                               distribute_to_cells, effectivity, estimate,
+                               fold_hanging, make_initial_guess,
+                               primal_weighted_form, solve_enriched_adjoint)
+from goalfem.fespace import (build_constraints, build_space,
+                             interpolate_between)
+from goalfem.goals import PointValue, RegionIntegral, Sum
 from goalfem.linalg import factorize, max_norm
 from goalfem.mesh import build_unit_square
-from goalfem.problems import PLaplaceParams, build_plaplace
+from goalfem.problems import PLaplaceParams, build_plaplace, build_quasilinear
 
-from conftest import linear_solve, poisson_problem
+from conftest import linear_solve, mesh_marks, poisson_problem, refined_mesh
 
 
 def dwr_poisson(mesh, r=1, r2=2, functional=None):
@@ -29,7 +33,7 @@ def dwr_poisson(mesh, r=1, r2=2, functional=None):
     z = space.function(cons.distribute(
         lu.solve(J.gradient(space, cons, u, quad), transposed=True)))
     z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-    bd = estimate(problem, J, u, z, u2, z2, quad)
+    bd = estimate(problem, J, cons, u, z, u2, z2, quad)
     return problem, J, u, u2, bd
 
 
@@ -88,14 +92,36 @@ class TestEstimate:
         assert bd.eta_primal_signed == pytest.approx(
             bd.eta_adjoint_signed, rel=1e-8)
 
-    def test_pu_sum_matches_global(self):
-        for marks in (None, [2]):
-            mesh = build_unit_square(4)
-            if marks:
-                mesh = mesh.refine(marks)
-            _, _, _, _, bd = dwr_poisson(
-                mesh, functional=PointValue((0.43, 0.71)))
-            assert bd.pu_sum == pytest.approx(bd.eta_signed, rel=1e-12)
+    @given(case=mesh_marks, system=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=25, deadline=None)
+    def test_pu_sum_matches_global(self, case, system, seed):
+        # for any states and weights: the vertex shares of both weighted
+        # forms sum to their globals, and folding the hanging vertices
+        # zeroes them and keeps the sum
+        mesh = refined_mesh(*case)
+        if system:
+            problem, n_comp = build_quasilinear(), 3
+        else:
+            problem, n_comp = build_plaplace(PLaplaceParams(
+                4.0, 0.5, rhs=lambda x, y: np.cos(x - 2.0 * y))), 1
+        space, space2 = (build_space(mesh, r, n_comp) for r in (1, 2))
+        rng = np.random.default_rng(seed)
+        u, z = (space.function(0.5 * rng.normal(size=space.n_dofs))
+                for _ in range(2))
+        w = space2.function(rng.normal(size=space2.n_dofs))
+        x0 = mesh.points[mesh.cell_verts[mesh.active_cells[0]]].mean(axis=0)
+        J = Sum([RegionIntegral(), PointValue(x0, component=n_comp - 1)])
+        quad = gauss(4)
+        for nodal, total in (primal_weighted_form(problem, u, w, quad),
+                             adjoint_weighted_form(problem, J, u, z, w,
+                                                   quad)):
+            scale = np.abs(nodal).sum()
+            assert abs(nodal.sum() - total) <= 1e-12 * scale
+            folded = fold_hanging(mesh, nodal)
+            assert abs(folded.sum() - nodal.sum()) <= 1e-12 * scale
+            for _, _, m in mesh.hanging_interfaces():
+                assert folded[m] == 0.0
 
     def test_cell_distribution_conserves(self):
         _, _, _, _, bd = dwr_poisson(build_unit_square(4).refine([5]))
@@ -112,6 +138,35 @@ class TestEstimate:
         assert bd.eta_h == pytest.approx(8.47e-7, rel=0.2)
         ieff, _, _ = effectivity(err, bd)
         assert 0.8 <= ieff <= 1.2
+
+
+class TestCoarseInterpolant:
+    @pytest.mark.parametrize("kind, r, r2", [("slit", 1, 2),
+                                             ("cheese", 1, 2),
+                                             ("cheese", 2, 3)])
+    def test_distribute_matches_hanging_only_projection(self, kind, r, r2,
+                                                        rng):
+        # estimate forms i_h z2 with the level's constraint set, whose
+        # Dirichlet rows are empty; for z2 extended by the enriched
+        # constraints that equals projecting onto the hanging constraints
+        # alone, bit for bit
+        if kind == "slit":
+            problem, n_comp = build_quasilinear(), 3
+        else:
+            problem, n_comp = build_plaplace(PLaplaceParams(4.0, 1e-2)), 1
+        mesh = refined_mesh(kind, [[0.1, 0.5, 0.9], [0.3, 0.7], [0.2, 0.6]])
+        assert mesh.hanging_interfaces()
+        space, space2 = build_space(mesh, r, n_comp), build_space(mesh, r2,
+                                                                  n_comp)
+        cons = build_constraints(space, problem.dirichlet)
+        cons2 = build_constraints(space2, problem.dirichlet)
+        hanging_only = build_constraints(space)
+        for _ in range(3):
+            z2 = space2.function(cons2.distribute(
+                rng.normal(size=space2.n_dofs)))
+            nodal = interpolate_between(z2, space).coeffs
+            assert np.array_equal(cons.distribute(nodal),
+                                  hanging_only.apply(nodal))
 
 
 class TestDistribution:
@@ -193,6 +248,6 @@ class TestNonlinearEstimate:
         z = space.function(cons.distribute(factorize(A).solve(
             J.gradient(space, cons, u, quad), transposed=True)))
         z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        bd = estimate(problem, J, u, z, u2, z2, quad)
+        bd = estimate(problem, J, cons, u, z, u2, z2, quad)
         gap = J.value(u2) - J.value(u)
         assert abs(bd.eta_signed - gap) / abs(gap) <= 0.5

@@ -12,8 +12,10 @@ from goalfem.errors import (ConflictingConstraints, MeshMismatch,
 from goalfem.fespace import (ConstraintSet, build_constraints, build_space,
                              interpolate_between, transfer_to_refined)
 from goalfem.goals import PointValue
-from goalfem.mesh import build_cheese, build_slit, build_unit_square
+from goalfem.mesh import build_slit, build_unit_square
 from goalfem.problems import build_quasilinear
+
+from conftest import mesh_marks, refined_mesh
 
 
 def zero(x, y, side):
@@ -66,7 +68,7 @@ class TestConstraints:
         cons = build_constraints(s, [("dirichlet", 0, zero)])
         boundary = sum(1 for i in range(s.n_nodes)
                        if 0.0 in s.node_coords[i] or 1.0 in s.node_coords[i])
-        assert cons.n_constrained == boundary
+        assert cons.constrained.sum() == boundary
         assert np.all(cons.inhomogeneity == 0.0)
 
     def test_hanging_q1_weights(self):
@@ -220,25 +222,12 @@ def build_recorded(space, dirichlet):
     return cons, seen[0]
 
 
-_MESHES = {"square": lambda: build_unit_square(3), "cheese": build_cheese,
-           "slit": build_slit}
-
-
 class TestClosure:
-    @given(kind=st.sampled_from(sorted(_MESHES)),
-           degree=st.integers(1, 4), n_comp=st.sampled_from([1, 3]),
-           marks=st.lists(st.lists(st.floats(0.0, 1.0), min_size=1,
-                                   max_size=6), min_size=1, max_size=3),
-           u_seed=st.integers(0, 2 ** 16))
+    @given(case=mesh_marks, degree=st.integers(1, 4),
+           n_comp=st.sampled_from([1, 3]), u_seed=st.integers(0, 2 ** 16))
     @settings(max_examples=40, deadline=None)
-    def test_matches_reference_closure(self, kind, degree, n_comp, marks,
-                                       u_seed):
-        mesh = _MESHES[kind]()
-        for round_marks in marks:
-            active = mesh.active_cells
-            rows = {min(int(t * len(active)), len(active) - 1)
-                    for t in round_marks}
-            mesh = mesh.refine(active[sorted(rows)])
+    def test_matches_reference_closure(self, case, degree, n_comp, u_seed):
+        mesh = refined_mesh(*case)
         space = build_space(mesh, degree, n_comp)
         # the two slit lips (y = 0, x < 0) take different values
         dirichlet = [("dirichlet", k, lambda x, y, side, k=k:

@@ -138,7 +138,7 @@ class TestDerivatives:
             v = space.function(rng.normal(size=space.n_dofs))
             total = J.directional(u, v, quad=quad)
             grad = J.gradient(space, ConstraintSet(space.n_dofs), u, quad)
-            nodal = J.nodal_directional(u, [(1.0, v)], quad)
+            nodal = J.nodal_directional(u, v, quad)
             assert grad @ v.coeffs == pytest.approx(total, rel=1e-13)
             assert np.sum(nodal) == pytest.approx(total, rel=1e-13)
 

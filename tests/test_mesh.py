@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from goalfem.errors import DistortionInvertsCell
 from goalfem.mesh import (DIRICHLET, NEUMANN, build_cheese, build_slit,
                           build_unit_square, write_vtk)
 from goalfem.problems import slit_exact
+
+from conftest import MESHES, marked_cells, mesh_marks
 
 
 class TestBuilders:
@@ -109,13 +112,16 @@ class TestRefine:
         assert len(m.hanging_interfaces()) == 2
         assert m.max_hanging_per_face() == 1
 
-    def test_closure_keeps_one_irregularity(self, rng):
-        m = build_unit_square(2)
-        for _ in range(5):
-            act = m.active_cells
-            marks = rng.choice(act, size=max(1, len(act) // 5), replace=False)
-            m2 = m.refine(marks)
+    @given(case=mesh_marks)
+    @settings(max_examples=40, deadline=None)
+    def test_closure_keeps_one_irregularity(self, case):
+        kind, marks = case
+        m = MESHES[kind]()
+        for fractions in marks:
+            cells = marked_cells(m, fractions)
+            m2 = m.refine(cells)
             assert m2.max_hanging_per_face() <= 1
+            assert not np.isin(cells, m2.active_cells).any()
             assert len(m2.active_cells) > len(m.active_cells)
             m = m2
 

@@ -140,7 +140,8 @@ class TestLineSearch:
         lu = factorize(assemble_jacobian(problem, space, cons, u))
         delta = cons.distribute(lu.solve(-res))
         alpha, L, _, _, _ = line_search(problem, space, cons, u, delta,
-                                        LineSearchConfig(gamma=0.9))
+                                        LineSearchConfig(gamma=0.9),
+                                        res_norm=max_norm(res))
         assert (alpha, L) == (1.0, 0)
 
     def test_zero_residual_precondition(self):
