@@ -268,13 +268,18 @@ def _levels(config, log, on_level):
         cons = build_constraints(space, problem.dirichlet)
         cons2 = build_constraints(space2, problem.dirichlet)
 
-        # enriched primal, warm-started (Newton tolerances nested by level)
+        # both warm starts first: after them nothing holds the previous
+        # level (its mesh with cached bases and goal samples, its
+        # solutions with their cached quadrature values) during the solves
         u2_0, boot2 = _initial_guess(config, space2, cons2, quad, u2_prev)
+        u0, boot1 = _initial_guess(config, space, cons, quad, u_prev)
+        u_prev = u2_prev = None
+
+        # enriched primal (Newton tolerances nested by level)
         u2, stats2 = _nested_solve(problem, space2, cons2, u2_0, level, quad,
                                    log)
 
         # coarse primal + adjoint, stopped by the iteration-error balance
-        u0, boot1 = _initial_guess(config, space, cons, quad, u_prev)
         u2_values = multigoal.member_values(functionals, u2)
 
         def goal_at(u_k):
@@ -339,7 +344,9 @@ def _levels(config, log, on_level):
         else:
             marked_rows = mark_average(breakdown.cellwise)
         mesh = mesh.refine(mesh.active_cells[marked_rows])
+        # only the warm starts carry over; the transfers then drop them
         u_prev, u2_prev = u_h, u2
+        u_h = z_h = u2 = z2 = None
         eta_prev = breakdown.eta_h
         level += 1
 

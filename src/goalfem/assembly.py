@@ -13,6 +13,18 @@ kernel split of cell-based operator evaluation.  One Gauss rule is
 shared by every assembly of a run so that coarse and enriched pairings
 commit the same quadrature crime.
 
+A function's values at the quadrature points are computed once per rule
+and kept on it (``quadrature_values``).  A point u + alpha delta of a
+Newton line search (``on_ray``) takes its values as the same axpy of the
+values of u and delta, so a trial residual costs the kernel, the
+contraction and the scatter only.  The residual's cell vectors are
+scattered onto the DOFs with one bincount, which adds in the order
+``np.add.at`` did, and then condensed with the transposed constraint
+matrix cached on the ``ConstraintSet``.  The two steps are kept apart on
+purpose: one fused sparse product C^T S changes the order of the sums,
+and the p = 4 cheese workload turns such last-bit changes into
+different Newton counts and meshes.
+
 Local Jacobians skip the (test, trial) component pairs whose coefficient
 block is zero on the whole chunk (most of them: the kernels' blocks are
 dense arrays over all pairs) and form each remaining pair with one
@@ -116,16 +128,52 @@ def _chunks(n):
         yield slice(start, min(start + CHUNK, n))
 
 
+def quadrature_values(f, rule):
+    """Values (e, k, q) and gradients (e, k, q, 2) of a discrete function
+    at the rule's points on every active cell.
+
+    Computed once per (function, rule order), chunk by chunk against the
+    cell basis, and kept in ``f.quad_values``.
+    """
+    hit = f.quad_values.get(rule.n)
+    if hit is not None:
+        return hit
+    space = f.space
+    basis = cell_basis(space.mesh, space.degree, rule)
+    ne, _, nq, nb = basis.shape
+    ncomp = space.n_components
+    uv = np.empty((ne, ncomp, nq))
+    ug = np.empty((ne, ncomp, nq, 2))
+    for sl in _chunks(ne):
+        B = basis[sl]
+        uloc = space.local_coeffs(f.coeffs, sl)
+        out = (uloc @ B.reshape(len(B), 3 * nq, nb).transpose(0, 2, 1))
+        out = out.reshape(len(B), ncomp, 3, nq)
+        uv[sl] = out[:, :, 0]
+        ug[sl] = out[:, :, 1:].transpose(0, 1, 3, 2)
+    hit = f.quad_values[rule.n] = (uv, ug)
+    return hit
+
+
 def eval_chunk(f, rule, sl):
     """Values (e, k, q) and gradients (e, k, q, 2) of a discrete function
     on one cell chunk."""
-    space = f.space
-    B = cell_basis(space.mesh, space.degree, rule)[sl]
-    ne, _, nq, nb = B.shape
-    uloc = space.local_coeffs(f.coeffs, sl)
-    out = (uloc @ B.reshape(ne, 3 * nq, nb).transpose(0, 2, 1)).reshape(
-        ne, -1, 3, nq)
-    return out[:, :, 0], out[:, :, 1:].transpose(0, 1, 3, 2)
+    uv, ug = quadrature_values(f, rule)
+    return uv[sl], ug[sl]
+
+
+def on_ray(u, delta, alpha, rule):
+    """The function u + alpha delta, its values at the rule's points
+    formed from those of u and delta: no gather, no basis matmul.
+
+    The result keeps no reference to u or delta, so the iterates of a
+    Newton loop do not chain up in memory.
+    """
+    uv, ug = quadrature_values(u, rule)
+    dv, dg = quadrature_values(delta, rule)
+    out = u.space.function(u.coeffs + alpha * delta.coeffs)
+    out.quad_values[rule.n] = (uv + alpha * dv, ug + alpha * dg)
+    return out
 
 
 def basis_integrals(val, grd, wdet, B):
@@ -150,22 +198,22 @@ def basis_integrals(val, grd, wdet, B):
 def assemble_residual(problem, space, constraints, u, quad=None):
     """Galerkin residual vector A(u)(phi_i), condensed.
 
-    Constrained test entries are distributed to their masters and then
+    The cell integrals are scattered onto the DOFs in one bincount;
+    constrained test entries are then distributed to their masters and
     zeroed (transposed constraint application).
     """
     rule = quad or default_rule(space)
     det, _, xq = cell_geometry(space.mesh, rule)
     basis = cell_basis(space.mesh, space.degree, rule)
-    raw = np.zeros(space.n_dofs)
+    local = np.empty(space.cell_dofs.shape)
     for sl in _chunks(len(space.active)):
         uv, ug = eval_chunk(u, rule, sl)
         val, grd = problem.residual(xq[sl], uv, ug)
         if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
             raise QuadratureFailure("non-finite residual integrand")
         wdet = rule.weights[None, :] * det[sl]
-        np.add.at(raw, space.cell_dofs[sl],
-                  basis_integrals(val, grd, wdet, basis[sl]))
-    return constraints.condense_rhs(raw)
+        local[sl] = basis_integrals(val, grd, wdet, basis[sl])
+    return constraints.condense_rhs(space.scatter(local))
 
 
 # block kind -> (test side, trial side) of A'(u)(phi_j, phi_i); False

@@ -107,8 +107,16 @@ def _transposed_flux(blocks, zv, zg):
     z = (zv[..., None], zg)          # adjoint on the test side, (e, k, q, i)
     out = (tv[..., None], tg)        # views, indexed by the trial side
     for test_grad, trial_grad, k, m, c in assembly.coefficient_pairs(blocks):
-        # (e, q, 1, i) @ (e, q, i, j) -> (e, q, 1, j)
-        out[trial_grad][:, m] += (z[test_grad][:, k, :, None] @ c)[:, :, 0]
+        zk = z[test_grad][:, k]
+        if test_grad and trial_grad:
+            # 2x2 coefficients: einsum beats a batched 1x2 by 2x2 matmul
+            out[1][:, m] += np.einsum("eqi,eqij->eqj", zk, c)
+        else:
+            # a length-1 side: the sum over i written out is fastest
+            t = zk[..., 0, None] * c[..., 0, :]
+            if test_grad:
+                t += zk[..., 1, None] * c[..., 1, :]
+            out[trial_grad][:, m] += t
     return tv, tg
 
 

@@ -6,7 +6,13 @@ interior), so DOF numbering is deterministic: cells are scanned by
 ascending id, local nodes in tensor order (x fastest).  Vector spaces
 use a block layout, ``dof = component * n_nodes + node``, tabulated
 once as ``FeSpace.cell_dofs[cell_row, component, local]``; every cell
-gather (``local_coeffs``) and scatter goes through that table.
+gather (``local_coeffs``) and scatter (``scatter``) goes through that
+table.  The scatter is one ``np.bincount``, which adds in the order of
+the table exactly as ``np.add.at`` would.
+
+A ``DiscreteFunction`` owns its values at the quadrature points, filled
+per rule by ``assembly.quadrature_values``; its coefficients are
+read-only, so those values cannot go stale.
 
 Hanging-node and Dirichlet constraints are one affine map u = C u + b
 (``ConstraintSet``): the sparse matrix C, closed so that no master is
@@ -175,7 +181,6 @@ class FeSpace:
         self.node_coords = np.asarray(coords)
         self.vertex_node = vertex_node
         self.edge_nodes = edge_nodes
-        self.active_row = {int(c): i for i, c in enumerate(active)}
 
     @property
     def n_dofs(self):
@@ -212,20 +217,33 @@ class FeSpace:
         (..., n_comp, nb)."""
         return np.asarray(coeffs)[self.cell_dofs[rows]]
 
+    def scatter(self, local, rows=slice(None)):
+        """Sum cell blocks ``local`` (..., n_comp, nb) of the active-cell
+        ``rows`` into a DOF vector, in table order."""
+        return np.bincount(self.cell_dofs[rows].ravel(), np.ravel(local),
+                           minlength=self.n_dofs)
+
     def function(self, coeffs=None):
         if coeffs is None:
             coeffs = np.zeros(self.n_dofs)
-        return DiscreteFunction(self, np.asarray(coeffs, dtype=float))
+        return DiscreteFunction(self, coeffs)
 
 
 class DiscreteFunction:
-    """FE coefficient vector bound to its space."""
+    """FE coefficient vector bound to its space.
+
+    The coefficients are a read-only copy.  ``quad_values`` maps a rule
+    order to the function's values and gradients at that rule's points
+    on every active cell; ``assembly.quadrature_values`` fills it.
+    """
 
     def __init__(self, space, coeffs):
         if len(coeffs) != space.n_dofs:
             raise ValueError("coefficient length does not match space")
         self.space = space
-        self.coeffs = coeffs
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.coeffs.flags.writeable = False
+        self.quad_values = {}
 
 
 def build_space(mesh, degree, n_components=1):
@@ -279,6 +297,7 @@ class ConstraintSet:
             squarings += 1
         C.sum_duplicates()
         self.matrix = C
+        self._transposed = C.T.tocsr()
         self.constrained = mask
         self.inhomogeneity = b
         # condensed goal gradients, filled by LinearLeaf.leaf_gradient
@@ -303,7 +322,7 @@ class ConstraintSet:
         return out.tocsr()
 
     def condense_rhs(self, r):
-        out = self.matrix.T @ r
+        out = self._transposed @ r
         out[self.constrained] = 0.0
         return out
 
@@ -403,44 +422,53 @@ def transfer_to_refined(source, target_space, constraints=None):
     """Inject a function into a space on a refinement of its mesh.
 
     Exact for nested Q^r: children evaluate the parent polynomial at
-    their own support points.
+    their own support points.  Target cells are grouped by the chain of
+    child slots leading up to their source-active ancestor; each group
+    is one batched product with that chain's basis table.
     """
     src_mesh = source.space.mesh
     tgt_mesh = target_space.mesh
-    if tgt_mesh.n_cells < src_mesh.n_cells or not np.array_equal(
-            tgt_mesh.cell_verts[:src_mesh.n_cells], src_mesh.cell_verts):
+    n_src = src_mesh.n_cells
+    if tgt_mesh.n_cells < n_src or not np.array_equal(
+            tgt_mesh.cell_verts[:n_src], src_mesh.cell_verts):
         raise MeshMismatch("target mesh is not a refinement of the source mesh")
     if source.space.n_components != target_space.n_components:
         raise MeshMismatch("component counts differ")
 
+    src_row = np.full(tgt_mesh.n_cells, -1)
+    src_row[source.space.active] = np.arange(len(source.space.active))
+    # climb every target cell to its source-active ancestor; row r of
+    # ``chains`` lists the child slots climbed from target row r, padded
+    # with -1 once the ancestor is reached
+    cells = np.array(target_space.active)
+    chains = []
+    while np.any(pending := src_row[cells] < 0):
+        up = cells[pending]
+        parent = tgt_mesh.cell_parent[up]
+        slot = np.full(len(cells), -1)
+        slot[pending] = np.argmax(
+            tgt_mesh.cell_children[parent] == up[:, None], axis=1)
+        chains.append(slot)
+        cells[pending] = parent
+    chains = np.array(chains, dtype=np.int64).reshape(-1, len(cells)).T
+
     ref_nodes = target_space.local_ref_nodes()
     src_loc = source.space.local_coeffs(source.coeffs)
+    vals = np.empty(target_space.cell_dofs.shape)
+    keys, group = np.unique(chains, axis=0, return_inverse=True)
+    for g, key in enumerate(keys):
+        pts = ref_nodes
+        for slot in key[key >= 0]:
+            pts = 0.5 * (pts + _CHILD_OFFSET[slot])
+        rows = np.flatnonzero(group.ravel() == g)
+        vals[rows] = src_loc[src_row[cells[rows]]] \
+            @ source.space.basis_at(pts)[0]
+    # shared DOFs keep the value of their last cell, as a cell loop would
     out = np.zeros(target_space.n_dofs)
-    basis_cache = {}
-
-    for row, c in enumerate(target_space.active):
-        chain = []
-        cc = int(c)
-        while not (cc < src_mesh.n_cells and src_mesh.is_active(cc)):
-            parent = int(tgt_mesh.cell_parent[cc])
-            slot = int(np.flatnonzero(tgt_mesh.cell_children[parent] == cc)[0])
-            chain.append(slot)
-            cc = parent
-        key = tuple(chain)
-        B = basis_cache.get(key)
-        if B is None:
-            pts = ref_nodes
-            for slot in chain:
-                pts = 0.5 * (pts + _CHILD_OFFSET[slot])
-            B, _ = source.space.basis_at(pts)
-            basis_cache[key] = B
-        src_row = source.space.active_row[cc]
-        out[target_space.cell_dofs[row]] = src_loc[src_row] @ B
-
-    f = target_space.function(out)
+    out[target_space.cell_dofs] = vals
     if constraints is not None:
-        f = target_space.function(constraints.apply(out))
-    return f
+        out = constraints.apply(out)
+    return target_space.function(out)
 
 
 def _invert_bilinear(corners, p):

@@ -97,12 +97,11 @@ class LinearLeaf(Functional):
         return out
 
     def _raw_gradient(self, space, quad):
-        raw = np.zeros(space.n_dofs)
-        for rows, pts, w in self._groups(space.mesh, quad,
-                                         space.n_components):
-            N, _ = space.basis_at(pts)
-            np.add.at(raw, space.cell_dofs[rows], np.swapaxes(w, 1, 2) @ N.T)
-        return raw
+        groups = self._groups(space.mesh, quad, space.n_components)
+        local = [np.swapaxes(w, 1, 2) @ space.basis_at(pts)[0].T
+                 for _, pts, w in groups]
+        return space.scatter(np.concatenate(local),
+                             np.concatenate([rows for rows, _, _ in groups]))
 
     def leaf_gradient(self, space, constraints, u, quad):
         """Condensed gradient, cached on the constraint set it was

@@ -50,10 +50,17 @@ class PLaplaceParams:
             raise ValueError("epsilon must be positive")
 
 
+def _norm2(g):
+    """|g|^2 over the last axis of length 2; bitwise equal to
+    ``np.sum(g * g, axis=-1)`` and about twice as fast."""
+    g0, g1 = g[..., 0], g[..., 1]
+    return g0 * g0 + g1 * g1
+
+
 def plaplace_flux(grad_u, params):
     """a(grad u) = (eps^2 + |grad u|^2)^((p-2)/2) grad u."""
     g = np.asarray(grad_u, dtype=float)
-    s = np.sum(g * g, axis=-1)
+    s = _norm2(g)
     a = (params.epsilon ** 2 + s) ** ((params.p - 2.0) / 2.0)
     return a[..., None] * g
 
@@ -62,7 +69,7 @@ def plaplace_flux_jacobian(grad_u, grad_dir, params):
     """Directional derivative of the flux at grad_u in direction grad_dir."""
     g = np.asarray(grad_u, dtype=float)
     d = np.asarray(grad_dir, dtype=float)
-    s = np.sum(g * g, axis=-1)
+    s = _norm2(g)
     base = params.epsilon ** 2 + s
     a = base ** ((params.p - 2.0) / 2.0)
     out = a[..., None] * d
@@ -87,7 +94,7 @@ def build_plaplace(params):
 
     def jacobian(x, u, grad_u):
         g = grad_u[:, 0]                       # (nc, nq, 2)
-        s = np.sum(g * g, axis=-1)
+        s = _norm2(g)
         base = eps ** 2 + s
         a = base ** ((p - 2.0) / 2.0)
         gg = a[..., None, None] * eye

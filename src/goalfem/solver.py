@@ -4,6 +4,16 @@ One damped loop serves two stopping rules: a residual tolerance
 (``newton_solve``) and the estimator-balanced iteration-error indicator
 of the (multi)goal adjoint (``adaptive_newton_multigoal``).
 
+The line search walks the ray u + gamma^L delta.  Each iterate is
+evaluated at the quadrature points once (the values are cached on it)
+and so is the direction, so every trial is ``assembly.on_ray``: an axpy
+of those values, the kernel and the residual contraction and scatter,
+with no gather and no basis matmul.  The accepted trial's coefficients
+become the next iterate, which is evaluated afresh from them: carrying
+the trial's summed values over instead compounds their roundoff from
+step to step, and on ``cheese_plaplace`` (p = 4) that changed a level's
+Newton count.  No iterate or trial holds a reference to the one before.
+
 The Jacobian is refreshed only when the residual sup-norm contracted by
 less than 0.85 over the last update; the stale factorization is reused
 otherwise, including (transposed) for the adjoint solves of the
@@ -19,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_jacobian, assemble_residual
+from .assembly import (assemble_jacobian, assemble_residual, default_rule,
+                       on_ray)
 from .errors import IterationCap, LineSearchExhausted, MaxIterations
 from .linalg import factorize, max_norm
 
@@ -62,17 +73,23 @@ def line_search(problem, space, constraints, u, delta, cfg, quad=None, *,
     ``res_norm`` being |A(u)|.
 
     Returns (alpha, L, new_u, new_residual, new_norm); the caller reuses
-    the accepted residual.
+    the accepted residual.  Each trial is a point on the ray, evaluated
+    from the quadrature values of u and of the direction (computed here
+    once) by ``assembly.on_ray``.  The accepted point comes back as a
+    function of its coefficients alone, so its own quadrature values are
+    evaluated from them, once, when the next step asks for them.
     """
     if res_norm == 0.0:
         raise ValueError("line search requires a nonzero residual")
+    rule = quad or default_rule(space)
+    delta = space.function(delta)
     for L in range(cfg.l_max):
         alpha = cfg.gamma ** L
-        u_try = u.space.function(u.coeffs + alpha * delta)
-        res = assemble_residual(problem, space, constraints, u_try, quad)
+        u_try = on_ray(u, delta, alpha, rule)
+        res = assemble_residual(problem, space, constraints, u_try, rule)
         norm = max_norm(res)
         if norm < acceptance_factor(L, cfg.l_max) * res_norm:
-            return alpha, L, u_try, res, norm
+            return alpha, L, space.function(u_try.coeffs), res, norm
     raise LineSearchExhausted(
         f"no damping in {cfg.l_max} tries from |A| = {res_norm:.3e}")
 

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from goalfem import adaptivity
 from goalfem.adaptivity import (RunConfig, build_geometry, fit_rate,
                                 mark_average, read_csv, run_adaptive,
                                 run_uniform, uniform_reference, write_csv,
@@ -67,6 +69,22 @@ class TestRunAdaptive:
             assert ra.eta_h == rb.eta_h
             assert ra.n_dofs == rb.n_dofs
             assert ra.newton_steps == rb.newton_steps
+
+    def test_previous_level_freed_before_the_solves(self, monkeypatch):
+        # once both warm starts are transferred, nothing holds the
+        # previous level's mesh (with its cached bases and goal samples)
+        meshes, alive = [], []
+        original = adaptivity.solve_enriched_adjoint
+
+        def checking(*args, **kwargs):
+            alive.append([ref() is not None for ref in meshes])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(adaptivity, "solve_enriched_adjoint", checking)
+        run_adaptive(tiny_p2_config(max_levels=4),
+                     on_level=lambda level, mesh, u, b:
+                     meshes.append(weakref.ref(mesh)))
+        assert alive == [[], [False], [False, False], [False, False, False]]
 
     def test_dofs_strictly_increase(self):
         records = run_adaptive(tiny_p2_config(max_levels=4))

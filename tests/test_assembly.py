@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 
 from goalfem import assembly
 from goalfem.assembly import (assemble_jacobian, assemble_residual,
-                              cell_basis, cell_geometry, coefficient_pairs,
-                              eval_chunk, gauss, local_matrices)
+                              basis_integrals, cell_basis, cell_geometry,
+                              coefficient_pairs, eval_chunk, gauss,
+                              local_matrices, on_ray, quadrature_values)
 from goalfem.errors import QuadratureFailure
 from goalfem.estimator import (_transposed_flux, adjoint_weighted_form,
                                primal_weighted_form, solve_enriched_adjoint)
@@ -364,6 +367,108 @@ class TestCellBasis:
         assert cell_basis(mesh, 2, gauss(5)) is not first
         assert cell_basis(mesh, 3, rule) is not first
         assert calls.count(2) == 2
+
+
+def transposed_condense(cons, raw):
+    """Reference: C^T raw with the constrained entries zeroed."""
+    out = cons.matrix.T @ raw
+    out[cons.constrained] = 0.0
+    return out
+
+
+def add_at_condensed(space, cons, local):
+    """Reference: ``np.add.at`` of the cell blocks onto the DOFs, then
+    the transposed condensation."""
+    raw = np.zeros(space.n_dofs)
+    np.add.at(raw, space.cell_dofs, local)
+    return transposed_condense(cons, raw)
+
+
+class TestScatterAndRay:
+    """The bincount scatter against ``np.add.at``, and trial functions
+    on the ray against evaluation from their coefficients."""
+
+    @given(case=mesh_marks, degree=st.integers(1, 3),
+           n_comp=st.sampled_from([1, 3]), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=30, deadline=None)
+    def test_scatter_matches_add_at(self, case, degree, n_comp, seed):
+        mesh = refined_mesh(*case)
+        problem = build_quasilinear() if n_comp == 3 else poisson_problem()
+        space = build_space(mesh, degree, n_comp)
+        cons = build_constraints(space, problem.dirichlet)
+        assert cons.constrained.any()
+        rng = np.random.default_rng(seed)
+
+        local = rng.normal(size=space.cell_dofs.shape)
+        assert np.array_equal(cons.condense_rhs(space.scatter(local)),
+                              add_at_condensed(space, cons, local))
+
+        rule = gauss(degree + 1)
+        u = space.function(cons.apply(0.5 * rng.normal(size=space.n_dofs)))
+        det, _, xq = cell_geometry(mesh, rule)
+        val, grd = problem.residual(xq, *quadrature_values(u, rule))
+        local = basis_integrals(val, grd, rule.weights * det,
+                                cell_basis(mesh, degree, rule))
+        assert np.array_equal(
+            assemble_residual(problem, space, cons, u, rule),
+            add_at_condensed(space, cons, local))
+
+        # goal leaves: the sample groups scattered in their order
+        point = mesh.corners()[0].mean(axis=0)
+        for leaf in (PointValue(point, component=n_comp - 1),
+                     RegionIntegral()):
+            groups = leaf._groups(mesh, rule, n_comp)
+            ref = np.zeros(space.n_dofs)
+            for rows, pts, w in groups:
+                N, _ = space.basis_at(pts)
+                np.add.at(ref, space.cell_dofs[rows],
+                          np.swapaxes(w, 1, 2) @ N.T)
+            assert np.array_equal(leaf._raw_gradient(space, rule), ref)
+            assert np.array_equal(leaf.leaf_gradient(space, cons, u, rule),
+                                  transposed_condense(cons, ref))
+
+    @given(case=mesh_marks, degree=st.integers(1, 3),
+           n_comp=st.sampled_from([1, 3]), L=st.integers(0, 40),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=30, deadline=None)
+    def test_ray_matches_evaluation(self, case, degree, n_comp, L, seed):
+        space = build_space(refined_mesh(*case), degree, n_comp)
+        rng = np.random.default_rng(seed)
+        u, delta = (space.function(rng.normal(size=space.n_dofs))
+                    for _ in range(2))
+        alpha = 0.85 ** L
+        rule = gauss(degree + 2)
+        trial = on_ray(u, delta, alpha, rule)
+        assert np.array_equal(trial.coeffs, u.coeffs + alpha * delta.coeffs)
+        fresh = quadrature_values(space.function(trial.coeffs), rule)
+        for got, ref in zip(trial.quad_values[rule.n], fresh):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_ray_keeps_no_reference_to_its_ends(self, rng):
+        space = build_space(build_unit_square(3).refine([4]), 2)
+        rule = gauss(4)
+        u, delta = (space.function(rng.normal(size=space.n_dofs))
+                    for _ in range(2))
+        ends = [weakref.ref(u), weakref.ref(delta)]
+        trial = on_ray(u, delta, 0.5, rule)
+        del u, delta
+        assert [end() for end in ends] == [None, None]
+        assert rule.n in trial.quad_values
+
+    def test_values_cached_and_coefficients_read_only(self, rng):
+        space = build_space(build_unit_square(3).refine([4]), 2, 3)
+        rule = gauss(4)
+        coeffs = rng.normal(size=space.n_dofs)
+        u = space.function(coeffs)
+        first = quadrature_values(u, rule)
+        assert quadrature_values(u, rule) is first
+        for part, whole in zip(eval_chunk(u, rule, slice(2, 5)), first):
+            assert np.array_equal(part, whole[2:5])
+        with pytest.raises(ValueError):
+            u.coeffs[0] = 1.0
+        # the function holds a copy: the caller's array stays writable
+        coeffs[0] += 1.0
+        assert u.coeffs[0] == coeffs[0] - 1.0
 
 
 class TestFunctionalGradient:

@@ -1,9 +1,11 @@
-"""The record comparison of tools/compare_records.py, on synthetic records."""
+"""The record comparison of tools/compare_records.py on synthetic records,
+and its control perturbation of the residual in process."""
 
 import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_records.py"
@@ -48,3 +50,57 @@ def test_value_drift_and_nan_mismatch():
     assert rel_diff["values"] == pytest.approx(1e-12, rel=1e-3)
     assert rel_diff["i_eff"] == math.inf
     assert rel_diff["eta_h"] == 0.0
+
+
+def test_report_prints_control_drift_next_to_change_drift():
+    change, control = records(), records()
+    change[2]["eta_h"] *= 1 + 1e-9
+    control[2]["eta_h"] *= 1 + 1e-3
+    control[1]["newton_steps"] += 1
+    lines, ok = compare_records.report("w/1", records(), change, control)
+    assert ok                 # the control does not enter the status
+    assert lines[0] == "w/1: 3 levels, final DOFs 30"
+    assert "newton_steps NO" in lines[2]
+    assert "eta_h 1e-09 / 0.000999" in lines[3]
+    assert "values 0 / 0" in lines[3]
+    plain, _ = compare_records.report("w/1", records(), change)
+    assert len(plain) == 3 and "/" not in plain[2]
+
+
+def test_main_runs_the_control_on_the_parent(monkeypatch, capsys):
+    calls = []
+
+    def fake_run_side(checkout, runs=compare_records.RUNS, control=False):
+        calls.append((checkout, control))
+        out = records()
+        if control:
+            out[0]["eta_h"] *= 1 + 2.0 ** -52
+        return {"w/1": out}
+
+    monkeypatch.setattr(compare_records, "run_side", fake_run_side)
+    assert compare_records.main(["--control", "P", "C"]) == 0
+    assert calls == [("P", False), ("C", False), ("P", True)]
+    out = capsys.readouterr().out
+    assert "(change / control)" in out and "records agree" in out
+    assert compare_records.main(["--control", "P"]) == 2
+
+
+def test_perturb_residual_scales_every_binding():
+    from goalfem import adaptivity, assembly, solver
+    from conftest import poisson_setup
+
+    problem, _, space, cons, u, _ = poisson_setup(3)
+    u = space.function(u.coeffs + 0.1)
+    original = assembly.assemble_residual
+    exact = original(problem, space, cons, u)
+    restore = compare_records.perturb_residual()
+    try:
+        for module in (assembly, solver, adaptivity):
+            assert module.assemble_residual is not original
+        got = solver.assemble_residual(problem, space, cons, u)
+        assert np.array_equal(got, exact * compare_records.CONTROL_SCALE)
+        assert not np.array_equal(got, exact)
+    finally:
+        restore()
+    for module in (assembly, solver, adaptivity):
+        assert module.assemble_residual is original

@@ -15,11 +15,50 @@ from goalfem.goals import PointValue
 from goalfem.mesh import build_slit, build_unit_square
 from goalfem.problems import build_quasilinear
 
-from conftest import mesh_marks, refined_mesh
+from conftest import marked_cells, mesh_marks, refined_mesh
 
 
 def zero(x, y, side):
     return 0.0
+
+
+def cell_loop_transfer(source, target_space):
+    """Reference: the per-cell transfer loop, climbing each target cell
+    to its source-active ancestor one parent at a time."""
+    src_mesh, tgt_mesh = source.space.mesh, target_space.mesh
+    src_loc = source.space.local_coeffs(source.coeffs)
+    src_row = {int(c): i for i, c in enumerate(source.space.active)}
+    out = np.zeros(target_space.n_dofs)
+    for row, c in enumerate(target_space.active):
+        chain, cc = [], int(c)
+        while cc not in src_row:
+            parent = int(tgt_mesh.cell_parent[cc])
+            chain.append(int(np.flatnonzero(
+                tgt_mesh.cell_children[parent] == cc)[0]))
+            cc = parent
+        pts = target_space.local_ref_nodes()
+        for slot in chain:
+            pts = 0.5 * (pts + fespace._CHILD_OFFSET[slot])
+        B, _ = source.space.basis_at(pts)
+        out[target_space.cell_dofs[row]] = src_loc[src_row[cc]] @ B
+    return out
+
+
+# a source mesh from mesh_marks, then one or two more rounds of marks
+# giving the refinement the transfer targets
+transfer_case = st.tuples(
+    mesh_marks,
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+             min_size=1, max_size=2),
+    st.integers(1, 4), st.sampled_from([1, 3]), st.integers(0, 2 ** 16))
+
+
+def transfer_meshes(case, more):
+    mesh = refined_mesh(*case)
+    target = mesh
+    for fractions in more:
+        target = target.refine(marked_cells(target, fractions))
+    return mesh, target
 
 
 def point_value(f, point, component=0, side=0):
@@ -131,7 +170,7 @@ class TestConstraints:
         from goalfem.fespace import _invert_bilinear, tensor_basis
 
         def eval_in_cell(f, cell, p):
-            row = f.space.active_row[int(cell)]
+            row = int(np.searchsorted(f.space.active, cell))
             ref = _invert_bilinear(f.space.mesh.corners()[row], p)
             assert ref is not None
             N, _ = tensor_basis(f.space.degree, ref[None, :])
@@ -307,9 +346,10 @@ class TestInterpolation:
     def test_bubble_vanishes_on_vertices(self):
         m = build_unit_square(1)
         q2 = build_space(m, 2)
-        bub = q2.function(np.zeros(q2.n_dofs))
+        coeffs = np.zeros(q2.n_dofs)
         center = int(np.argmin(np.abs(q2.node_coords - 0.5).sum(axis=1)))
-        bub.coeffs[center] = 1.0
+        coeffs[center] = 1.0
+        bub = q2.function(coeffs)
         down = interpolate_between(bub, build_space(m, 1))
         assert np.all(down.coeffs == 0.0)
 
@@ -347,6 +387,52 @@ class TestInterpolation:
         for p in rng.uniform(0.01, 0.99, size=(10, 2)):
             assert point_value(g, p) == pytest.approx(
                 point_value(f, p), abs=1e-12)
+
+
+class TestTransferProperties:
+    @given(case=transfer_case)
+    @settings(max_examples=30, deadline=None)
+    def test_transfer_matches_cell_loop(self, case):
+        base, more, degree, n_comp, seed = case
+        mesh, target = transfer_meshes(base, more)
+        space = build_space(mesh, degree, n_comp)
+        f = space.function(
+            np.random.default_rng(seed).normal(size=space.n_dofs))
+        tspace = build_space(target, degree, n_comp)
+        assert np.array_equal(transfer_to_refined(f, tspace).coeffs,
+                              cell_loop_transfer(f, tspace))
+
+    @given(case=transfer_case)
+    @settings(max_examples=20, deadline=None)
+    def test_transfer_exact_for_qr_data(self, case):
+        """Any conforming Q^r function of the source space, the two slit
+        lips carrying independent values, is reproduced on the target
+        cells: at an interior point of each, the transferred function
+        equals the source function evaluated in the source cell that
+        contains the point.  Checked on the cells nearest the line
+        y = 0 (the slit) and on random others."""
+        base, more, degree, n_comp, seed = case
+        mesh, target = transfer_meshes(base, more)
+        rng = np.random.default_rng(seed)
+        space = build_space(mesh, degree, n_comp)
+        f = space.function(build_constraints(space).apply(
+            rng.normal(size=space.n_dofs)))
+        g = transfer_to_refined(f, build_space(target, degree, n_comp))
+        ref = rng.uniform(0.1, 0.9, size=(1, 2))
+        N, _ = fespace.tensor_basis(degree, ref)
+        corners = target.corners()
+        pts = fespace.bilinear_map(corners, ref)
+        got = g.space.local_coeffs(g.coeffs) @ N[:, 0]
+        near_slit = np.argsort(np.abs(corners[:, :, 1].mean(axis=1)))[:20]
+        rows = np.union1d(near_slit, rng.choice(len(pts), min(20, len(pts)),
+                                                replace=False))
+        for row in rows:
+            p = pts[row]
+            src_row, src_ref = fespace.locate_point(mesh, p)
+            Ns, _ = fespace.tensor_basis(degree, src_ref[None, :])
+            want = space.local_coeffs(f.coeffs, src_row) @ Ns[:, 0]
+            assert np.allclose(got[row], want, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(f.coeffs)))
 
 
 class TestPointEvaluation:

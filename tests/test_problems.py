@@ -61,6 +61,31 @@ class TestFlux:
             assert np.allclose(out, fd, atol=1e-5 * (1 + np.abs(fd).max()))
 
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_kernels_bitwise_equal_to_summed_squares(self, p, rng):
+        # |grad u|^2 is written g0*g0 + g1*g1; the kernels must agree
+        # bit for bit with the np.sum(g * g, axis=-1) they replaced
+        prm = PLaplaceParams(p, 1e-10)
+        g = rng.normal(size=(40, 1, 9, 2)) * rng.choice(
+            [0.0, 1e-12, 1.0, 1e6], size=(40, 1, 9, 1))
+        d = rng.normal(size=g.shape)
+        s = np.sum(g * g, axis=-1)
+        base = prm.epsilon ** 2 + s
+        a = base ** ((p - 2.0) / 2.0)
+        assert np.array_equal(plaplace_flux(g, prm), a[..., None] * g)
+        ref = a[..., None] * d
+        if p != 2.0:
+            b = (p - 2.0) * base ** ((p - 4.0) / 2.0)
+            ref = ref + (b * np.sum(g * d, axis=-1))[..., None] * g
+        assert np.array_equal(plaplace_flux_jacobian(g, d, prm), ref)
+        gg = build_plaplace(prm).jacobian(None, None, g)["gg"][:, :, 0, 0]
+        ref = a[:, 0, :, None, None] * np.eye(2)
+        if p != 2.0:
+            ref = ref + b[:, 0, :, None, None] * (
+                g[:, 0, :, :, None] * g[:, 0, :, None, :])
+        assert np.array_equal(gg, ref)
+
+
 class TestPLaplaceKernels:
     def test_zero_state_zero_rhs(self):
         prob = build_plaplace(PLaplaceParams(3.0, 1.0))

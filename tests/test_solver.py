@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,35 @@ class TestNewton:
         assert np.array_equal(u1.coeffs, u2.coeffs)
         assert s1.residual_norms == s2.residual_norms
         assert s1.alphas == s2.alphas
+
+
+    def test_iterates_freed_after_the_next_step(self, monkeypatch):
+        # trials on the ray keep no reference to the iterate they start
+        # from, so the iterates do not chain up in memory
+        problem = p4_problem()
+        space = build_space(build_unit_square(4), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        u0 = make_initial_guess(space, cons)
+        n0 = max_norm(assemble_residual(problem, space, cons, u0))
+        starts, accepted, dead = [], [], []
+        original = sv.line_search
+
+        def recording(*args, **kwargs):
+            starts.append(weakref.ref(args[3]))
+            out = original(*args, **kwargs)
+            accepted.append(weakref.ref(out[2]))
+            return out
+
+        def log(line):
+            if len(accepted) == 2:
+                dead.append([ref() is None for ref in starts[:1]
+                             + accepted[:1]])
+
+        monkeypatch.setattr(sv, "line_search", recording)
+        _, stats = newton_solve(problem, space, cons, u0, 1e-8 * n0, log=log)
+        assert stats.iterations > 2
+        # the start and the first accepted iterate, after the second step
+        assert dead == [[True, True]]
 
 
 class TestLineSearch:

@@ -1,6 +1,6 @@
 """Compare the convergence records of two goalfem checkouts.
 
-    python3 tools/compare_records.py PARENT_DIR CHANGE_DIR
+    python3 tools/compare_records.py [--control] PARENT_DIR CHANGE_DIR
 
 Each directory is a checkout, for example one made with
 ``git archive <rev> | tar -x -C DIR``.  Both sides run the benchmark
@@ -11,8 +11,16 @@ prints whether the DOF sequence, ``n_cells``, ``newton_steps`` and
 ``enriched_newton_steps`` are identical, and the largest relative
 difference of every other record field except ``wall_ms``.
 
-Exit status 1 when any of those identical-or-not fields differs (or a
-run is missing on one side), else 0.
+``--control`` runs the parent a third time with every residual vector
+it assembles scaled by (1 + 2^-52), a last-bit perturbation, and prints
+each field's drift under that control next to the change's drift.  A
+workload that amplifies roundoff (``cheese_plaplace``) moves by about
+as much under the control as under any change of summation order, so
+its drift is judged against the control rather than against zero.
+
+Exit status 1 when any of those identical-or-not fields differs between
+parent and change (or a run is missing on one side), else 0; the
+control does not enter the status.
 """
 
 from __future__ import annotations
@@ -29,13 +37,19 @@ RUNS = (("slit_quasilinear", 1), ("cheese_plaplace", 1),
 EXACT = ("n_dofs", "n_cells", "newton_steps", "enriched_newton_steps")
 IGNORED = ("wall_ms",)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+CONTROL_SCALE = 1.0 + 2.0 ** -52
+HERE = Path(__file__).resolve().parent
 
-# runs in the subprocess, with the checkout's src/ and perfbench/ first
-# on sys.path; prints {"name/seed": [record dict, ...]}
+# runs in the subprocess, with the checkout's src/ and perfbench/ and
+# this script's directory first on sys.path; prints
+# {"name/seed": [record dict, ...]}
 _CHILD = """
 import dataclasses, json, sys
 from goalfem import adaptivity
 from workloads import WORKLOADS
+if json.loads(sys.argv[2]):
+    from compare_records import perturb_residual
+    perturb_residual()
 out = {}
 for name, seed in json.loads(sys.argv[1]):
     records = adaptivity.run_adaptive(WORKLOADS[name].config(seed))
@@ -44,15 +58,44 @@ print(json.dumps(out))
 """
 
 
-def run_side(checkout, runs=RUNS):
-    """Records of ``runs`` computed by the goalfem in ``checkout``."""
+def perturb_residual():
+    """Scale every residual vector goalfem assembles by (1 + 2^-52).
+
+    Rebinds ``assemble_residual`` in every loaded goalfem module that
+    holds it (``from .assembly import`` copies the binding); returns a
+    function that restores the originals.
+    """
+    import goalfem.adaptivity  # noqa: F401  (loads every user)
+    from goalfem import assembly
+
+    original = assembly.assemble_residual
+
+    def scaled(*args, **kwargs):
+        return original(*args, **kwargs) * CONTROL_SCALE
+
+    holders = [m for name, m in list(sys.modules.items())
+               if name.split(".")[0] == "goalfem"
+               and getattr(m, "assemble_residual", None) is original]
+    for module in holders:
+        module.assemble_residual = scaled
+
+    def restore():
+        for module in holders:
+            module.assemble_residual = original
+
+    return restore
+
+
+def run_side(checkout, runs=RUNS, control=False):
+    """Records of ``runs`` computed by the goalfem in ``checkout``, with
+    the residual perturbed by ``perturb_residual`` when ``control``."""
     root = Path(checkout).resolve()
     env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src"), str(root / "perfbench")])
+        [str(root / "src"), str(root / "perfbench"), str(HERE)])
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(runs)], env=env,
-        cwd=root, capture_output=True, text=True, check=True)
+        [sys.executable, "-c", _CHILD, json.dumps(runs), json.dumps(control)],
+        env=env, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -95,26 +138,50 @@ def compare(parent, change):
     return identical, rel_diff
 
 
+def report(key, parent, change, control=None):
+    """Lines describing one run, and whether its identical-or-not fields
+    agree between ``parent`` and ``change``.  With ``control`` records
+    (the perturbed parent), each drift is followed by the control's."""
+    identical, rel_diff = compare(parent, change)
+    dofs = [r["n_dofs"] for r in change]
+    lines = [f"{key}: {len(dofs)} levels, final DOFs {dofs[-1]}",
+             "  identical: " + ", ".join(
+                 f"{f} {'yes' if same else 'NO'}"
+                 for f, same in identical.items())]
+    if control is None:
+        lines.append("  largest relative difference: " + ", ".join(
+            f"{f} {d:.3g}" for f, d in rel_diff.items()))
+    else:
+        c_identical, c_diff = compare(parent, control)
+        lines.append("  control identical: " + ", ".join(
+            f"{f} {'yes' if same else 'NO'}"
+            for f, same in c_identical.items()))
+        lines.append("  largest relative difference (change / control): "
+                     + ", ".join(f"{f} {d:.3g} / {c_diff[f]:.3g}"
+                                 for f, d in rel_diff.items()))
+    return lines, all(identical.values())
+
+
 def main(argv=None):
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    with_control = "--control" in args
+    if with_control:
+        args.remove("--control")
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
     sides = [run_side(d) for d in args]
+    control = run_side(args[0], control=True) if with_control else {}
     ok = True
     for key in sorted(set(sides[0]) | set(sides[1])):
         if key not in sides[0] or key not in sides[1]:
             print(f"{key}: missing on one side")
             ok = False
             continue
-        identical, rel_diff = compare(sides[0][key], sides[1][key])
-        ok &= all(identical.values())
-        dofs = [r["n_dofs"] for r in sides[1][key]]
-        print(f"{key}: {len(dofs)} levels, final DOFs {dofs[-1]}")
-        print("  identical: " + ", ".join(
-            f"{f} {'yes' if same else 'NO'}" for f, same in identical.items()))
-        print("  largest relative difference: " + ", ".join(
-            f"{f} {d:.3g}" for f, d in rel_diff.items()))
+        lines, same = report(key, sides[0][key], sides[1][key],
+                             control.get(key))
+        ok &= same
+        print("\n".join(lines))
     print("records agree" if ok else "records DIFFER")
     return 0 if ok else 1
 
