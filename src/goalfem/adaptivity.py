@@ -66,6 +66,11 @@ class RunConfig:
                                  f"not {value!r}")
         if self.tol_dis <= 0:
             raise ValueError("tol_dis must be positive")
+        for name, least in (("initial_refines", 0), ("max_levels", 1),
+                            ("max_dofs", 1), ("n_initial", 1), ("degree", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"not {getattr(self, name)!r}")
         r2 = self.enriched_degree
         if r2 is not None and r2 <= self.degree:
             raise ValueError("enriched degree must exceed the primal degree")

@@ -1,17 +1,22 @@
 """Quadrature, pointwise evaluation, and the constrained global assembly
 of the residual vector and the Jacobian matrix.
 
-Everything is vectorized over cells in fixed-size chunks.  Two
-tabulations are cached on the mesh: the bilinear cell geometry
-(straight-sided quads) per rule, and the cell basis per (degree, rule),
-``B[e, d, q, b]``, holding the value (d = 0) and the two physical
-gradient components (d = 1, 2) of each local basis function b at each
-quadrature point q of every active cell e.  Evaluating a function,
-integrating densities against the test functions and forming local
-Jacobians are then batched matmuls against B: the basis / pointwise
-kernel split of cell-based operator evaluation.  One Gauss rule is
-shared by every assembly of a run so that coarse and enriched pairings
-commit the same quadrature crime.
+Every cell operator runs once over all active cells, as straight-line
+array code.  Two tabulations are cached on the mesh: the bilinear cell
+geometry (straight-sided quads) per rule, and the cell basis per
+(degree, rule), ``B[e, d, q, b]``, holding the value (d = 0) and the
+two physical gradient components (d = 1, 2) of each local basis
+function b at each quadrature point q of every active cell e.
+Evaluating a function, integrating densities against the test
+functions and forming local Jacobians are then batched matmuls against
+B: the basis / pointwise kernel split of cell-based operator
+evaluation.  B and every function's quadrature values are cached for
+the whole mesh, the kernel densities are no larger than those values,
+and the Jacobian's COO triplets are built at full size for the sparse
+matrix in any case, so splitting the cells into chunks would bound no
+memory that is not already allocated in full.  One Gauss rule is shared
+by every assembly of a run so that coarse and enriched pairings commit
+the same quadrature crime.
 
 A function's values at the quadrature points are computed once per rule
 and kept on it (``quadrature_values``).  A point u + alpha delta of a
@@ -26,7 +31,7 @@ and the p = 4 cheese workload turns such last-bit changes into
 different Newton counts and meshes.
 
 Local Jacobians skip the (test, trial) component pairs whose coefficient
-block is zero on the whole chunk (most of them: the kernels' blocks are
+block is zero on the whole mesh (most of them: the kernels' blocks are
 dense arrays over all pairs) and form each remaining pair with one
 batched matmul over the quadrature points and the trial index.
 """
@@ -41,8 +46,6 @@ import scipy.sparse as sp
 
 from .errors import QuadratureFailure
 from .fespace import tensor_basis
-
-CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -123,17 +126,13 @@ def cell_basis(mesh, degree, rule):
     return hit
 
 
-def _chunks(n):
-    for start in range(0, n, CHUNK):
-        yield slice(start, min(start + CHUNK, n))
-
-
 def quadrature_values(f, rule):
     """Values (e, k, q) and gradients (e, k, q, 2) of a discrete function
     at the rule's points on every active cell.
 
-    Computed once per (function, rule order), chunk by chunk against the
-    cell basis, and kept in ``f.quad_values``.
+    One gather of the cell coefficients and one batched matmul against
+    the cell basis, computed once per (function, rule order) and kept in
+    ``f.quad_values``.
     """
     hit = f.quad_values.get(rule.n)
     if hit is not None:
@@ -141,25 +140,15 @@ def quadrature_values(f, rule):
     space = f.space
     basis = cell_basis(space.mesh, space.degree, rule)
     ne, _, nq, nb = basis.shape
-    ncomp = space.n_components
-    uv = np.empty((ne, ncomp, nq))
-    ug = np.empty((ne, ncomp, nq, 2))
-    for sl in _chunks(ne):
-        B = basis[sl]
-        uloc = space.local_coeffs(f.coeffs, sl)
-        out = (uloc @ B.reshape(len(B), 3 * nq, nb).transpose(0, 2, 1))
-        out = out.reshape(len(B), ncomp, 3, nq)
-        uv[sl] = out[:, :, 0]
-        ug[sl] = out[:, :, 1:].transpose(0, 1, 3, 2)
-    hit = f.quad_values[rule.n] = (uv, ug)
+    out = space.local_coeffs(f.coeffs) \
+        @ basis.reshape(ne, 3 * nq, nb).transpose(0, 2, 1)
+    out = out.reshape(ne, space.n_components, 3, nq)
+    # C-ordered copies: reductions over several axes of these values (and
+    # of densities that inherit their layout) then add in one fixed order
+    hit = f.quad_values[rule.n] = (
+        np.ascontiguousarray(out[:, :, 0]),
+        np.ascontiguousarray(out[:, :, 1:].transpose(0, 1, 3, 2)))
     return hit
-
-
-def eval_chunk(f, rule, sl):
-    """Values (e, k, q) and gradients (e, k, q, 2) of a discrete function
-    on one cell chunk."""
-    uv, ug = quadrature_values(f, rule)
-    return uv[sl], ug[sl]
 
 
 def on_ray(u, delta, alpha, rule):
@@ -177,12 +166,12 @@ def on_ray(u, delta, alpha, rule):
 
 
 def basis_integrals(val, grd, wdet, B):
-    """int val_k phi_b + grd_k . grad phi_b over each cell of a chunk,
-    shaped (e, k, b).
+    """int val_k phi_b + grd_k . grad phi_b over each cell, shaped
+    (e, k, b).
 
     ``val`` (e, k, q) and ``grd`` (e, k, q, 2) are densities at the
     quadrature points, ``wdet`` (e, q) the weights times det J and ``B``
-    the chunk's cell basis; one batched matmul over (d, q).
+    the cell basis; one batched matmul over (d, q).
     """
     ne, _, nq, nb = B.shape
     F = np.empty(val.shape[:2] + (3, nq))
@@ -204,15 +193,11 @@ def assemble_residual(problem, space, constraints, u, quad=None):
     """
     rule = quad or default_rule(space)
     det, _, xq = cell_geometry(space.mesh, rule)
-    basis = cell_basis(space.mesh, space.degree, rule)
-    local = np.empty(space.cell_dofs.shape)
-    for sl in _chunks(len(space.active)):
-        uv, ug = eval_chunk(u, rule, sl)
-        val, grd = problem.residual(xq[sl], uv, ug)
-        if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
-            raise QuadratureFailure("non-finite residual integrand")
-        wdet = rule.weights[None, :] * det[sl]
-        local[sl] = basis_integrals(val, grd, wdet, basis[sl])
+    val, grd = problem.residual(xq, *quadrature_values(u, rule))
+    if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
+        raise QuadratureFailure("non-finite residual integrand")
+    local = basis_integrals(val, grd, rule.weights * det,
+                            cell_basis(space.mesh, space.degree, rule))
     return constraints.condense_rhs(space.scatter(local))
 
 
@@ -229,7 +214,7 @@ def coefficient_pairs(blocks):
     Yields ``(test_grad, trial_grad, k, m, c)`` with ``c[e, q, i, j]`` the
     pair's coefficients; ``i`` runs over the test side and ``j`` over the
     trial side, each of length 2 on a gradient side and 1 on a value
-    side.  Pairs that are zero throughout the chunk contribute nothing
+    side.  Pairs that are zero on every cell contribute nothing
     and are skipped (non-finite entries are nonzero and kept).
     """
     for kind, block in blocks.items():
@@ -245,7 +230,7 @@ def coefficient_pairs(blocks):
 def local_matrices(blocks, wdet, B, ncomp):
     """Local Jacobians A[e, k, b, m, d] = A'(u)(phi_d e_m, phi_b e_k).
 
-    ``B`` is the chunk's cell basis (e, 3, q, b) and ``wdet`` (e, q).  Per
+    ``B`` is the cell basis (e, 3, q, b) and ``wdet`` (e, q).  Per
     nonzero component pair, the weighted coefficients are contracted
     with the test basis over the test side's vector index, then one
     batched matmul over (trial index, quadrature point) pairs the result
@@ -268,24 +253,18 @@ def assemble_jacobian(problem, space, constraints, u, quad=None):
     """Matrix of A'(u)(phi_j, phi_i) (rows = test), condensed."""
     rule = quad or default_rule(space)
     det, _, xq = cell_geometry(space.mesh, rule)
-    basis = cell_basis(space.mesh, space.degree, rule)
-    nb = space.n_local
-    ncomp = space.n_components
-    nloc = ncomp * nb
-    rows, cols, vals = [], [], []
-    for sl in _chunks(len(space.active)):
-        uv, ug = eval_chunk(u, rule, sl)
-        blocks = problem.jacobian(xq[sl], uv, ug)
-        wdet = rule.weights[None, :] * det[sl]
-        A = local_matrices(blocks, wdet, basis[sl], ncomp)
-        if not np.all(np.isfinite(A)):
-            raise QuadratureFailure("non-finite jacobian integrand")
-        ne = uv.shape[0]
-        gdof = space.cell_dofs[sl].reshape(ne, nloc)
-        rows.append(np.broadcast_to(gdof[:, :, None], (ne, nloc, nloc)).ravel())
-        cols.append(np.broadcast_to(gdof[:, None, :], (ne, nloc, nloc)).ravel())
-        vals.append(A.reshape(ne, nloc, nloc).ravel())
-    raw = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(space.n_dofs, space.n_dofs)).tocsr()
+    blocks = problem.jacobian(xq, *quadrature_values(u, rule))
+    A = local_matrices(blocks, rule.weights * det,
+                       cell_basis(space.mesh, space.degree, rule),
+                       space.n_components)
+    if not np.all(np.isfinite(A)):
+        raise QuadratureFailure("non-finite jacobian integrand")
+    ne = len(A)
+    nloc = space.n_components * space.n_local
+    gdof = space.cell_dofs.reshape(ne, nloc)
+    shape = (ne, nloc, nloc)
+    raw = sp.coo_matrix(
+        (A.ravel(), (np.broadcast_to(gdof[:, :, None], shape).ravel(),
+                     np.broadcast_to(gdof[:, None, :], shape).ravel())),
+        shape=(space.n_dofs, space.n_dofs)).tocsr()
     return constraints.condense_matrix(raw)

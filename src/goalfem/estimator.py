@@ -68,35 +68,28 @@ def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2,
     return space2.function(constraints2.distribute(lu.solve(rhs, transposed=True)))
 
 
-def _localize(u, weight, rule, flux):
+def _localize(weight, rule, fv, fg):
     """PU localization of a weighted flux against the Q1 vertex hats.
 
-    ``flux(x, u_vals, u_grads, sl)`` gives (F_v, F_g) on the cell chunk
-    ``sl``.  Returns the per-vertex values of
-    int F_v.(w psi_a) + F_g:grad(w psi_a) and the global
-    int F_v.w + F_g:grad w, the latter accumulated from the un-localized
-    density rather than summed from the vertices.
+    ``fv`` (e, k, q) and ``fg`` (e, k, q, 2) are the flux densities at
+    the rule's points on every active cell of the weight's mesh.
+    Returns the per-vertex values of int F_v.(w psi_a) + F_g:grad(w psi_a)
+    and the global int F_v.w + F_g:grad w, the latter summed from the
+    un-localized density rather than from the vertices.
     """
-    mesh = u.space.mesh
-    det, _, xq = assembly.cell_geometry(mesh, rule)
-    hats = assembly.cell_basis(mesh, 1, rule)
+    mesh = weight.space.mesh
+    det, _, _ = assembly.cell_geometry(mesh, rule)
+    wv, wg = assembly.quadrature_values(weight, rule)
+    wdet = rule.weights * det
+    # F.(w psi) + F_g:grad(w psi) = psi (F.w + F_g:grad w)
+    #                               + grad psi . (F_g^T w)
+    t1 = (fv * wv).sum(axis=1) + (fg * wg).sum(axis=(1, 3))
+    t2 = (fg * wv[..., None]).sum(axis=1)
+    contrib = assembly.basis_integrals(t1[:, None], t2[:, None], wdet,
+                                       assembly.cell_basis(mesh, 1, rule))
     out = np.zeros(mesh.n_points)
-    total = 0.0
-    active = mesh.active_cells
-    for sl in assembly._chunks(len(active)):
-        uv, ug = assembly.eval_chunk(u, rule, sl)
-        fv, fg = flux(xq[sl], uv, ug, sl)
-        wv, wg = assembly.eval_chunk(weight, rule, sl)
-        wdet = rule.weights[None, :] * det[sl]
-        # F.(w psi) + F_g:grad(w psi) = psi (F.w + F_g:grad w)
-        #                               + grad psi . (F_g^T w)
-        t1 = (fv * wv).sum(axis=1) + (fg * wg).sum(axis=(1, 3))
-        t2 = (fg * wv[..., None]).sum(axis=1)
-        contrib = assembly.basis_integrals(t1[:, None], t2[:, None], wdet,
-                                           hats[sl])
-        np.add.at(out, mesh.cell_verts[active[sl]], contrib[:, 0])
-        total += float(np.sum(wdet * t1))
-    return out, total
+    np.add.at(out, mesh.cell_verts[mesh.active_cells], contrib[:, 0])
+    return out, float(np.sum(wdet * t1))
 
 
 def _transposed_flux(blocks, zv, zg):
@@ -123,21 +116,21 @@ def _transposed_flux(blocks, zv, zg):
 def primal_weighted_form(problem, u, weight, quad):
     """rho(u)(w psi_a) per vertex and the global rho(u)(w) = -A(u)(w);
     the weight ``w`` may live in an enriched space on u's mesh."""
-    def flux(x, uv, ug, sl):
-        return problem.residual(x, uv, ug)
-
-    nodal, total = _localize(u, weight, quad, flux)
+    _, _, xq = assembly.cell_geometry(u.space.mesh, quad)
+    nodal, total = _localize(
+        weight, quad,
+        *problem.residual(xq, *assembly.quadrature_values(u, quad)))
     return -nodal, -total
 
 
 def adjoint_weighted_form(problem, functional, u, z, weight, quad):
     """rho*(u, z)(w psi_a) per vertex and the global
     rho*(u, z)(w) = J'(u)(w) - A'(u)(w, z)."""
-    def flux(x, uv, ug, sl):
-        zv, zg = assembly.eval_chunk(z, quad, sl)
-        return _transposed_flux(problem.jacobian(x, uv, ug), zv, zg)
-
-    nodal, total = _localize(u, weight, quad, flux)
+    _, _, xq = assembly.cell_geometry(u.space.mesh, quad)
+    blocks = problem.jacobian(xq, *assembly.quadrature_values(u, quad))
+    nodal, total = _localize(
+        weight, quad,
+        *_transposed_flux(blocks, *assembly.quadrature_values(z, quad)))
     return (functional.nodal_directional(u, weight, quad) - nodal,
             functional.directional(u, weight, quad=quad) - total)
 

@@ -304,11 +304,10 @@ class ConstraintSet:
         self.gradient_cache = {}
 
     def apply(self, u):
-        """Overwrite constrained entries from masters + inhomogeneity."""
-        out = np.asarray(u, dtype=float).copy()
-        out[self.constrained] = (self.matrix @ u)[self.constrained] \
-            + self.inhomogeneity[self.constrained]
-        return out
+        """C u + b: constrained entries from their masters and b; a free
+        row of C is its unit diagonal and b is zero there, so free
+        entries keep their value."""
+        return self.matrix @ u + self.inhomogeneity
 
     def distribute(self, x):
         """Homogeneous constrained extension C x of master values."""

@@ -38,10 +38,15 @@ ITERATION_CAP = 100
 REBUILD_RATIO = 0.85
 
 
-@dataclass
+@dataclass(frozen=True)
 class LineSearchConfig:
     gamma: float = 0.9
     l_max: int = 200
+
+
+# the damping of ``newton_solve`` and of ``adaptive_newton_multigoal``
+NEWTON_LINE_SEARCH = LineSearchConfig(gamma=0.9)
+BALANCED_LINE_SEARCH = LineSearchConfig(gamma=0.85)
 
 
 def acceptance_factor(L, l_max=200):
@@ -102,8 +107,8 @@ def nested_tolerance(level, initial_residual_norm):
     return factor * initial_residual_norm
 
 
-def newton_solve(problem, space, constraints, u0, tol_abs, cfg=None,
-                 quad=None, log=None):
+def newton_solve(problem, space, constraints, u0, tol_abs, quad=None,
+                 log=None):
     """Damped Newton until the residual sup-norm drops to ``tol_abs``.
 
     ``log`` receives one trace line per iteration (k, |A|, alpha,
@@ -121,14 +126,13 @@ def newton_solve(problem, space, constraints, u0, tol_abs, cfg=None,
 
     u = _newton(problem, space, constraints,
                 space.function(constraints.apply(u0.coeffs)), None,
-                cfg or LineSearchConfig(gamma=0.9), quad, stats, stop,
-                log=log)
+                NEWTON_LINE_SEARCH, quad, stats, stop, log=log)
     return u, stats
 
 
 def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
-                              adjoint_rhs, cfg=None, quad=None,
-                              mode="adaptive", fixed_tol=1e-8, log=None):
+                              adjoint_rhs, quad=None, mode="adaptive",
+                              fixed_tol=1e-8, log=None):
     """Newton iteration stopped by the iteration-error indicator.
 
     Each sweep solves the adjoint with the current (possibly stale)
@@ -169,8 +173,8 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
 
     u = _newton(problem, space, constraints, u,
                 _fresh_lu(problem, space, constraints, u, quad),
-                cfg or LineSearchConfig(gamma=0.85), quad, stats, stop,
-                stagnated, observe, log)
+                BALANCED_LINE_SEARCH, quad, stats, stop, stagnated, observe,
+                log)
     return u, space.function(z), stats
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from goalfem import assembly
 from goalfem.assembly import (assemble_jacobian, assemble_residual,
                               basis_integrals, cell_basis, cell_geometry,
-                              coefficient_pairs, eval_chunk, gauss,
-                              local_matrices, on_ray, quadrature_values)
+                              coefficient_pairs, gauss, local_matrices,
+                              on_ray, quadrature_values)
 from goalfem.errors import QuadratureFailure
 from goalfem.estimator import (_transposed_flux, adjoint_weighted_form,
                                primal_weighted_form, solve_enriched_adjoint)
@@ -178,6 +178,23 @@ def einsum_residual(problem, space, u, rule):
     return raw
 
 
+def einsum_jacobian(problem, space, u, rule):
+    """Reference: the unconstrained Jacobian from the dense einsum local
+    matrices, summed into a sparse matrix."""
+    det, _, xq = cell_geometry(space.mesh, rule)
+    N, _ = tensor_basis(space.degree, rule.points)
+    gphi = einsum_phys_gradients(space.mesh, space.degree, rule)
+    blocks = problem.jacobian(xq, *einsum_eval(space, u.coeffs, N, gphi))
+    A = einsum_local_matrices(blocks, rule.weights[None, :] * det, N, gphi,
+                              space.n_components)
+    ne = len(A)
+    gdof = space.cell_dofs.reshape(ne, -1)
+    rows = np.repeat(gdof, gdof.shape[1], axis=1)
+    cols = np.tile(gdof, (1, gdof.shape[1]))
+    return sp.csr_matrix((A.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(space.n_dofs, space.n_dofs))
+
+
 def basis_layout(N, gphi):
     """Values N (b, q) and gradients gphi (e, b, q, i) in the cell-basis
     layout (e, d, q, b)."""
@@ -334,7 +351,7 @@ class TestCellBasis:
 
         rng = np.random.default_rng(seed)
         u = space.function(0.5 * rng.normal(size=space.n_dofs))
-        for got, ref in zip(eval_chunk(u, rule, slice(None)),
+        for got, ref in zip(quadrature_values(u, rule),
                             einsum_eval(space, u.coeffs, N, gphi)):
             assert self.close(got, ref)
 
@@ -367,6 +384,39 @@ class TestCellBasis:
         assert cell_basis(mesh, 2, gauss(5)) is not first
         assert cell_basis(mesh, 3, rule) is not first
         assert calls.count(2) == 2
+
+
+@pytest.fixture(scope="module")
+def large_mesh():
+    """A distorted 72 x 72 mesh: 5,184 active cells, so every cell
+    operator runs over more than 4,096 cells at once."""
+    return build_unit_square(72).distort(0.2, seed=3)
+
+
+class TestLargeMesh:
+    """Whole-mesh residual and Jacobian against the einsum references on
+    a mesh above 4,096 cells, for the scalar and the vector kernels."""
+
+    RTOL = 1e-13
+
+    @pytest.mark.parametrize("n_comp", [1, 3])
+    def test_residual_and_jacobian_match_einsum(self, large_mesh, n_comp,
+                                                rng):
+        problem = build_quasilinear() if n_comp == 3 else build_plaplace(
+            PLaplaceParams(4.0, 0.5, rhs=lambda x, y: np.sin(3.0 * x + y)))
+        space = build_space(large_mesh, 1, n_comp)
+        assert len(space.active) > 4096
+        rule = gauss(3)
+        u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
+        none = ConstraintSet(space.n_dofs)
+
+        got = assemble_residual(problem, space, none, u, rule)
+        ref = einsum_residual(problem, space, u, rule)
+        assert np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
+
+        got = assemble_jacobian(problem, space, none, u, rule)
+        ref = einsum_jacobian(problem, space, u, rule)
+        assert abs(got - ref).max() <= self.RTOL * abs(ref).max()
 
 
 def transposed_condense(cons, raw):
@@ -462,8 +512,16 @@ class TestScatterAndRay:
         u = space.function(coeffs)
         first = quadrature_values(u, rule)
         assert quadrature_values(u, rule) is first
-        for part, whole in zip(eval_chunk(u, rule, slice(2, 5)), first):
-            assert np.array_equal(part, whole[2:5])
+        # a slice of the whole-mesh values is the evaluation on its cells
+        rows = slice(2, 5)
+        B = cell_basis(space.mesh, 2, rule)[rows]
+        ne, _, nq, nb = B.shape
+        part = (space.local_coeffs(coeffs, rows)
+                @ B.reshape(ne, 3 * nq, nb).transpose(0, 2, 1))
+        part = part.reshape(ne, 3, 3, nq)      # (e, component, d, q)
+        assert np.array_equal(first[0][rows], part[:, :, 0])
+        assert np.array_equal(first[1][rows],
+                              part[:, :, 1:].transpose(0, 1, 3, 2))
         with pytest.raises(ValueError):
             u.coeffs[0] = 1.0
         # the function holds a copy: the caller's array stays writable

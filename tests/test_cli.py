@@ -67,6 +67,31 @@ class TestConfig:
             parse_config(ini)
 
 
+class TestRunSizes:
+    @pytest.mark.parametrize("field, value", [
+        ("initial_refines", -1), ("max_levels", 0), ("max_dofs", -5),
+        ("n_initial", 0), ("degree", 0),
+    ])
+    def test_impossible_size_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(get_preset("example1c_case1"),
+                                **{field: value})
+        with pytest.raises(ValueError, match=field):
+            parse_config("[run]\nexperiment = example1a\n"
+                         f"geometry = unit_square\n{field} = {value}\n")
+
+    def test_smallest_sizes_accepted(self):
+        cfg = dataclasses.replace(get_preset("example2"), initial_refines=0,
+                                  max_levels=1, max_dofs=1, n_initial=1,
+                                  degree=1)
+        assert cfg.max_levels == 1
+
+    def test_cli_exit_3(self, tmp_path):
+        assert main(["run", "--preset", "example2", "--max-levels", "0",
+                     "--out-dir", str(tmp_path)]) == 3
+        assert not list(tmp_path.iterdir())
+
+
 # per goal-count field: an INI line with the wrong number of entries
 _GOAL_COUNT_TYPOS = [
     ("omegas", "experiment = example2\ngeometry = slit\n"

@@ -77,6 +77,33 @@ class TestEnrichedAdjoint:
         assert max_norm(res) <= 1e-10 * (1 + max_norm(rhs))
 
 
+def check_pu_sums(mesh, system, seed):
+    """For random states and weights: the vertex shares of both weighted
+    forms sum to their globals, and folding the hanging vertices zeroes
+    them and keeps the sum."""
+    if system:
+        problem, n_comp = build_quasilinear(), 3
+    else:
+        problem, n_comp = build_plaplace(PLaplaceParams(
+            4.0, 0.5, rhs=lambda x, y: np.cos(x - 2.0 * y))), 1
+    space, space2 = (build_space(mesh, r, n_comp) for r in (1, 2))
+    rng = np.random.default_rng(seed)
+    u, z = (space.function(0.5 * rng.normal(size=space.n_dofs))
+            for _ in range(2))
+    w = space2.function(rng.normal(size=space2.n_dofs))
+    x0 = mesh.points[mesh.cell_verts[mesh.active_cells[0]]].mean(axis=0)
+    J = Sum([RegionIntegral(), PointValue(x0, component=n_comp - 1)])
+    quad = gauss(4)
+    for nodal, total in (primal_weighted_form(problem, u, w, quad),
+                         adjoint_weighted_form(problem, J, u, z, w, quad)):
+        scale = np.abs(nodal).sum()
+        assert abs(nodal.sum() - total) <= 1e-12 * scale
+        folded = fold_hanging(mesh, nodal)
+        assert abs(folded.sum() - nodal.sum()) <= 1e-12 * scale
+        for _, _, m in mesh.hanging_interfaces():
+            assert folded[m] == 0.0
+
+
 class TestEstimate:
     @pytest.mark.parametrize("mesh_marks", [None, [0], [0, 3]])
     def test_linear_exactness(self, mesh_marks):
@@ -96,32 +123,16 @@ class TestEstimate:
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=25, deadline=None)
     def test_pu_sum_matches_global(self, case, system, seed):
-        # for any states and weights: the vertex shares of both weighted
-        # forms sum to their globals, and folding the hanging vertices
-        # zeroes them and keeps the sum
-        mesh = refined_mesh(*case)
-        if system:
-            problem, n_comp = build_quasilinear(), 3
-        else:
-            problem, n_comp = build_plaplace(PLaplaceParams(
-                4.0, 0.5, rhs=lambda x, y: np.cos(x - 2.0 * y))), 1
-        space, space2 = (build_space(mesh, r, n_comp) for r in (1, 2))
-        rng = np.random.default_rng(seed)
-        u, z = (space.function(0.5 * rng.normal(size=space.n_dofs))
-                for _ in range(2))
-        w = space2.function(rng.normal(size=space2.n_dofs))
-        x0 = mesh.points[mesh.cell_verts[mesh.active_cells[0]]].mean(axis=0)
-        J = Sum([RegionIntegral(), PointValue(x0, component=n_comp - 1)])
-        quad = gauss(4)
-        for nodal, total in (primal_weighted_form(problem, u, w, quad),
-                             adjoint_weighted_form(problem, J, u, z, w,
-                                                   quad)):
-            scale = np.abs(nodal).sum()
-            assert abs(nodal.sum() - total) <= 1e-12 * scale
-            folded = fold_hanging(mesh, nodal)
-            assert abs(folded.sum() - nodal.sum()) <= 1e-12 * scale
-            for _, _, m in mesh.hanging_interfaces():
-                assert folded[m] == 0.0
+        check_pu_sums(refined_mesh(*case), system, seed)
+
+    @pytest.mark.parametrize("system", [False, True])
+    def test_pu_sum_matches_global_above_4096_cells(self, system):
+        # the whole-mesh localization on 5,190 cells, hanging vertices
+        # included
+        mesh = build_unit_square(72).refine([0, 100])
+        assert len(mesh.active_cells) > 4096
+        assert list(mesh.hanging_interfaces())
+        check_pu_sums(mesh, system, seed=1)
 
     def test_cell_distribution_conserves(self):
         _, _, _, _, bd = dwr_poisson(build_unit_square(4).refine([5]))

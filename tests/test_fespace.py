@@ -287,6 +287,10 @@ class TestClosure:
         u = np.random.default_rng(u_seed).normal(size=space.n_dofs)
         once = cons.apply(u)
         assert np.array_equal(cons.apply(once), once)
+        # C u + b equals overwriting only the constrained entries
+        masked = u.copy()
+        masked[mask] = (C @ u)[mask] + cons.inhomogeneity[mask]
+        assert np.array_equal(once, masked)
 
     def test_chain_closes(self):
         # 0 -> {1, 3}, 1 -> {2, 4}, 2 fixed; 5 -> 6 -> 7 -> 8 -> 9 -> 3

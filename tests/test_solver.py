@@ -261,16 +261,17 @@ class TestAdaptiveNewton:
 
 
 class TestSharedNewtonLoop:
-    def test_stale_direction_retried_with_fresh_jacobian(self):
+    def test_stale_direction_retried_with_fresh_jacobian(self, monkeypatch):
         # with a single damping trial some stale directions fail; the
         # retry rebuilds although the last step contracted well
+        monkeypatch.setattr(sv, "NEWTON_LINE_SEARCH",
+                            LineSearchConfig(gamma=0.9, l_max=1))
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
         tol = 1e-8 * max_norm(assemble_residual(problem, space, cons, u0))
-        u, stats = newton_solve(problem, space, cons, u0, tol,
-                                LineSearchConfig(gamma=0.9, l_max=1))
+        u, stats = newton_solve(problem, space, cons, u0, tol)
         norms = stats.residual_norms
         retried = [k for k in range(1, stats.iterations)
                    if stats.rebuilds[k]
