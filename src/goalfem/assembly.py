@@ -30,10 +30,8 @@ purpose: one fused sparse product C^T S changes the order of the sums,
 and the p = 4 cheese workload turns such last-bit changes into
 different Newton counts and meshes.
 
-Local Jacobians skip the (test, trial) component pairs whose coefficient
-block is zero on the whole mesh (most of them: the kernels' blocks are
-dense arrays over all pairs) and form each remaining pair with one
-batched matmul over the quadrature points and the trial index.
+Local Jacobians form each term the kernel lists (see ``problems``) with
+one batched matmul over the quadrature points and the trial index.
 """
 
 from __future__ import annotations
@@ -201,46 +199,20 @@ def assemble_residual(problem, space, constraints, u, quad=None):
     return constraints.condense_rhs(space.scatter(local))
 
 
-# block kind -> (test side, trial side) of A'(u)(phi_j, phi_i); False
-# pairs the coefficient with basis values, True with basis gradients
-_KINDS = {"vv": (False, False), "vg": (False, True),
-          "gv": (True, False), "gg": (True, True)}
-
-
-def coefficient_pairs(blocks):
-    """The (k, m) component pairs of the Jacobian blocks that carry a
-    nonzero entry.
-
-    Yields ``(test_grad, trial_grad, k, m, c)`` with ``c[e, q, i, j]`` the
-    pair's coefficients; ``i`` runs over the test side and ``j`` over the
-    trial side, each of length 2 on a gradient side and 1 on a value
-    side.  Pairs that are zero on every cell contribute nothing
-    and are skipped (non-finite entries are nonzero and kept).
-    """
-    for kind, block in blocks.items():
-        test_grad, trial_grad = _KINDS[kind]
-        ne, nq, ncomp = block.shape[:3]
-        block = block.reshape(ne, nq, ncomp, ncomp,
-                              2 if test_grad else 1, 2 if trial_grad else 1)
-        nonzero = np.any(block != 0, axis=(0, 1, 4, 5))
-        for k, m in zip(*np.nonzero(nonzero)):
-            yield test_grad, trial_grad, k, m, block[:, :, k, m]
-
-
-def local_matrices(blocks, wdet, B, ncomp):
+def local_matrices(terms, wdet, B, ncomp):
     """Local Jacobians A[e, k, b, m, d] = A'(u)(phi_d e_m, phi_b e_k).
 
-    ``B`` is the cell basis (e, 3, q, b) and ``wdet`` (e, q).  Per
-    nonzero component pair, the weighted coefficients are contracted
-    with the test basis over the test side's vector index, then one
-    batched matmul over (trial index, quadrature point) pairs the result
-    with the trial basis.
+    ``terms`` is a Jacobian kernel's term list, ``B`` the cell basis
+    (e, 3, q, b) and ``wdet`` (e, q).  Per term, the weighted
+    coefficients are contracted with the test basis over the test side's
+    vector index, then one batched matmul over (trial index, quadrature
+    point) pairs the result with the trial basis.
     """
     ne, _, nq, nb = B.shape
     # the rows of a value side and of a gradient side, (e, i, q, b)
     sides = (B[:, :1], B[:, 1:])
     A = np.zeros((ne, ncomp, nb, ncomp, nb))
-    for test_grad, trial_grad, k, m, c in coefficient_pairs(blocks):
+    for test_grad, trial_grad, k, m, c in terms:
         # (e, q, b, i) @ (e, q, i, j) -> (e, q, b, j) -> (e, b, (j, q))
         left = sides[test_grad].transpose(0, 2, 3, 1) \
             @ (wdet[:, :, None, None] * c)
@@ -253,8 +225,8 @@ def assemble_jacobian(problem, space, constraints, u, quad=None):
     """Matrix of A'(u)(phi_j, phi_i) (rows = test), condensed."""
     rule = quad or default_rule(space)
     det, _, xq = cell_geometry(space.mesh, rule)
-    blocks = problem.jacobian(xq, *quadrature_values(u, rule))
-    A = local_matrices(blocks, rule.weights * det,
+    A = local_matrices(problem.jacobian(xq, *quadrature_values(u, rule)),
+                       rule.weights * det,
                        cell_basis(space.mesh, space.degree, rule),
                        space.n_components)
     if not np.all(np.isfinite(A)):

@@ -26,7 +26,7 @@ _TUPLE_FIELDS = {"omegas", "reference_values", "reference_uncertainties"}
 
 def serialize_config(config):
     """RunConfig -> INI text (round-trips through parse_config)."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["run"] = {}
     for f in dataclasses.fields(RunConfig):
         val = getattr(config, f.name)
@@ -43,9 +43,14 @@ def serialize_config(config):
 
 
 def parse_config(text):
-    """INI text -> RunConfig."""
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
+    """INI text -> RunConfig.  Every defect, malformed INI included (no
+    section header, a duplicate key), raises ValueError.  Values are
+    taken literally: no ``%`` interpolation."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config: {exc}") from None
     if not cp.has_section("run"):
         raise ValueError("config needs a [run] section")
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -17,7 +17,7 @@ boundary, where the data of the adjoint are homogeneous.
 
 Both weighted forms run through one localization routine: the primal
 form weights the residual flux, the adjoint form the "transposed flux"
-of the Jacobian blocks contracted once with z_h.  The densities,
+of the Jacobian kernel's terms contracted once with z_h.  The densities,
 integrated against the Q1 vertex hats of ``assembly.cell_basis``, give
 nodal values eta_i summing exactly to the global number; hanging
 vertices fold their share onto the face endpoints so the hats still
@@ -92,14 +92,14 @@ def _localize(weight, rule, fv, fg):
     return out, float(np.sum(wdet * t1))
 
 
-def _transposed_flux(blocks, zv, zg):
-    """Jacobian blocks contracted with the adjoint: (T_v, T_g) such that
+def _transposed_flux(terms, zv, zg):
+    """Jacobian terms contracted with the adjoint: (T_v, T_g) such that
     A'(u)(w, z) = int T_v.w + T_g:grad w for every w."""
     tv = np.zeros(zv.shape)
     tg = np.zeros(zg.shape)
     z = (zv[..., None], zg)          # adjoint on the test side, (e, k, q, i)
     out = (tv[..., None], tg)        # views, indexed by the trial side
-    for test_grad, trial_grad, k, m, c in assembly.coefficient_pairs(blocks):
+    for test_grad, trial_grad, k, m, c in terms:
         zk = z[test_grad][:, k]
         if test_grad and trial_grad:
             # 2x2 coefficients: einsum beats a batched 1x2 by 2x2 matmul
@@ -127,10 +127,10 @@ def adjoint_weighted_form(problem, functional, u, z, weight, quad):
     """rho*(u, z)(w psi_a) per vertex and the global
     rho*(u, z)(w) = J'(u)(w) - A'(u)(w, z)."""
     _, _, xq = assembly.cell_geometry(u.space.mesh, quad)
-    blocks = problem.jacobian(xq, *assembly.quadrature_values(u, quad))
+    terms = problem.jacobian(xq, *assembly.quadrature_values(u, quad))
     nodal, total = _localize(
         weight, quad,
-        *_transposed_flux(blocks, *assembly.quadrature_values(z, quad)))
+        *_transposed_flux(terms, *assembly.quadrature_values(z, quad)))
     return (functional.nodal_directional(u, weight, quad) - nodal,
             functional.directional(u, weight, quad=quad) - total)
 

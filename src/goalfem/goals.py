@@ -82,6 +82,15 @@ class LinearLeaf(Functional):
             yield rows, pts, np.einsum("epk,ekp->ep", w, vals)
 
     def value(self, u):
+        """J(u), integrated with ``default_rule(u.space)``.
+
+        The derivatives (``leaf_directional``, ``leaf_nodal_directional``,
+        the gradient) use the run's rule instead, so J(u) and J'(u)(u)
+        differ when the sampled integrand is not polynomial.  On the
+        slit's initial guess the relative gap of J_C is 3.2e-4 after two
+        uniform refinements and 2.5e-5 after four (J_D: 1.6e-5, 7.6e-7);
+        the polynomial integrands of cheese and square show none.
+        """
         return float(sum(d.sum() for _, _, d in self._densities(u, None)))
 
     def leaf_directional(self, u, v, quad=None):

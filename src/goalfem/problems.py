@@ -2,14 +2,19 @@
 
 Kernels are pure functions of batched quadrature-point data.  Residual
 kernels return the densities pairing with test values and test
-gradients; Jacobian kernels return the coefficient blocks of the exact
-linearization,
+gradients.  Jacobian kernels return the exact linearization as a list of
+its structurally nonzero terms ``(test_grad, trial_grad, k, m, c)``,
 
-    A'(u)(du, v) = v_k vv[k,m] du_m + v_k vg[k,m].grad(du_m)
-                 + grad(v_k).gv[k,m] du_m + grad(v_k).gg[k,m] grad(du_m),
+    A'(u)(du, v) = sum over terms of  s(v_k)^T c s(du_m),
 
-with k the test and m the trial component.  Blocks that vanish
-identically are omitted from the returned dict.
+with k the test and m the trial component, and s(w) the value w (a
+length-1 side, ``*_grad`` False) or the gradient of w (length 2, True).
+``c[e, q, i, j]`` holds the coefficients at quadrature point q of
+active-cell row e; i runs over the test side and j over the trial side.
+A kernel lists its terms by kind (value-value, gradient-gradient,
+gradient-value), each kind in row-major (k, m) order; consumers add the
+terms in list order, so the order fixes the summation order.  The list
+is built eagerly: the kernel's work happens inside the call.
 """
 
 from __future__ import annotations
@@ -65,20 +70,6 @@ def plaplace_flux(grad_u, params):
     return a[..., None] * g
 
 
-def plaplace_flux_jacobian(grad_u, grad_dir, params):
-    """Directional derivative of the flux at grad_u in direction grad_dir."""
-    g = np.asarray(grad_u, dtype=float)
-    d = np.asarray(grad_dir, dtype=float)
-    s = _norm2(g)
-    base = params.epsilon ** 2 + s
-    a = base ** ((params.p - 2.0) / 2.0)
-    out = a[..., None] * d
-    if params.p != 2.0:
-        b = (params.p - 2.0) * base ** ((params.p - 4.0) / 2.0)
-        out = out + (b * np.sum(g * d, axis=-1))[..., None] * g
-    return out
-
-
 def build_plaplace(params):
     """Weak form <a(grad u), grad v> - <f, v> with Dirichlet data."""
     f = params.rhs
@@ -101,7 +92,7 @@ def build_plaplace(params):
         if p != 2.0:
             b = (p - 2.0) * base ** ((p - 4.0) / 2.0)
             gg = gg + b[..., None, None] * (g[..., :, None] * g[..., None, :])
-        return {"gg": gg[:, :, None, None, :, :]}
+        return [(True, True, 0, 0, gg)]
 
     g = params.dirichlet or (lambda x, y, side: 0.0)
     return ProblemDefinition("plaplace", 1, residual, jacobian,
@@ -204,22 +195,22 @@ def build_quasilinear(params=None):
     def jacobian(x, u, grad_u):
         nc, _, nq = u.shape
         u1, u2, u3 = u[:, 0], u[:, 1], u[:, 2]
-        vv = np.zeros((nc, nq, 3, 3))
-        vv[..., 0, 1] = 1.0
-        vv[..., 0, 2] = 1.0
-        vv[..., 1, 1] = -dg1(1.0 - u2)
-        vv[..., 1, 2] = -dg1(u3)
-        vv[..., 2, 0] = -dg1(u1)
-        vv[..., 2, 2] = dg1(u3)
-        gg = np.zeros((nc, nq, 3, 3, 2, 2))
-        gg[..., 0, 0, :, :] = eye
-        gg[..., 1, 1, :, :] = eye
-        gg[..., 2, 2, :, :] = g2(u1 + u2)[..., None, None] * eye
-        gv = np.zeros((nc, nq, 3, 3, 2))
-        coupling = dg2(u1 + u2)[..., None] * grad_u[:, 2]
-        gv[..., 2, 0, :] = coupling
-        gv[..., 2, 1, :] = coupling
-        return {"vv": vv, "gg": gg, "gv": gv}
+        ones = np.ones((nc, nq, 1, 1))
+        eye2 = np.broadcast_to(eye, (nc, nq, 2, 2))
+        coupling = (dg2(u1 + u2)[..., None] * grad_u[:, 2])[..., None]
+        return [
+            (False, False, 0, 1, ones),
+            (False, False, 0, 2, ones),
+            (False, False, 1, 1, -dg1(1.0 - u2)[..., None, None]),
+            (False, False, 1, 2, -dg1(u3)[..., None, None]),
+            (False, False, 2, 0, -dg1(u1)[..., None, None]),
+            (False, False, 2, 2, dg1(u3)[..., None, None]),
+            (True, True, 0, 0, eye2),
+            (True, True, 1, 1, eye2),
+            (True, True, 2, 2, g2(u1 + u2)[..., None, None] * eye),
+            (True, False, 2, 0, coupling),
+            (True, False, 2, 1, coupling),
+        ]
 
     def u1_data(x, y, side):
         return slit_exact(x, y, side)

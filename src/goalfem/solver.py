@@ -1,8 +1,10 @@
 """Newton's method with residual-ratio line search and matrix reuse.
 
 One damped loop serves two stopping rules: a residual tolerance
-(``newton_solve``) and the estimator-balanced iteration-error indicator
-of the (multi)goal adjoint (``adaptive_newton_multigoal``).
+relative to the start, |A(u)| <= rtol |A(u0)| with the first residual
+the loop assembles anyway (``newton_solve``), and the estimator-balanced
+iteration-error indicator of the (multi)goal adjoint
+(``adaptive_newton_multigoal``).
 
 The line search walks the ray u + gamma^L delta.  Each iterate is
 evaluated at the quadrature points once (the values are cached on it)
@@ -38,18 +40,10 @@ ITERATION_CAP = 100
 REBUILD_RATIO = 0.85
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    gamma: float = 0.9
-    l_max: int = 200
+L_MAX = 200          # damping trials per line search
 
 
-# the damping of ``newton_solve`` and of ``adaptive_newton_multigoal``
-NEWTON_LINE_SEARCH = LineSearchConfig(gamma=0.9)
-BALANCED_LINE_SEARCH = LineSearchConfig(gamma=0.85)
-
-
-def acceptance_factor(L, l_max=200):
+def acceptance_factor(L, l_max=L_MAX):
     """Required residual contraction c(L, L_max) for damping gamma^L."""
     if L == 0:
         return 0.8
@@ -72,10 +66,10 @@ class AdaptiveNewtonStats(NewtonStats):
     eta_m: list = field(default_factory=list)
 
 
-def line_search(problem, space, constraints, u, delta, cfg, quad=None, *,
+def line_search(problem, space, constraints, u, delta, gamma, quad=None, *,
                 res_norm):
-    """Smallest L with |A(u + gamma^L du)| < c(L) |A(u)| (sup norms),
-    ``res_norm`` being |A(u)|.
+    """Smallest L < L_MAX with |A(u + gamma^L du)| < c(L) |A(u)| (sup
+    norms), ``res_norm`` being |A(u)|.
 
     Returns (alpha, L, new_u, new_residual, new_norm); the caller reuses
     the accepted residual.  Each trial is a point on the ray, evaluated
@@ -88,28 +82,29 @@ def line_search(problem, space, constraints, u, delta, cfg, quad=None, *,
         raise ValueError("line search requires a nonzero residual")
     rule = quad or default_rule(space)
     delta = space.function(delta)
-    for L in range(cfg.l_max):
-        alpha = cfg.gamma ** L
+    for L in range(L_MAX):
+        alpha = gamma ** L
         u_try = on_ray(u, delta, alpha, rule)
         res = assemble_residual(problem, space, constraints, u_try, rule)
         norm = max_norm(res)
-        if norm < acceptance_factor(L, cfg.l_max) * res_norm:
+        if norm < acceptance_factor(L, L_MAX) * res_norm:
             return alpha, L, space.function(u_try.coeffs), res, norm
     raise LineSearchExhausted(
-        f"no damping in {cfg.l_max} tries from |A| = {res_norm:.3e}")
+        f"no damping in {L_MAX} tries from |A| = {res_norm:.3e}")
 
 
-def nested_tolerance(level, initial_residual_norm):
-    """1e-8 |A(u0)| on the first level, 1e-2 |A(u0)| afterwards."""
+def nested_tolerance(level):
+    """The relative Newton tolerance of ``level``: 1e-8 on the first
+    level, 1e-2 afterwards."""
     if level < 1:
         raise ValueError("levels start at 1")
-    factor = 1e-8 if level == 1 else 1e-2
-    return factor * initial_residual_norm
+    return 1e-8 if level == 1 else 1e-2
 
 
-def newton_solve(problem, space, constraints, u0, tol_abs, quad=None,
+def newton_solve(problem, space, constraints, u0, rtol, quad=None,
                  log=None):
-    """Damped Newton until the residual sup-norm drops to ``tol_abs``.
+    """Damped Newton until the residual sup-norm drops to ``rtol`` times
+    that of the constrained start.
 
     ``log`` receives one trace line per iteration (k, |A|, alpha,
     rebuilt flag).
@@ -117,16 +112,17 @@ def newton_solve(problem, space, constraints, u0, tol_abs, quad=None,
     stats = NewtonStats()
 
     def stop(norm):
-        if not norm > tol_abs:
+        tol = rtol * stats.residual_norms[0]
+        if not norm > tol:
             return "tolerance"
         if stats.iterations >= ITERATION_CAP:
-            raise MaxIterations(f"|A| = {norm:.3e} > {tol_abs:.3e} "
+            raise MaxIterations(f"|A| = {norm:.3e} > {tol:.3e} "
                                 f"after {ITERATION_CAP} iterations")
         return None
 
     u = _newton(problem, space, constraints,
-                space.function(constraints.apply(u0.coeffs)), None,
-                NEWTON_LINE_SEARCH, quad, stats, stop, log=log)
+                space.function(constraints.apply(u0.coeffs)), None, 0.9,
+                quad, stats, stop, log=log)
     return u, stats
 
 
@@ -172,9 +168,8 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
         return norm <= 1e-10 * (1.0 + stats.residual_norms[0])
 
     u = _newton(problem, space, constraints, u,
-                _fresh_lu(problem, space, constraints, u, quad),
-                BALANCED_LINE_SEARCH, quad, stats, stop, stagnated, observe,
-                log)
+                _fresh_lu(problem, space, constraints, u, quad), 0.85,
+                quad, stats, stop, stagnated, observe, log)
     return u, space.function(z), stats
 
 
@@ -183,13 +178,13 @@ def _fresh_lu(problem, space, constraints, u, quad):
                      pivot_rtol=0.0)
 
 
-def _newton(problem, space, constraints, u, lu, cfg, quad, stats, stop,
+def _newton(problem, space, constraints, u, lu, gamma, quad, stats, stop,
             stagnated=None, observe=None, log=None):
     """The damped Newton loop behind both solvers; returns the last
     iterate and sets ``stats.termination``.
 
     ``u`` is the constrained start and ``lu`` a factorization at it, or
-    None.  ``stop(norm)`` runs before every step: it returns the
+    None; ``gamma`` is the line search's damping base.  ``stop(norm)`` runs before every step: it returns the
     termination reason or None to go on, and raises at the iteration
     cap.  When not even a fresh Jacobian's direction admits a damping,
     ``stagnated(norm)`` decides whether the loop ends as "stagnation"
@@ -204,8 +199,8 @@ def _newton(problem, space, constraints, u, lu, cfg, quad, stats, stop,
 
     def damped_step():
         delta = constraints.distribute(lu.solve(-res))
-        return line_search(problem, space, constraints, u, delta, cfg, quad,
-                           res_norm=norm)
+        return line_search(problem, space, constraints, u, delta, gamma,
+                           quad, res_norm=norm)
 
     prev_norm = None
     while (reason := stop(norm)) is None:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from goalfem import assembly
 from goalfem.assembly import (assemble_jacobian, assemble_residual,
                               basis_integrals, cell_basis, cell_geometry,
-                              coefficient_pairs, gauss, local_matrices,
-                              on_ray, quadrature_values)
+                              gauss, local_matrices, on_ray,
+                              quadrature_values)
 from goalfem.errors import QuadratureFailure
 from goalfem.estimator import (_transposed_flux, adjoint_weighted_form,
                                primal_weighted_form, solve_enriched_adjoint)
@@ -184,8 +184,8 @@ def einsum_jacobian(problem, space, u, rule):
     det, _, xq = cell_geometry(space.mesh, rule)
     N, _ = tensor_basis(space.degree, rule.points)
     gphi = einsum_phys_gradients(space.mesh, space.degree, rule)
-    blocks = problem.jacobian(xq, *einsum_eval(space, u.coeffs, N, gphi))
-    A = einsum_local_matrices(blocks, rule.weights[None, :] * det, N, gphi,
+    terms = problem.jacobian(xq, *einsum_eval(space, u.coeffs, N, gphi))
+    A = einsum_local_matrices(terms, rule.weights[None, :] * det, N, gphi,
                               space.n_components)
     ne = len(A)
     gdof = space.cell_dofs.reshape(ne, -1)
@@ -204,52 +204,50 @@ def basis_layout(N, gphi):
     return B
 
 
-def einsum_local_matrices(blocks, wdet, N, gphi, ncomp):
-    """Reference: the dense einsum contraction of every block entry."""
-    ne, nb = gphi.shape[:2]
+def einsum_local_matrices(terms, wdet, N, gphi, ncomp):
+    """Reference: the dense einsum contraction of every term."""
+    ne, nb, nq = gphi.shape[:3]
+    # a value side (e, b, q, 1) and a gradient side (e, b, q, 2)
+    sides = (np.broadcast_to(N[None, :, :, None], (ne, nb, nq, 1)), gphi)
     A = np.zeros((ne, ncomp, nb, ncomp, nb))
-    if "gg" in blocks:
-        A += np.einsum("eq,eqkmij,ebqi,edqj->ekbmd", wdet, blocks["gg"],
-                       gphi, gphi)
-    if "vv" in blocks:
-        A += np.einsum("eq,eqkm,bq,dq->ekbmd", wdet, blocks["vv"], N, N)
-    if "gv" in blocks:
-        A += np.einsum("eq,eqkmi,ebqi,dq->ekbmd", wdet, blocks["gv"], gphi, N)
-    if "vg" in blocks:
-        A += np.einsum("eq,eqkmi,bq,edqi->ekbmd", wdet, blocks["vg"], N, gphi)
+    for test_grad, trial_grad, k, m, c in terms:
+        A[:, k, :, m, :] += np.einsum("eq,eqij,ebqi,edqj->ebd", wdet, c,
+                                      sides[test_grad], sides[trial_grad])
     return A
 
 
-def einsum_transposed_flux(blocks, zv, zg):
-    """Reference: the dense einsum contraction of the blocks with z."""
+def einsum_transposed_flux(terms, zv, zg):
+    """Reference: the einsum contraction of every term with z."""
     tv = np.zeros(zv.shape)
     tg = np.zeros(zg.shape)
-    if "gg" in blocks:
-        tg += np.einsum("eqkmij,ekqi->emqj", blocks["gg"], zg)
-    if "vv" in blocks:
-        tv += np.einsum("eqkm,ekq->emq", blocks["vv"], zv)
-    if "gv" in blocks:
-        tv += np.einsum("eqkmi,ekqi->emq", blocks["gv"], zg)
-    if "vg" in blocks:
-        tg += np.einsum("eqkmi,ekq->emqi", blocks["vg"], zv)
+    z = (zv[..., None], zg)
+    out = (tv[..., None], tg)
+    for test_grad, trial_grad, k, m, c in terms:
+        out[trial_grad][:, m] += np.einsum("eqij,eqi->eqj", c,
+                                           z[test_grad][:, k])
     return tv, tg
 
 
-def random_blocks(rng, ne, nq, ncomp):
-    """Dense random blocks of all four kinds; the (0, ncomp-1) pair of
-    every kind is zero throughout, (1, 1) is zero on the first cell."""
-    tails = {"vv": (), "vg": (2,), "gv": (2,), "gg": (2, 2)}
-    blocks = {}
-    for kind, tail in tails.items():
-        b = rng.normal(size=(ne, nq, ncomp, ncomp) + tail)
-        b[:, :, 0, ncomp - 1] = 0.0
-        b[0, :, 1, 1] = 0.0
-        blocks[kind] = b
-    return blocks
+def random_terms(rng, ne, nq, ncomp):
+    """Random terms of all four kinds, every (k, m) pair but
+    (0, ncomp-1); the (1, 1) terms are zero on the first cell."""
+    terms = []
+    for test_grad in (False, True):
+        for trial_grad in (False, True):
+            for k in range(ncomp):
+                for m in range(ncomp):
+                    if (k, m) == (0, ncomp - 1):
+                        continue
+                    c = rng.normal(size=(ne, nq, 1 + test_grad,
+                                         1 + trial_grad))
+                    if (k, m) == (1, 1):
+                        c[0] = 0.0
+                    terms.append((test_grad, trial_grad, k, m, c))
+    return terms
 
 
 class TestLocalMatrices:
-    """The nonzero-pair matmul contraction against the dense einsum."""
+    """The per-term matmul contraction against the einsum reference."""
 
     RTOL = 1e-13
 
@@ -262,58 +260,71 @@ class TestLocalMatrices:
         N = rng.normal(size=(nb, nq))
         gphi = rng.normal(size=(ne, nb, nq, 2))
         wdet = rng.uniform(0.1, 1.0, size=(ne, nq))
-        blocks = random_blocks(rng, ne, nq, ncomp)
+        terms = random_terms(rng, ne, nq, ncomp)
         B = basis_layout(N, gphi)
-        ref = einsum_local_matrices(blocks, wdet, N, gphi, ncomp)
-        assert self.close(local_matrices(blocks, wdet, B, ncomp), ref)
+        ref = einsum_local_matrices(terms, wdet, N, gphi, ncomp)
+        assert self.close(local_matrices(terms, wdet, B, ncomp), ref)
         # each kind alone, so no kind's error hides behind another's
-        for kind, block in blocks.items():
-            one = {kind: block}
+        for kind in {(tg, rg) for tg, rg, _, _, _ in terms}:
+            one = [t for t in terms if t[:2] == kind]
             assert self.close(local_matrices(one, wdet, B, ncomp),
                               einsum_local_matrices(one, wdet, N, gphi, ncomp))
 
-    def test_zero_pairs_skipped(self, rng):
-        ne, nq, ncomp = 5, 9, 3
-        blocks = random_blocks(rng, ne, nq, ncomp)
-        pairs = {(tg, rg, k, m) for tg, rg, k, m, _ in coefficient_pairs(blocks)}
-        sides = [(False, False), (False, True), (True, False), (True, True)]
-        expected = {(tg, rg, k, m) for tg, rg in sides
-                    for k in range(ncomp) for m in range(ncomp)
-                    if (k, m) != (0, ncomp - 1)}
-        assert pairs == expected
+    def test_all_zero_term_leaves_matrix_unchanged(self, rng):
+        # a listed term that vanishes on every cell (the slit's coupling
+        # where grad u3 = 0) adds exact zeros: A and the transposed flux
+        # stay bitwise what they are without it
+        ne, nb, nq, ncomp = 5, 4, 9, 3
+        N = rng.normal(size=(nb, nq))
+        gphi = rng.normal(size=(ne, nb, nq, 2))
+        wdet = rng.uniform(0.1, 1.0, size=(ne, nq))
+        B = basis_layout(N, gphi)
+        zv = rng.normal(size=(ne, ncomp, nq))
+        zg = rng.normal(size=(ne, ncomp, nq, 2))
+        terms = random_terms(rng, ne, nq, ncomp)
+        for tg in (False, True):
+            for rg in (False, True):
+                zero = (tg, rg, 2, 0, np.zeros((ne, nq, 1 + tg, 1 + rg)))
+                padded = terms[:3] + [zero] + terms[3:]
+                assert np.array_equal(local_matrices(padded, wdet, B, ncomp),
+                                      local_matrices(terms, wdet, B, ncomp))
+                for got, ref in zip(_transposed_flux(padded, zv, zg),
+                                    _transposed_flux(terms, zv, zg)):
+                    assert np.array_equal(got, ref)
 
     def test_chunk_with_a_vanishing_pair(self, rng):
-        # a pair nonzero in general (the slit's coupling gv[2, 0]) can be
-        # exactly zero on one chunk; skipping it there changes nothing
+        # a term nonzero in general (the slit's coupling, gradient-value
+        # (2, 0)) can be exactly zero on some cells; there it changes
+        # nothing
         ne, nb, nq, ncomp = 6, 4, 9, 3
         N = rng.normal(size=(nb, nq))
         gphi = rng.normal(size=(ne, nb, nq, 2))
         wdet = rng.uniform(0.1, 1.0, size=(ne, nq))
-        blocks = random_blocks(rng, ne, nq, ncomp)
-        blocks["gv"][:, :, 2, 0] = 0.0
-        blocks["vv"][:, :, 1, 1] = 0.0
+        terms = random_terms(rng, ne, nq, ncomp)
+        coupling = [t for t in terms if t[:4] == (True, False, 2, 0)]
+        coupling[0][4][:3] = 0.0
         B = basis_layout(N, gphi)
-        got = local_matrices(blocks, wdet, B, ncomp)
-        assert self.close(got, einsum_local_matrices(blocks, wdet, N, gphi,
+        got = local_matrices(terms, wdet, B, ncomp)
+        assert self.close(got, einsum_local_matrices(terms, wdet, N, gphi,
                                                      ncomp))
-        without_gv = {kind: b for kind, b in blocks.items() if kind != "gv"}
-        assert np.all(got[:, 2, :, 0, :] == local_matrices(
-            without_gv, wdet, B, ncomp)[:, 2, :, 0, :])
+        without = [t for t in terms if t[:4] != (True, False, 2, 0)]
+        assert np.all(got[:3, 2, :, 0, :] == local_matrices(
+            without, wdet, B, ncomp)[:3, 2, :, 0, :])
 
     def test_transposed_flux_matches_einsum(self, rng):
         ne, nq, ncomp = 7, 9, 3
-        blocks = random_blocks(rng, ne, nq, ncomp)
+        terms = random_terms(rng, ne, nq, ncomp)
         zv = rng.normal(size=(ne, ncomp, nq))
         zg = rng.normal(size=(ne, ncomp, nq, 2))
-        for got, ref in zip(_transposed_flux(blocks, zv, zg),
-                            einsum_transposed_flux(blocks, zv, zg)):
+        for got, ref in zip(_transposed_flux(terms, zv, zg),
+                            einsum_transposed_flux(terms, zv, zg)):
             assert self.close(got, ref)
 
     def test_nonfinite_block_raises(self):
         def jacobian(x, u, grad_u):
             vv = np.ones(u.shape[:1] + u.shape[2:] + (1, 1))
             vv[0, 0] = np.nan
-            return {"vv": vv}
+            return [(False, False, 0, 0, vv)]
 
         prob = build_plaplace(PLaplaceParams(2.0, 1.0))
         bad = ProblemDefinition("nan", 1, prob.residual, jacobian,
@@ -652,12 +663,13 @@ class TestWeightedResiduals:
                            atol=1e-12 * (1 + np.abs(nodal).max()))
 
     def test_jacobian_weighted_matches_matrix(self, rng):
-        # p-Laplacian: the transposed flux of the gg block alone
+        # p-Laplacian: the transposed flux of its one gradient term
         check_transposed_flux(build_plaplace(PLaplaceParams(4.0, 1.0)),
                               build_space(build_unit_square(3), 1), rng)
 
     def test_transposed_flux_vector_system(self, rng):
-        # slit system: the vv, gg and gv blocks together
+        # slit system: value-value, gradient-gradient and gradient-value
+        # terms together
         check_transposed_flux(build_quasilinear(),
                               build_space(build_slit().refine_uniform(1), 1, 3),
                               rng)

@@ -3,7 +3,9 @@ import dataclasses
 
 import pytest
 
+from goalfem.adaptivity import read_csv
 from goalfem.cli import main, parse_config, serialize_config
+from goalfem.errors import MalformedCsv
 from goalfem.presets import get_preset, preset_names
 
 TINY_INI = """\
@@ -41,6 +43,10 @@ class TestConfig:
             cfg = get_preset(name)
             assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_percent_sign_taken_literally(self):
+        cfg = dataclasses.replace(parse_config(TINY_INI), label="50%")
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config("[run]\nbogus = 1\n")
@@ -48,6 +54,18 @@ class TestConfig:
     def test_missing_section_rejected(self):
         with pytest.raises(ValueError):
             parse_config("[other]\nx = 1\n")
+
+    @pytest.mark.parametrize("text", [
+        TINY_INI.replace("[run]\n", ""),
+        TINY_INI + "degree = 2\n",
+    ], ids=["no_header", "duplicate_key"])
+    def test_malformed_ini_rejected(self, text, tmp_path):
+        with pytest.raises(ValueError):
+            parse_config(text)
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        assert main(["run", "--config", str(ini),
+                     "--out-dir", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("key, typo", [
         ("geometry", "unit-square"),
@@ -259,6 +277,14 @@ class TestReportVerb:
         path = tmp_path / "bad.csv"
         path.write_text("level,dofs\n1,not_a_number\n")
         assert main(["report", str(path)]) == 3
+
+    def test_missing_columns_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("level,J_1\n1,0.5\n2,0.25\n")
+        with pytest.raises(MalformedCsv, match="dofs, J_E_error, eta_h"):
+            read_csv(path)
+        assert main(["report", str(path)]) == 3
+        assert "missing columns" in capsys.readouterr().err
 
 
 def test_mesh_dump(tmp_path):

@@ -6,8 +6,22 @@ from goalfem.fespace import build_constraints, build_space
 from goalfem.mesh import build_slit, build_unit_square
 from goalfem.problems import (PLaplaceParams, build_plaplace,
                               build_quasilinear, manufactured_rhs,
-                              plaplace_flux, plaplace_flux_jacobian,
-                              slit_exact)
+                              plaplace_flux, slit_exact)
+
+
+def gg_term(g, prm):
+    """The coefficients c (..., 2, 2) of the p-Laplace kernel's only
+    term at the gradients g (..., 2); c @ d is the derivative of the flux
+    along d."""
+    g = np.asarray(g, dtype=float)
+    [(test_grad, trial_grad, k, m, c)] = build_plaplace(prm).jacobian(
+        None, None, g.reshape(1, 1, -1, 2))
+    assert (test_grad, trial_grad, k, m) == (True, True, 0, 0)
+    return c.reshape(g.shape + (2,))
+
+
+def flux_derivative(g, d, prm):
+    return np.einsum("...ij,...j->...i", gg_term(g, prm), d)
 
 
 class TestFlux:
@@ -27,14 +41,14 @@ class TestFlux:
 
     def test_jacobian_p2(self):
         d = np.array([0.4, 0.7])
-        out = plaplace_flux_jacobian(np.array([5.0, -2.0]), d,
-                                     PLaplaceParams(2.0, 1.0))
+        out = flux_derivative(np.array([5.0, -2.0]), d,
+                              PLaplaceParams(2.0, 1.0))
         assert np.allclose(out, d)
 
     def test_jacobian_zero_gradient(self):
         prm = PLaplaceParams(3.5, 0.25)
         d = np.array([1.0, -2.0])
-        out = plaplace_flux_jacobian(np.zeros(2), d, prm)
+        out = flux_derivative(np.zeros(2), d, prm)
         assert np.allclose(out, 0.25 ** 1.5 * d)
 
     def test_jacobian_matches_finite_differences(self):
@@ -44,7 +58,7 @@ class TestFlux:
         d = np.array([1.0, 0.0])
         h = 1e-6
         fd = (plaplace_flux(g + h * d, prm) - plaplace_flux(g - h * d, prm)) / (2 * h)
-        out = plaplace_flux_jacobian(g, d, prm)
+        out = flux_derivative(g, d, prm)
         assert np.allclose(out, fd, atol=1e-6)
         assert np.allclose(out, [4.0, 0.0], atol=1e-12)
 
@@ -57,9 +71,8 @@ class TestFlux:
             h = 1e-7
             fd = (plaplace_flux(g + h * d, prm)
                   - plaplace_flux(g - h * d, prm)) / (2 * h)
-            out = plaplace_flux_jacobian(g, d, prm)
+            out = flux_derivative(g, d, prm)
             assert np.allclose(out, fd, atol=1e-5 * (1 + np.abs(fd).max()))
-
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     def test_kernels_bitwise_equal_to_summed_squares(self, p, rng):
@@ -68,19 +81,14 @@ class TestFlux:
         prm = PLaplaceParams(p, 1e-10)
         g = rng.normal(size=(40, 1, 9, 2)) * rng.choice(
             [0.0, 1e-12, 1.0, 1e6], size=(40, 1, 9, 1))
-        d = rng.normal(size=g.shape)
         s = np.sum(g * g, axis=-1)
         base = prm.epsilon ** 2 + s
         a = base ** ((p - 2.0) / 2.0)
         assert np.array_equal(plaplace_flux(g, prm), a[..., None] * g)
-        ref = a[..., None] * d
-        if p != 2.0:
-            b = (p - 2.0) * base ** ((p - 4.0) / 2.0)
-            ref = ref + (b * np.sum(g * d, axis=-1))[..., None] * g
-        assert np.array_equal(plaplace_flux_jacobian(g, d, prm), ref)
-        gg = build_plaplace(prm).jacobian(None, None, g)["gg"][:, :, 0, 0]
+        [(_, _, _, _, gg)] = build_plaplace(prm).jacobian(None, None, g)
         ref = a[:, 0, :, None, None] * np.eye(2)
         if p != 2.0:
+            b = (p - 2.0) * base ** ((p - 4.0) / 2.0)
             ref = ref + b[:, 0, :, None, None] * (
                 g[:, 0, :, :, None] * g[:, 0, :, None, :])
         assert np.array_equal(gg, ref)
@@ -242,6 +250,58 @@ class TestQuasilinear:
         # rate >= O(h): each refinement at least halves-ish the residual
         assert norms[1] <= 0.75 * norms[0]
         assert norms[2] <= 0.75 * norms[1]
+
+
+def apply_terms(terms, dv, dg):
+    """The derivatives of the residual densities along (dv, dg): each
+    term pairs its trial side of component m with c and lands on the
+    test side of component k."""
+    val, grd = np.zeros(dv.shape), np.zeros(dg.shape)
+    trial = (dv[..., None], dg)                 # (e, m, q, j)
+    out = (val[..., None], grd)                 # (e, k, q, i)
+    for test_grad, trial_grad, k, m, c in terms:
+        out[test_grad][:, k] += np.einsum("eqij,eqj->eqi", c,
+                                          trial[trial_grad][:, m])
+    return val, grd
+
+
+class TestJacobianTerms:
+    """Both kernels' term lists against central differences of their
+    residual densities at random pointwise states."""
+
+    @pytest.mark.parametrize("prob, ncomp", [
+        (build_plaplace(PLaplaceParams(
+            3.5, 0.3, rhs=lambda x, y: np.cos(x) * y)), 1),
+        (build_quasilinear(), 3)], ids=["plaplace", "quasilinear"])
+    def test_terms_match_fd_of_densities(self, prob, ncomp, rng):
+        ne, nq, h = 4, 9, 1e-6
+        x = rng.uniform(-1.0, 1.0, size=(ne, nq, 2))
+        u = 0.5 * rng.normal(size=(ne, ncomp, nq))
+        g = rng.normal(size=(ne, ncomp, nq, 2))
+        dv = rng.normal(size=u.shape)
+        dg = rng.normal(size=g.shape)
+        terms = prob.jacobian(x, u, g)
+        assert isinstance(terms, list)
+        for test_grad, trial_grad, k, m, c in terms:
+            assert c.shape == (ne, nq, 1 + test_grad, 1 + trial_grad)
+        plus = prob.residual(x, u + h * dv, g + h * dg)
+        minus = prob.residual(x, u - h * dv, g - h * dg)
+        for got, p, q in zip(apply_terms(terms, dv, dg), plus, minus):
+            fd = (p - q) / (2 * h)
+            assert np.max(np.abs(got - fd)) <= 1e-7 * (1 + np.abs(fd).max())
+
+    def test_quasilinear_term_order(self):
+        # by kind (value-value, gradient-gradient, gradient-value), then
+        # (k, m) row-major: the order every consumer sums in
+        u = np.zeros((2, 3, 4))
+        g = np.zeros((2, 3, 4, 2))
+        kinds = [(tg, rg, k, m) for tg, rg, k, m, _
+                 in build_quasilinear().jacobian(None, u, g)]
+        assert kinds == [
+            (False, False, 0, 1), (False, False, 0, 2), (False, False, 1, 1),
+            (False, False, 1, 2), (False, False, 2, 0), (False, False, 2, 2),
+            (True, True, 0, 0), (True, True, 1, 1), (True, True, 2, 2),
+            (True, False, 2, 0), (True, False, 2, 1)]
 
 
 def test_parameter_validation():

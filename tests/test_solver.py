@@ -12,9 +12,8 @@ from goalfem.goals import RegionIntegral
 from goalfem.linalg import max_norm
 from goalfem.mesh import build_unit_square
 from goalfem.problems import PLaplaceParams, build_plaplace
-from goalfem.solver import (LineSearchConfig, acceptance_factor,
-                            adaptive_newton_multigoal, line_search,
-                            nested_tolerance, newton_solve)
+from goalfem.solver import (acceptance_factor, adaptive_newton_multigoal,
+                            line_search, nested_tolerance, newton_solve)
 
 from conftest import linear_solve, poisson_problem
 
@@ -38,17 +37,25 @@ class TestAcceptanceSchedule:
 
 class TestNestedTolerance:
     def test_level_one(self):
-        assert nested_tolerance(1, 2.0) == pytest.approx(2e-8)
+        assert nested_tolerance(1) == 1e-8
 
     def test_later_levels(self):
-        assert nested_tolerance(3, 0.5) == pytest.approx(5e-3)
+        assert nested_tolerance(3) == 1e-2
 
     def test_zero_incoming(self):
-        assert nested_tolerance(2, 0.0) == 0.0
+        # a start with a zero residual meets any relative tolerance
+        problem = build_plaplace(PLaplaceParams(3.0, 1.0))
+        space = build_space(build_unit_square(2), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        u0 = space.function(np.zeros(space.n_dofs))
+        u, stats = newton_solve(problem, space, cons, u0, nested_tolerance(2))
+        assert stats.residual_norms == [0.0]
+        assert (stats.iterations, stats.termination) == (0, "tolerance")
+        assert np.array_equal(u.coeffs, u0.coeffs)
 
     def test_invalid_level(self):
         with pytest.raises(ValueError):
-            nested_tolerance(0, 1.0)
+            nested_tolerance(0)
 
 
 class TestNewton:
@@ -57,8 +64,7 @@ class TestNewton:
         space = build_space(build_unit_square(3), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
-        u, stats = newton_solve(problem, space, cons, u0, 1e-8 * n0)
+        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
         assert stats.iterations == 1
         assert stats.alphas == [1.0]
 
@@ -67,11 +73,13 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
+        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        # the tolerance is relative to the start's residual, which the
+        # loop assembles itself
         n0 = max_norm(assemble_residual(problem, space, cons, u0))
-        tol = 1e-8 * n0
-        u, stats = newton_solve(problem, space, cons, u0, tol)
+        assert stats.residual_norms[0] == n0
         replay = assemble_residual(problem, space, cons, u)
-        assert max_norm(replay) <= tol
+        assert max_norm(replay) <= 1e-8 * n0
 
     def test_p4_iteration_count(self):
         # with the 0.85 reuse heuristic the frozen Jacobian contracts
@@ -81,8 +89,7 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
-        u, stats = newton_solve(problem, space, cons, u0, 1e-8 * n0)
+        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
         assert stats.iterations <= 30
         assert sum(stats.rebuilds) < stats.iterations  # reuse happened
 
@@ -91,8 +98,7 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
-        _, stats = newton_solve(problem, space, cons, u0, 1e-6 * n0)
+        _, stats = newton_solve(problem, space, cons, u0, 1e-6)
         norms = stats.residual_norms
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -106,11 +112,11 @@ class TestNewton:
         sv.REBUILD_RATIO = -1.0    # rebuild every step
         try:
             u0 = make_initial_guess(space, cons)
-            n0 = max_norm(assemble_residual(problem, space, cons, u0))
-            _, stats = newton_solve(problem, space, cons, u0, 1e-12 * n0)
+            _, stats = newton_solve(problem, space, cons, u0, 1e-12)
         finally:
             sv.REBUILD_RATIO = old
         # ignore iterates at the roundoff floor
+        n0 = stats.residual_norms[0]
         norms = [n for n in stats.residual_norms if n > 1e-13 * n0]
         tail = norms[-4:]
         assert len(tail) >= 3
@@ -122,9 +128,8 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
-        u1, s1 = newton_solve(problem, space, cons, u0, 1e-8 * n0)
-        u2, s2 = newton_solve(problem, space, cons, u0, 1e-8 * n0)
+        u1, s1 = newton_solve(problem, space, cons, u0, 1e-8)
+        u2, s2 = newton_solve(problem, space, cons, u0, 1e-8)
         assert np.array_equal(u1.coeffs, u2.coeffs)
         assert s1.residual_norms == s2.residual_norms
         assert s1.alphas == s2.alphas
@@ -137,7 +142,6 @@ class TestNewton:
         space = build_space(build_unit_square(4), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
         starts, accepted, dead = [], [], []
         original = sv.line_search
 
@@ -153,7 +157,7 @@ class TestNewton:
                              + accepted[:1]])
 
         monkeypatch.setattr(sv, "line_search", recording)
-        _, stats = newton_solve(problem, space, cons, u0, 1e-8 * n0, log=log)
+        _, stats = newton_solve(problem, space, cons, u0, 1e-8, log=log)
         assert stats.iterations > 2
         # the start and the first accepted iterate, after the second step
         assert dead == [[True, True]]
@@ -171,7 +175,7 @@ class TestLineSearch:
         lu = factorize(assemble_jacobian(problem, space, cons, u))
         delta = cons.distribute(lu.solve(-res))
         alpha, L, _, _, _ = line_search(problem, space, cons, u, delta,
-                                        LineSearchConfig(gamma=0.9),
+                                        0.9,
                                         res_norm=max_norm(res))
         assert (alpha, L) == (1.0, 0)
 
@@ -182,7 +186,7 @@ class TestLineSearch:
         u = make_initial_guess(space, cons)
         with pytest.raises(ValueError):
             line_search(problem, space, cons, u,
-                        np.zeros(space.n_dofs), LineSearchConfig(),
+                        np.zeros(space.n_dofs), 0.9,
                         res_norm=0.0)
 
 
@@ -264,15 +268,14 @@ class TestSharedNewtonLoop:
     def test_stale_direction_retried_with_fresh_jacobian(self, monkeypatch):
         # with a single damping trial some stale directions fail; the
         # retry rebuilds although the last step contracted well
-        monkeypatch.setattr(sv, "NEWTON_LINE_SEARCH",
-                            LineSearchConfig(gamma=0.9, l_max=1))
+        monkeypatch.setattr(sv, "L_MAX", 1)
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        tol = 1e-8 * max_norm(assemble_residual(problem, space, cons, u0))
-        u, stats = newton_solve(problem, space, cons, u0, tol)
+        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
         norms = stats.residual_norms
+        tol = 1e-8 * norms[0]
         retried = [k for k in range(1, stats.iterations)
                    if stats.rebuilds[k]
                    and norms[k] / norms[k - 1] <= sv.REBUILD_RATIO]
@@ -286,9 +289,8 @@ class TestSharedNewtonLoop:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
         with pytest.raises(MaxIterations):
-            newton_solve(problem, space, cons, u0, 1e-8 * n0)
+            newton_solve(problem, space, cons, u0, 1e-8)
 
     def _near_solution(self, rng):
         """A Poisson iterate whose residual (~1e-12) sits between the
@@ -330,5 +332,5 @@ class TestSharedNewtonLoop:
         problem, space, cons, u0 = self._near_solution(rng)
         calls = self._exhausted(monkeypatch)
         with pytest.raises(LineSearchExhausted):
-            newton_solve(problem, space, cons, u0, 1e-20)
+            newton_solve(problem, space, cons, u0, 0.0)
         assert len(calls) == 1          # the first step is already fresh
