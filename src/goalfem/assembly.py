@@ -14,15 +14,16 @@ evaluation.  B and every function's quadrature values are cached for
 the whole mesh, the kernel densities are no larger than those values,
 and the Jacobian's COO triplets are built at full size for the sparse
 matrix in any case, so splitting the cells into chunks would bound no
-memory that is not already allocated in full.  One Gauss rule is shared
-by every assembly of a run so that coarse and enriched pairings commit
-the same quadrature crime.
+memory that is not already allocated in full.  Every integral uses the
+rule of its function's space (``FeSpace.rule``); a run builds both its
+spaces with one rule, so coarse and enriched pairings commit the same
+quadrature crime and J(u) = J'(u)(u) for a linear goal J.
 
-A function's values at the quadrature points are computed once per rule
-and kept on it (``quadrature_values``).  A point u + alpha delta of a
-Newton line search (``on_ray``) takes its values as the same axpy of the
-values of u and delta, so a trial residual costs the kernel, the
-contraction and the scatter only.  The residual's cell vectors are
+A function's values at its rule's points are computed once and kept on
+it (``quadrature_values``).  A point u + alpha delta of a Newton line
+search (``on_ray``) takes its values as the same axpy of the values of
+u and delta, so a trial residual costs the kernel, the contraction and
+the scatter only.  The residual's cell vectors are
 scattered onto the DOFs with one bincount, which adds in the order
 ``np.add.at`` did, and then condensed with the transposed constraint
 matrix cached on the ``ConstraintSet``.  The two steps are kept apart on
@@ -36,40 +37,11 @@ one batched matmul over the quadrature points and the trial index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import QuadratureFailure
-from .fespace import tensor_basis
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor Gauss rule on the unit square, exact to degree 2n-1."""
-
-    n: int
-    points: np.ndarray
-    weights: np.ndarray
-
-
-@lru_cache(maxsize=None)
-def gauss(n):
-    """The rule of order n, built once and shared (callers never modify
-    it; goal values ask for their default rule on every call)."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    X, Y = np.meshgrid(t, t)
-    WX, WY = np.meshgrid(w, w)
-    return QuadratureRule(n, np.column_stack([X.ravel(), Y.ravel()]),
-                          (WX * WY).ravel())
-
-
-def default_rule(space):
-    return gauss(space.degree + 2)
+from .fespace import gauss, tensor_basis  # noqa: F401  (gauss re-exported)
 
 
 # ----------------------------------------------------------------------
@@ -124,42 +96,41 @@ def cell_basis(mesh, degree, rule):
     return hit
 
 
-def quadrature_values(f, rule):
+def quadrature_values(f):
     """Values (e, k, q) and gradients (e, k, q, 2) of a discrete function
-    at the rule's points on every active cell.
+    at its space's rule points on every active cell.
 
     One gather of the cell coefficients and one batched matmul against
-    the cell basis, computed once per (function, rule order) and kept in
+    the cell basis, computed once per function and kept in
     ``f.quad_values``.
     """
-    hit = f.quad_values.get(rule.n)
-    if hit is not None:
-        return hit
+    if f.quad_values is not None:
+        return f.quad_values
     space = f.space
-    basis = cell_basis(space.mesh, space.degree, rule)
+    basis = cell_basis(space.mesh, space.degree, space.rule)
     ne, _, nq, nb = basis.shape
     out = space.local_coeffs(f.coeffs) \
         @ basis.reshape(ne, 3 * nq, nb).transpose(0, 2, 1)
     out = out.reshape(ne, space.n_components, 3, nq)
     # C-ordered copies: reductions over several axes of these values (and
     # of densities that inherit their layout) then add in one fixed order
-    hit = f.quad_values[rule.n] = (
+    f.quad_values = (
         np.ascontiguousarray(out[:, :, 0]),
         np.ascontiguousarray(out[:, :, 1:].transpose(0, 1, 3, 2)))
-    return hit
+    return f.quad_values
 
 
-def on_ray(u, delta, alpha, rule):
-    """The function u + alpha delta, its values at the rule's points
-    formed from those of u and delta: no gather, no basis matmul.
+def on_ray(u, delta, alpha):
+    """The function u + alpha delta, its quadrature values formed from
+    those of u and delta (one space): no gather, no basis matmul.
 
     The result keeps no reference to u or delta, so the iterates of a
     Newton loop do not chain up in memory.
     """
-    uv, ug = quadrature_values(u, rule)
-    dv, dg = quadrature_values(delta, rule)
+    uv, ug = quadrature_values(u)
+    dv, dg = quadrature_values(delta)
     out = u.space.function(u.coeffs + alpha * delta.coeffs)
-    out.quad_values[rule.n] = (uv + alpha * dv, ug + alpha * dg)
+    out.quad_values = (uv + alpha * dv, ug + alpha * dg)
     return out
 
 
@@ -182,16 +153,16 @@ def basis_integrals(val, grd, wdet, B):
 # ----------------------------------------------------------------------
 # global assembly
 # ----------------------------------------------------------------------
-def assemble_residual(problem, space, constraints, u, quad=None):
+def assemble_residual(problem, space, constraints, u):
     """Galerkin residual vector A(u)(phi_i), condensed.
 
     The cell integrals are scattered onto the DOFs in one bincount;
     constrained test entries are then distributed to their masters and
     zeroed (transposed constraint application).
     """
-    rule = quad or default_rule(space)
+    rule = space.rule
     det, _, xq = cell_geometry(space.mesh, rule)
-    val, grd = problem.residual(xq, *quadrature_values(u, rule))
+    val, grd = problem.residual(xq, *quadrature_values(u))
     if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
         raise QuadratureFailure("non-finite residual integrand")
     local = basis_integrals(val, grd, rule.weights * det,
@@ -221,11 +192,11 @@ def local_matrices(terms, wdet, B, ncomp):
     return A
 
 
-def assemble_jacobian(problem, space, constraints, u, quad=None):
+def assemble_jacobian(problem, space, constraints, u):
     """Matrix of A'(u)(phi_j, phi_i) (rows = test), condensed."""
-    rule = quad or default_rule(space)
+    rule = space.rule
     det, _, xq = cell_geometry(space.mesh, rule)
-    A = local_matrices(problem.jacobian(xq, *quadrature_values(u, rule)),
+    A = local_matrices(problem.jacobian(xq, *quadrature_values(u)),
                        rule.weights * det,
                        cell_basis(space.mesh, space.degree, rule),
                        space.n_components)

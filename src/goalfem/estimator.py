@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly
-from .errors import ZeroTrueError
+from .errors import MeshMismatch, ZeroTrueError
 from .fespace import interpolate_between
 from .linalg import factorize
 
@@ -58,28 +58,26 @@ def make_initial_guess(space, constraints):
     return space.function(constraints.apply(np.ones(space.n_dofs)))
 
 
-def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2,
-                           quad=None):
+def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2):
     """One transposed linear solve at the enriched primal state."""
-    rule = quad or assembly.default_rule(space2)
-    A = assembly.assemble_jacobian(problem, space2, constraints2, u_h2, rule)
-    rhs = functional.gradient(space2, constraints2, u_h2, rule)
+    A = assembly.assemble_jacobian(problem, space2, constraints2, u_h2)
+    rhs = functional.gradient(constraints2, u_h2)
     lu = factorize(A, pivot_rtol=0.0)
     return space2.function(constraints2.distribute(lu.solve(rhs, transposed=True)))
 
 
-def _localize(weight, rule, fv, fg):
+def _localize(weight, fv, fg):
     """PU localization of a weighted flux against the Q1 vertex hats.
 
     ``fv`` (e, k, q) and ``fg`` (e, k, q, 2) are the flux densities at
-    the rule's points on every active cell of the weight's mesh.
+    the points of the weight space's rule on every active cell.
     Returns the per-vertex values of int F_v.(w psi_a) + F_g:grad(w psi_a)
     and the global int F_v.w + F_g:grad w, the latter summed from the
     un-localized density rather than from the vertices.
     """
-    mesh = weight.space.mesh
+    mesh, rule = weight.space.mesh, weight.space.rule
     det, _, _ = assembly.cell_geometry(mesh, rule)
-    wv, wg = assembly.quadrature_values(weight, rule)
+    wv, wg = assembly.quadrature_values(weight)
     wdet = rule.weights * det
     # F.(w psi) + F_g:grad(w psi) = psi (F.w + F_g:grad w)
     #                               + grad psi . (F_g^T w)
@@ -113,26 +111,25 @@ def _transposed_flux(terms, zv, zg):
     return tv, tg
 
 
-def primal_weighted_form(problem, u, weight, quad):
+def primal_weighted_form(problem, u, weight):
     """rho(u)(w psi_a) per vertex and the global rho(u)(w) = -A(u)(w);
-    the weight ``w`` may live in an enriched space on u's mesh."""
-    _, _, xq = assembly.cell_geometry(u.space.mesh, quad)
+    the weight ``w`` may live in an enriched space on u's mesh with the
+    same rule."""
+    _, _, xq = assembly.cell_geometry(u.space.mesh, u.space.rule)
     nodal, total = _localize(
-        weight, quad,
-        *problem.residual(xq, *assembly.quadrature_values(u, quad)))
+        weight, *problem.residual(xq, *assembly.quadrature_values(u)))
     return -nodal, -total
 
 
-def adjoint_weighted_form(problem, functional, u, z, weight, quad):
+def adjoint_weighted_form(problem, functional, u, z, weight):
     """rho*(u, z)(w psi_a) per vertex and the global
     rho*(u, z)(w) = J'(u)(w) - A'(u)(w, z)."""
-    _, _, xq = assembly.cell_geometry(u.space.mesh, quad)
-    terms = problem.jacobian(xq, *assembly.quadrature_values(u, quad))
+    _, _, xq = assembly.cell_geometry(u.space.mesh, u.space.rule)
+    terms = problem.jacobian(xq, *assembly.quadrature_values(u))
     nodal, total = _localize(
-        weight, quad,
-        *_transposed_flux(terms, *assembly.quadrature_values(z, quad)))
-    return (functional.nodal_directional(u, weight, quad) - nodal,
-            functional.directional(u, weight, quad=quad) - total)
+        weight, *_transposed_flux(terms, *assembly.quadrature_values(z)))
+    return (functional.nodal_directional(u, weight) - nodal,
+            functional.directional(u, weight) - total)
 
 
 def fold_hanging(mesh, nodal):
@@ -155,18 +152,21 @@ def distribute_to_cells(nodal, mesh):
     return share[corners].sum(axis=1)
 
 
-def estimate(problem, functional, constraints, u_h, z_h, u_h2, z_h2,
-             quad=None):
+def estimate(problem, functional, constraints, u_h, z_h, u_h2, z_h2):
     """Estimator breakdown from the four solutions of one level.
 
     ``constraints`` is the coarse space's constraint set, which forms
     i_h z_h2 (see the module docstring).  ``functional`` must expose
     ``directional`` and ``nodal_directional`` evaluated at the coarse
-    state (single goals and frozen combinations both do).
+    state (single goals and frozen combinations both do).  Coarse and
+    enriched functions meet under one integral here, so their spaces
+    must share a rule.
     """
     space, space2 = u_h.space, z_h2.space
+    if space.rule.n != space2.rule.n:
+        raise MeshMismatch(f"coarse rule of order {space.rule.n}, "
+                           f"enriched of order {space2.rule.n}")
     mesh = space.mesh
-    rule = quad or assembly.default_rule(space2)
 
     ihz2 = space.function(constraints.distribute(
         interpolate_between(z_h2, space).coeffs))
@@ -174,9 +174,9 @@ def estimate(problem, functional, constraints, u_h, z_h, u_h2, z_h2,
         space2.function(f2.coeffs - interpolate_between(f, space2).coeffs)
         for f2, f in ((z_h2, ihz2), (u_h2, u_h)))
 
-    pn, pg = primal_weighted_form(problem, u_h, primal_weight, rule)
+    pn, pg = primal_weighted_form(problem, u_h, primal_weight)
     an, ag = adjoint_weighted_form(problem, functional, u_h, z_h,
-                                   adjoint_weight, rule)
+                                   adjoint_weight)
 
     nodal = fold_hanging(mesh, 0.5 * (pn + an))
     primal_signed = 0.5 * pg

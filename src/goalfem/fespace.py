@@ -10,9 +10,10 @@ gather (``local_coeffs``) and scatter (``scatter``) goes through that
 table.  The scatter is one ``np.bincount``, which adds in the order of
 the table exactly as ``np.add.at`` would.
 
-A ``DiscreteFunction`` owns its values at the quadrature points, filled
-per rule by ``assembly.quadrature_values``; its coefficients are
-read-only, so those values cannot go stale.
+A space carries the Gauss rule of every integral over its functions
+(``FeSpace.rule``).  A ``DiscreteFunction`` caches its values at that
+rule's points, filled by ``assembly.quadrature_values``; its
+coefficients are read-only, so those values cannot go stale.
 
 Hanging-node and Dirichlet constraints are one affine map u = C u + b
 (``ConstraintSet``): the sparse matrix C, closed so that no master is
@@ -20,6 +21,9 @@ itself constrained, the mask of constrained DOFs and the vector b.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,6 +93,28 @@ def tensor_basis(r, pts):
     return N, dN
 
 
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Tensor Gauss rule on the unit square, exact to degree 2n-1."""
+
+    n: int
+    points: np.ndarray
+    weights: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def gauss(n):
+    """The rule of order n, built once and shared (callers never modify
+    it)."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t = 0.5 * (t + 1.0)
+    w = 0.5 * w
+    X, Y = np.meshgrid(t, t)
+    WX, WY = np.meshgrid(w, w)
+    return QuadratureRule(n, np.column_stack([X.ravel(), Y.ravel()]),
+                          (WX * WY).ravel())
+
+
 def bilinear_map(corners, ref):
     """Map reference points (m, 2) through cells' corners (..., 4, 2)."""
     xi, eta = ref[..., 0], ref[..., 1]
@@ -101,14 +127,16 @@ def bilinear_map(corners, ref):
 # the space
 # ----------------------------------------------------------------------
 class FeSpace:
-    """Q^r space (scalar or vector) on the active cells of a mesh."""
+    """Q^r space (scalar or vector) on the active cells of a mesh; its
+    ``rule`` is gauss(degree + 2) unless given."""
 
-    def __init__(self, mesh, degree, n_components=1):
+    def __init__(self, mesh, degree, n_components=1, rule=None):
         if degree < 1:
             raise ValueError("degree must be >= 1")
         self.mesh = mesh
         self.degree = int(degree)
         self.n_components = int(n_components)
+        self.rule = rule or gauss(self.degree + 2)
         self._build()
         self._basis_cache = {}
 
@@ -232,9 +260,10 @@ class FeSpace:
 class DiscreteFunction:
     """FE coefficient vector bound to its space.
 
-    The coefficients are a read-only copy.  ``quad_values`` maps a rule
-    order to the function's values and gradients at that rule's points
-    on every active cell; ``assembly.quadrature_values`` fills it.
+    The coefficients are a read-only copy.  ``quad_values`` holds the
+    function's values and gradients at the points of its space's rule
+    on every active cell, or None until ``assembly.quadrature_values``
+    fills it.
     """
 
     def __init__(self, space, coeffs):
@@ -243,11 +272,11 @@ class DiscreteFunction:
         self.space = space
         self.coeffs = np.array(coeffs, dtype=float)
         self.coeffs.flags.writeable = False
-        self.quad_values = {}
+        self.quad_values = None
 
 
-def build_space(mesh, degree, n_components=1):
-    return FeSpace(mesh, degree, n_components)
+def build_space(mesh, degree, n_components=1, rule=None):
+    return FeSpace(mesh, degree, n_components, rule)
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +329,8 @@ class ConstraintSet:
         self._transposed = C.T.tocsr()
         self.constrained = mask
         self.inhomogeneity = b
-        # condensed goal gradients, filled by LinearLeaf.leaf_gradient
+        # condensed goal gradients keyed by (leaf, space), filled by
+        # LinearLeaf.leaf_gradient
         self.gradient_cache = {}
 
     def apply(self, u):

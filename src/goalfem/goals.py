@@ -31,21 +31,22 @@ class Functional:
     def value(self, u):
         raise NotImplementedError
 
-    def directional(self, u, v, quad=None):
-        return sum(c * leaf.leaf_directional(u, v, quad)
+    def directional(self, u, v):
+        return sum(c * leaf.leaf_directional(u, v)
                    for c, leaf in self.linearize(u))
 
-    def gradient(self, space, constraints, u, quad):
-        out = np.zeros(space.n_dofs)
+    def gradient(self, constraints, u):
+        """The condensed gradient J'(u)(phi_i) on u's space."""
+        out = np.zeros(u.space.n_dofs)
         for c, leaf in self.linearize(u):
-            out += c * leaf.leaf_gradient(space, constraints, u, quad)
+            out += c * leaf.leaf_gradient(u.space, constraints)
         return out
 
-    def nodal_directional(self, u, v, quad):
+    def nodal_directional(self, u, v):
         """Directional derivative against v * psi_a for every vertex hat."""
         out = np.zeros(u.space.mesh.n_points)
         for c, leaf in self.linearize(u):
-            out += c * leaf.leaf_nodal_directional(u, v, quad)
+            out += c * leaf.leaf_nodal_directional(u, v)
         return out
 
 
@@ -57,7 +58,8 @@ class LinearLeaf(Functional):
     reference point p of active-cell row ``rows[e]``.  The groups are
     cached on the mesh per leaf (and per rule order unless
     ``rule_free``).  Every space on a mesh numbers its active cells
-    alike, so one sample set serves all of them.
+    alike, so one sample set serves all of them.  Every reduction
+    samples with the rule of its function's space, so J(u) = J'(u)(u).
     """
 
     rule_free = False
@@ -72,54 +74,45 @@ class LinearLeaf(Functional):
             hit = mesh._caches[key] = self._samples(mesh, rule, ncomp)
         return hit
 
-    def _densities(self, v, quad):
+    def _densities(self, v):
         """(rows, ref_pts, w . v(x)) per group of the function v."""
         space = v.space
-        rule = quad or assembly.default_rule(space)
-        for rows, pts, w in self._groups(space.mesh, rule,
+        for rows, pts, w in self._groups(space.mesh, space.rule,
                                          space.n_components):
             vals = space.local_coeffs(v.coeffs, rows) @ space.basis_at(pts)[0]
             yield rows, pts, np.einsum("epk,ekp->ep", w, vals)
 
     def value(self, u):
-        """J(u), integrated with ``default_rule(u.space)``.
+        return self.leaf_directional(u, u)
 
-        The derivatives (``leaf_directional``, ``leaf_nodal_directional``,
-        the gradient) use the run's rule instead, so J(u) and J'(u)(u)
-        differ when the sampled integrand is not polynomial.  On the
-        slit's initial guess the relative gap of J_C is 3.2e-4 after two
-        uniform refinements and 2.5e-5 after four (J_D: 1.6e-5, 7.6e-7);
-        the polynomial integrands of cheese and square show none.
-        """
-        return float(sum(d.sum() for _, _, d in self._densities(u, None)))
+    def leaf_directional(self, u, v):
+        return float(sum(d.sum() for _, _, d in self._densities(v)))
 
-    def leaf_directional(self, u, v, quad=None):
-        return float(sum(d.sum() for _, _, d in self._densities(v, quad)))
-
-    def leaf_nodal_directional(self, u, v, quad):
+    def leaf_nodal_directional(self, u, v):
         mesh = u.space.mesh
         out = np.zeros(mesh.n_points)
-        for rows, pts, d in self._densities(v, quad):
+        for rows, pts, d in self._densities(v):
             hats, _ = tensor_basis(1, pts)
             np.add.at(out, mesh.cell_verts[mesh.active_cells[rows]],
                       d @ hats.T)
         return out
 
-    def _raw_gradient(self, space, quad):
-        groups = self._groups(space.mesh, quad, space.n_components)
+    def _raw_gradient(self, space):
+        groups = self._groups(space.mesh, space.rule, space.n_components)
         local = [np.swapaxes(w, 1, 2) @ space.basis_at(pts)[0].T
                  for _, pts, w in groups]
         return space.scatter(np.concatenate(local),
                              np.concatenate([rows for rows, _, _ in groups]))
 
-    def leaf_gradient(self, space, constraints, u, quad):
-        """Condensed gradient, cached on the constraint set it was
-        condensed with; the key holds the leaf and the space themselves,
-        never their ids."""
-        key = (self, space, quad.n)
+    def leaf_gradient(self, space, constraints):
+        """Condensed gradient on ``space``, which a linear leaf has at
+        every state; cached on the constraint set it was condensed with.
+        The key holds the leaf and the space themselves, never their
+        ids."""
+        key = (self, space)
         out = constraints.gradient_cache.get(key)
         if out is None:
-            out = constraints.condense_rhs(self._raw_gradient(space, quad))
+            out = constraints.condense_rhs(self._raw_gradient(space))
             constraints.gradient_cache[key] = out
         return out
 

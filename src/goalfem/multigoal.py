@@ -26,6 +26,13 @@ def member_values(functionals, u):
     return np.array([J.value(u) for J in functionals], dtype=float)
 
 
+def combined_error(values_ref, values_at, omegas=None):
+    """J_E = sum_i omega_i |J_i(ref) - J_i(at)| / |J_i(at)|."""
+    ref, at = np.asarray(values_ref, float), np.asarray(values_at, float)
+    om = 1.0 if omegas is None else np.asarray(omegas, float)
+    return float(np.sum(om * np.abs(ref - at) / np.abs(at)))
+
+
 def combination_weights(values_ref, values_at, omegas=None):
     """w_i = omega_i sign(J_i(ref) - J_i(at)) / |J_i(at)|, sign(0) = 0."""
     values_ref = np.asarray(values_ref, dtype=float)
@@ -55,7 +62,5 @@ class CombinedFunctional(goals.Sum):
                          for w, J in zip(self.weights, self.functionals))
 
     def combined_error_value(self):
-        """J_E(u_h): sum of omega-weighted relative member errors."""
-        return float(np.sum(self.omegas
-                            * np.abs(self.values_h2 - self.values_h)
-                            / np.abs(self.values_h)))
+        """J_E(u_h) with J_i(u_h2) standing in for the exact values."""
+        return combined_error(self.values_h2, self.values_h, self.omegas)

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (assemble_jacobian, assemble_residual, default_rule,
-                       on_ray)
+from .assembly import assemble_jacobian, assemble_residual, on_ray
 from .errors import IterationCap, LineSearchExhausted, MaxIterations
 from .linalg import factorize, max_norm
 
@@ -66,8 +65,7 @@ class AdaptiveNewtonStats(NewtonStats):
     eta_m: list = field(default_factory=list)
 
 
-def line_search(problem, space, constraints, u, delta, gamma, quad=None, *,
-                res_norm):
+def line_search(problem, space, constraints, u, delta, gamma, *, res_norm):
     """Smallest L < L_MAX with |A(u + gamma^L du)| < c(L) |A(u)| (sup
     norms), ``res_norm`` being |A(u)|.
 
@@ -80,12 +78,11 @@ def line_search(problem, space, constraints, u, delta, gamma, quad=None, *,
     """
     if res_norm == 0.0:
         raise ValueError("line search requires a nonzero residual")
-    rule = quad or default_rule(space)
     delta = space.function(delta)
     for L in range(L_MAX):
         alpha = gamma ** L
-        u_try = on_ray(u, delta, alpha, rule)
-        res = assemble_residual(problem, space, constraints, u_try, rule)
+        u_try = on_ray(u, delta, alpha)
+        res = assemble_residual(problem, space, constraints, u_try)
         norm = max_norm(res)
         if norm < acceptance_factor(L, L_MAX) * res_norm:
             return alpha, L, space.function(u_try.coeffs), res, norm
@@ -101,8 +98,7 @@ def nested_tolerance(level):
     return 1e-8 if level == 1 else 1e-2
 
 
-def newton_solve(problem, space, constraints, u0, rtol, quad=None,
-                 log=None):
+def newton_solve(problem, space, constraints, u0, rtol, log=None):
     """Damped Newton until the residual sup-norm drops to ``rtol`` times
     that of the constrained start.
 
@@ -122,13 +118,13 @@ def newton_solve(problem, space, constraints, u0, rtol, quad=None,
 
     u = _newton(problem, space, constraints,
                 space.function(constraints.apply(u0.coeffs)), None, 0.9,
-                quad, stats, stop, log=log)
+                stats, stop, log=log)
     return u, stats
 
 
 def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
-                              adjoint_rhs, quad=None, mode="adaptive",
-                              fixed_tol=1e-8, log=None):
+                              adjoint_rhs, mode="adaptive", fixed_tol=1e-8,
+                              log=None):
     """Newton iteration stopped by the iteration-error indicator.
 
     Each sweep solves the adjoint with the current (possibly stale)
@@ -168,17 +164,17 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
         return norm <= 1e-10 * (1.0 + stats.residual_norms[0])
 
     u = _newton(problem, space, constraints, u,
-                _fresh_lu(problem, space, constraints, u, quad), 0.85,
-                quad, stats, stop, stagnated, observe, log)
+                _fresh_lu(problem, space, constraints, u), 0.85,
+                stats, stop, stagnated, observe, log)
     return u, space.function(z), stats
 
 
-def _fresh_lu(problem, space, constraints, u, quad):
-    return factorize(assemble_jacobian(problem, space, constraints, u, quad),
+def _fresh_lu(problem, space, constraints, u):
+    return factorize(assemble_jacobian(problem, space, constraints, u),
                      pivot_rtol=0.0)
 
 
-def _newton(problem, space, constraints, u, lu, gamma, quad, stats, stop,
+def _newton(problem, space, constraints, u, lu, gamma, stats, stop,
             stagnated=None, observe=None, log=None):
     """The damped Newton loop behind both solvers; returns the last
     iterate and sets ``stats.termination``.
@@ -191,7 +187,7 @@ def _newton(problem, space, constraints, u, lu, gamma, quad, stats, stop,
     instead of raising.  ``observe(u, res, lu)`` sees the start and
     every accepted iterate and returns a note for the log line.
     """
-    res = assemble_residual(problem, space, constraints, u, quad)
+    res = assemble_residual(problem, space, constraints, u)
     norm = max_norm(res)
     stats.residual_norms.append(norm)
     if observe:
@@ -200,14 +196,14 @@ def _newton(problem, space, constraints, u, lu, gamma, quad, stats, stop,
     def damped_step():
         delta = constraints.distribute(lu.solve(-res))
         return line_search(problem, space, constraints, u, delta, gamma,
-                           quad, res_norm=norm)
+                           res_norm=norm)
 
     prev_norm = None
     while (reason := stop(norm)) is None:
         rebuild = lu is None or (prev_norm is not None
                                  and norm / prev_norm > REBUILD_RATIO)
         if rebuild:
-            lu = _fresh_lu(problem, space, constraints, u, quad)
+            lu = _fresh_lu(problem, space, constraints, u)
         try:
             try:
                 alpha, _, u, res, new_norm = damped_step()
@@ -216,7 +212,7 @@ def _newton(problem, space, constraints, u, lu, gamma, quad, stats, stop,
                     raise
                 # a stale direction may not descend at all; retry fresh
                 rebuild = True
-                lu = _fresh_lu(problem, space, constraints, u, quad)
+                lu = _fresh_lu(problem, space, constraints, u)
                 alpha, _, u, res, new_norm = damped_step()
         except LineSearchExhausted:
             if not (stagnated and stagnated(norm)):

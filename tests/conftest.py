@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from goalfem.assembly import assemble_jacobian, assemble_residual, gauss
+from goalfem.assembly import assemble_jacobian, assemble_residual
 from goalfem.fespace import build_constraints, build_space
 from goalfem.linalg import factorize
 from goalfem.mesh import build_cheese, build_slit, build_unit_square
@@ -15,23 +15,22 @@ def poisson_problem(f=None):
     return build_plaplace(PLaplaceParams(2.0, 1.0, rhs=rhs))
 
 
-def linear_solve(problem, space, constraints, quad=None):
+def linear_solve(problem, space, constraints):
     """One exact Newton step from the constrained zero state."""
     u = space.function(constraints.apply(np.zeros(space.n_dofs)))
-    A = assemble_jacobian(problem, space, constraints, u, quad)
-    r = assemble_residual(problem, space, constraints, u, quad)
+    A = assemble_jacobian(problem, space, constraints, u)
+    r = assemble_residual(problem, space, constraints, u)
     lu = factorize(A)
     u = space.function(u.coeffs + constraints.distribute(lu.solve(-r)))
     return u, lu
 
 
-def poisson_setup(n=4, degree=1, quad_n=None):
+def poisson_setup(n=4, degree=1, rule=None):
     problem = poisson_problem()
     mesh = build_unit_square(n)
-    space = build_space(mesh, degree)
+    space = build_space(mesh, degree, rule=rule)
     cons = build_constraints(space, problem.dirichlet)
-    quad = gauss(quad_n) if quad_n else None
-    u, lu = linear_solve(problem, space, cons, quad)
+    u, lu = linear_solve(problem, space, cons)
     return problem, mesh, space, cons, u, lu
 
 

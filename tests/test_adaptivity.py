@@ -50,6 +50,16 @@ class TestRunAdaptive:
         assert rec.eta_h == pytest.approx(8.47e-7, rel=0.2)
         assert rec.je_error == pytest.approx(8.51e-7, rel=0.1)
 
+    def test_one_rule_per_run(self):
+        # every integral of the run, goal values included, uses the
+        # enriched space's rule: the final mesh holds one geometry
+        cfg = dataclasses.replace(get_preset("example2"), max_levels=2)
+        meshes = []
+        run_adaptive(cfg, on_level=lambda lvl, mesh, u, bd:
+                     meshes.append(mesh))
+        orders = {key[1] for key in meshes[-1]._caches if key[0] == "geom"}
+        assert orders == {cfg.r2 + 2}
+
     def test_tolerance_stops_immediately(self):
         cfg = tiny_p2_config(tol_dis=1.0, max_levels=6)
         records = run_adaptive(cfg)
@@ -101,7 +111,6 @@ class TestRunAdaptive:
         # warm-started enriched solves need no more iterations than a
         # cold start on the same mesh, on at least 80% of levels
         from goalfem.adaptivity import build_problem
-        from goalfem.assembly import gauss
         from goalfem.estimator import make_initial_guess
         from goalfem.fespace import build_constraints, build_space
         from goalfem.solver import nested_tolerance, newton_solve
@@ -115,7 +124,6 @@ class TestRunAdaptive:
         records = run_adaptive(cfg, on_level=lambda lvl, mesh, u, bd:
                                captured.append(mesh))
         problem = build_problem(cfg)
-        quad = gauss(cfg.r2 + 2)
         wins = 0
         comparisons = 0
         for level, (mesh, rec) in enumerate(zip(captured, records), start=1):
@@ -125,7 +133,7 @@ class TestRunAdaptive:
             cons2 = build_constraints(space2, problem.dirichlet)
             u0 = make_initial_guess(space2, cons2)
             _, stats = newton_solve(problem, space2, cons2, u0,
-                                    nested_tolerance(level), quad=quad)
+                                    nested_tolerance(level))
             comparisons += 1
             if rec.enriched_newton_steps <= stats.iterations:
                 wins += 1

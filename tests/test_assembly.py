@@ -362,14 +362,14 @@ class TestCellBasis:
 
         rng = np.random.default_rng(seed)
         u = space.function(0.5 * rng.normal(size=space.n_dofs))
-        for got, ref in zip(quadrature_values(u, rule),
+        for got, ref in zip(quadrature_values(u),
                             einsum_eval(space, u.coeffs, N, gphi)):
             assert self.close(got, ref)
 
         problem = build_quasilinear() if n_comp == 3 else build_plaplace(
             PLaplaceParams(4.0, 0.5, rhs=lambda x, y: np.sin(3.0 * x + y)))
         got = assemble_residual(problem, space, ConstraintSet(space.n_dofs),
-                                u, rule)
+                                u)
         assert self.close(got, einsum_residual(problem, space, u, rule))
 
     def test_one_tabulation_per_mesh_degree_rule(self, rng, monkeypatch):
@@ -388,8 +388,8 @@ class TestCellBasis:
             space = build_space(mesh, 2, n_comp)
             cons = ConstraintSet(space.n_dofs)
             u = space.function(rng.normal(size=space.n_dofs))
-            assemble_residual(problem, space, cons, u, rule)
-            assemble_jacobian(problem, space, cons, u, rule)
+            assemble_residual(problem, space, cons, u)
+            assemble_jacobian(problem, space, cons, u)
             assert cell_basis(mesh, 2, rule) is first
         assert calls.count(2) == 1
         assert cell_basis(mesh, 2, gauss(5)) is not first
@@ -421,11 +421,11 @@ class TestLargeMesh:
         u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
         none = ConstraintSet(space.n_dofs)
 
-        got = assemble_residual(problem, space, none, u, rule)
+        got = assemble_residual(problem, space, none, u)
         ref = einsum_residual(problem, space, u, rule)
         assert np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
 
-        got = assemble_jacobian(problem, space, none, u, rule)
+        got = assemble_jacobian(problem, space, none, u)
         ref = einsum_jacobian(problem, space, u, rule)
         assert abs(got - ref).max() <= self.RTOL * abs(ref).max()
 
@@ -455,7 +455,8 @@ class TestScatterAndRay:
     def test_scatter_matches_add_at(self, case, degree, n_comp, seed):
         mesh = refined_mesh(*case)
         problem = build_quasilinear() if n_comp == 3 else poisson_problem()
-        space = build_space(mesh, degree, n_comp)
+        # a rule other than the space's default
+        space = build_space(mesh, degree, n_comp, gauss(degree + 1))
         cons = build_constraints(space, problem.dirichlet)
         assert cons.constrained.any()
         rng = np.random.default_rng(seed)
@@ -464,14 +465,14 @@ class TestScatterAndRay:
         assert np.array_equal(cons.condense_rhs(space.scatter(local)),
                               add_at_condensed(space, cons, local))
 
-        rule = gauss(degree + 1)
+        rule = space.rule
         u = space.function(cons.apply(0.5 * rng.normal(size=space.n_dofs)))
         det, _, xq = cell_geometry(mesh, rule)
-        val, grd = problem.residual(xq, *quadrature_values(u, rule))
+        val, grd = problem.residual(xq, *quadrature_values(u))
         local = basis_integrals(val, grd, rule.weights * det,
                                 cell_basis(mesh, degree, rule))
         assert np.array_equal(
-            assemble_residual(problem, space, cons, u, rule),
+            assemble_residual(problem, space, cons, u),
             add_at_condensed(space, cons, local))
 
         # goal leaves: the sample groups scattered in their order
@@ -484,8 +485,8 @@ class TestScatterAndRay:
                 N, _ = space.basis_at(pts)
                 np.add.at(ref, space.cell_dofs[rows],
                           np.swapaxes(w, 1, 2) @ N.T)
-            assert np.array_equal(leaf._raw_gradient(space, rule), ref)
-            assert np.array_equal(leaf.leaf_gradient(space, cons, u, rule),
+            assert np.array_equal(leaf._raw_gradient(space), ref)
+            assert np.array_equal(leaf.leaf_gradient(space, cons),
                                   transposed_condense(cons, ref))
 
     @given(case=mesh_marks, degree=st.integers(1, 3),
@@ -499,10 +500,10 @@ class TestScatterAndRay:
                     for _ in range(2))
         alpha = 0.85 ** L
         rule = gauss(degree + 2)
-        trial = on_ray(u, delta, alpha, rule)
+        trial = on_ray(u, delta, alpha)
         assert np.array_equal(trial.coeffs, u.coeffs + alpha * delta.coeffs)
-        fresh = quadrature_values(space.function(trial.coeffs), rule)
-        for got, ref in zip(trial.quad_values[rule.n], fresh):
+        fresh = quadrature_values(space.function(trial.coeffs))
+        for got, ref in zip(trial.quad_values, fresh):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_ray_keeps_no_reference_to_its_ends(self, rng):
@@ -511,18 +512,18 @@ class TestScatterAndRay:
         u, delta = (space.function(rng.normal(size=space.n_dofs))
                     for _ in range(2))
         ends = [weakref.ref(u), weakref.ref(delta)]
-        trial = on_ray(u, delta, 0.5, rule)
+        trial = on_ray(u, delta, 0.5)
         del u, delta
         assert [end() for end in ends] == [None, None]
-        assert rule.n in trial.quad_values
+        assert trial.quad_values is not None
 
     def test_values_cached_and_coefficients_read_only(self, rng):
         space = build_space(build_unit_square(3).refine([4]), 2, 3)
         rule = gauss(4)
         coeffs = rng.normal(size=space.n_dofs)
         u = space.function(coeffs)
-        first = quadrature_values(u, rule)
-        assert quadrature_values(u, rule) is first
+        first = quadrature_values(u)
+        assert quadrature_values(u) is first
         # a slice of the whole-mesh values is the evaluation on its cells
         rows = slice(2, 5)
         B = cell_basis(space.mesh, 2, rule)[rows]
@@ -544,17 +545,16 @@ class TestFunctionalGradient:
     def test_linear_integral_gradient_u_independent(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=2, degree=1)
         J = RegionIntegral()
-        quad = gauss(3)
-        g1 = J.gradient(space, cons, u, quad)
-        g2 = J.gradient(space, cons,
-                        space.function(rng.normal(size=space.n_dofs)), quad)
+        g1 = J.gradient(cons, u)
+        g2 = J.gradient(cons,
+                        space.function(rng.normal(size=space.n_dofs)))
         assert np.allclose(g1, g2)
         # entries are int phi_i over the free hat: 0.25 for the interior node
         assert g1[~cons.constrained] == pytest.approx([0.25], abs=1e-14)
 
     def test_point_gradient_is_delta(self):
         problem, _, space, cons, u, _ = poisson_setup(n=2, degree=1)
-        g = PointValue((0.5, 0.5)).gradient(space, cons, u, gauss(3))
+        g = PointValue((0.5, 0.5)).gradient(cons, u)
         expected = np.zeros(space.n_dofs)
         free = np.flatnonzero(~cons.constrained)
         expected[free] = 1.0   # the interior hat equals 1 at its node
@@ -563,8 +563,7 @@ class TestFunctionalGradient:
     def test_product_gradient_fd(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=3, degree=1)
         J = Product([RegionIntegral(), PointValue((0.4, 0.6))])
-        quad = gauss(3)
-        g = J.gradient(space, cons, u, quad)
+        g = J.gradient(cons, u)
         d = cons.distribute(rng.normal(size=space.n_dofs))
         h = 1e-6
         fd = (J.value(space.function(u.coeffs + h * d))
@@ -575,15 +574,14 @@ class TestFunctionalGradient:
 def check_transposed_flux(prob, space, rng):
     """The adjoint form with a zero goal is -A'(u)(w, z) = -z.(A w) for
     the assembled Jacobian, and its PU localization sums to it."""
-    quad = gauss(space.degree + 2)
     u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
-    A = assemble_jacobian(prob, space, build_constraints(space), u, quad)
+    A = assemble_jacobian(prob, space, build_constraints(space), u)
     w = rng.normal(size=space.n_dofs)
     z = rng.normal(size=space.n_dofs)
     direct = float(z @ (A @ w))
     nodal, total = adjoint_weighted_form(
         prob, RegionIntegral(weight=0.0), u, space.function(z),
-        space.function(w), quad)
+        space.function(w))
     assert -total == pytest.approx(direct, rel=1e-12)
     assert nodal.sum() == pytest.approx(total, rel=1e-12)
 
@@ -594,69 +592,65 @@ class TestWeightedResiduals:
     def test_zero_weight(self):
         problem, _, space, cons, u, _ = poisson_setup(n=2, degree=1)
         z = space.function(np.zeros(space.n_dofs))
-        nodal, total = primal_weighted_form(problem, u, z, gauss(3))
+        nodal, total = primal_weighted_form(problem, u, z)
         assert total == 0.0
         assert np.all(nodal == 0.0)
 
     def test_galerkin_orthogonality(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=4, degree=1)
         w = space.function(cons.distribute(rng.normal(size=space.n_dofs)))
-        _, total = primal_weighted_form(problem, u, w, gauss(3))
+        _, total = primal_weighted_form(problem, u, w)
         assert abs(total) <= 1e-11
 
     def test_linear_identity_with_enriched_adjoint(self):
         # -A(u_h)(z2) equals J(u2) - J(u_h) for a linear goal: the Poisson
         # run provides the oracle values
         problem, mesh, space, cons, u, _ = poisson_setup(n=4, degree=1,
-                                                         quad_n=4)
-        quad = gauss(4)
+                                                         rule=gauss(4))
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
-        u2, _ = linear_solve(problem, space2, cons2, quad)
+        u2, _ = linear_solve(problem, space2, cons2)
         J = RegionIntegral()
-        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        _, lhs = primal_weighted_form(problem, u, z2, quad)
+        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        _, lhs = primal_weighted_form(problem, u, z2)
         rhs = J.value(u2) - J.value(u)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_adjoint_weight_vanishes_on_discrete_adjoint(self, rng):
         problem, mesh, space, cons, u, lu = poisson_setup(n=4, degree=1,
-                                                          quad_n=4)
-        quad = gauss(4)
+                                                          rule=gauss(4))
         J = RegionIntegral()
-        rhs = J.gradient(space, cons, u, quad)
+        rhs = J.gradient(cons, u)
         z = space.function(cons.distribute(lu.solve(rhs, transposed=True)))
         w = space.function(cons.distribute(rng.normal(size=space.n_dofs)))
-        _, out = adjoint_weighted_form(problem, J, u, z, w, quad)
+        _, out = adjoint_weighted_form(problem, J, u, z, w)
         assert abs(out) <= 1e-11
 
     def test_p2_primal_adjoint_symmetry(self):
         # linear self-adjoint case: rho(u_h)(w) = rho*(u_h, z_h)(w') when
         # the roles mirror; checked through equal halves of the estimator
         problem, mesh, space, cons, u, lu = poisson_setup(n=4, degree=1,
-                                                          quad_n=4)
-        quad = gauss(4)
+                                                          rule=gauss(4))
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
-        u2, _ = linear_solve(problem, space2, cons2, quad)
+        u2, _ = linear_solve(problem, space2, cons2)
         J = RegionIntegral()
         z = space.function(cons.distribute(
-            lu.solve(J.gradient(space, cons, u, quad), transposed=True)))
-        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
+            lu.solve(J.gradient(cons, u), transposed=True)))
+        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
         _, primal = primal_weighted_form(problem, u, space2.function(
-            z2.coeffs - interpolate_between(z, space2).coeffs), quad)
+            z2.coeffs - interpolate_between(z, space2).coeffs))
         _, adjoint = adjoint_weighted_form(problem, J, u, z, space2.function(
-            u2.coeffs - interpolate_between(u, space2).coeffs), quad)
+            u2.coeffs - interpolate_between(u, space2).coeffs))
         assert primal == pytest.approx(adjoint, rel=1e-8)
 
     def test_weight_linearity(self, rng):
         problem, _, space, cons, u, _ = poisson_setup(n=3, degree=2)
-        quad = gauss(4)
         ws = [rng.normal(size=space.n_dofs) for _ in range(3)]
-        parts = [primal_weighted_form(problem, u, space.function(w), quad)
+        parts = [primal_weighted_form(problem, u, space.function(w))
                  for w in ws]
         nodal, total = primal_weighted_form(problem, u,
-                                            space.function(sum(ws)), quad)
+                                            space.function(sum(ws)))
         single = sum(t for _, t in parts)
         assert total == pytest.approx(single, abs=1e-12 * (1 + abs(single)))
         assert np.allclose(nodal, sum(n for n, _ in parts), rtol=0,

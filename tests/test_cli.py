@@ -110,8 +110,9 @@ class TestRunSizes:
         assert not list(tmp_path.iterdir())
 
 
-# per goal-count field: an INI line with the wrong number of entries
-_GOAL_COUNT_TYPOS = [
+# bad values per field: goal-count fields with the wrong number of
+# entries, non-finite numbers, negative omegas and zero reference values
+_BAD_VALUES = [
     ("omegas", "experiment = example2\ngeometry = slit\n"
                "system = quasilinear\nomegas = 2.0\n"),
     ("omegas", "experiment = example1a\ngeometry = unit_square\n"
@@ -123,16 +124,31 @@ _GOAL_COUNT_TYPOS = [
                                 "reference_uncertainties = 1e-5\n"),
     ("raw", "experiment = example1c\ngeometry = cheese\n"
             "combine = raw\n"),
+    ("tol_dis", "experiment = example1a\ngeometry = unit_square\n"
+                "tol_dis = nan\n"),
+    ("p", "experiment = example1a\ngeometry = unit_square\np = inf\n"),
+    ("distort_factor", "experiment = example1a\ngeometry = unit_square\n"
+                       "distort_factor = nan\n"),
+    ("omegas", "experiment = example2\ngeometry = slit\n"
+               "system = quasilinear\n"
+               "omegas = -1.0, 1.0, 1.0, 1.0, 1.0, 1.0\n"),
+    ("omegas", "experiment = example1a\ngeometry = unit_square\n"
+               "omegas = nan\n"),
+    ("reference_values", "experiment = example1a\ngeometry = unit_square\n"
+                         "reference_values = 0.0\n"),
+    ("reference_uncertainties", "experiment = example1a\n"
+                                "geometry = unit_square\n"
+                                "reference_uncertainties = inf\n"),
 ]
 
 
 class TestGoalCount:
-    @pytest.mark.parametrize("field, body", _GOAL_COUNT_TYPOS)
+    @pytest.mark.parametrize("field, body", _BAD_VALUES)
     def test_parse_config_rejects(self, field, body):
         with pytest.raises(ValueError, match=field):
             parse_config("[run]\n" + body)
 
-    @pytest.mark.parametrize("field, body", _GOAL_COUNT_TYPOS)
+    @pytest.mark.parametrize("field, body", _BAD_VALUES)
     def test_cli_exit_3(self, tmp_path, field, body):
         ini = tmp_path / "count.ini"
         ini.write_text("[run]\n" + body + "label = count\nmax_levels = 1\n")

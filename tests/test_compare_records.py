@@ -28,16 +28,20 @@ def test_identical():
     assert all(identical.values())
     assert set(identical) == set(compare_records.EXACT)
     assert "wall_ms" not in rel_diff
+    assert "level" in identical and "level" not in rel_diff
     # NaN against NaN (rel_errors, i_eff) counts as equal
-    assert all(d == 0.0 for d in rel_diff.values())
+    assert all(d == (0.0, None) for d in rel_diff.values())
 
 
 def test_one_dof_changed():
     change = records()
     change[1]["n_dofs"] += 1
     identical, rel_diff = compare_records.compare(records(), change)
-    assert identical == {"n_dofs": False, "n_cells": True,
+    assert identical == {"level": True, "n_dofs": False, "n_cells": True,
                          "newton_steps": True, "enriched_newton_steps": True}
+    change.pop()
+    identical, _ = compare_records.compare(records(), change + records()[:1])
+    assert not identical["level"]
 
 
 def test_value_drift_and_nan_mismatch():
@@ -47,9 +51,11 @@ def test_value_drift_and_nan_mismatch():
     change[0]["wall_ms"] = 1e6
     identical, rel_diff = compare_records.compare(records(), change)
     assert all(identical.values())
-    assert rel_diff["values"] == pytest.approx(1e-12, rel=1e-3)
-    assert rel_diff["i_eff"] == math.inf
-    assert rel_diff["eta_h"] == 0.0
+    # each largest difference comes with the level it occurs at
+    assert rel_diff["values"][0] == pytest.approx(1e-12, rel=1e-3)
+    assert rel_diff["values"][1] == 3
+    assert rel_diff["i_eff"] == (math.inf, 1)
+    assert rel_diff["eta_h"] == (0.0, None)
 
 
 def test_report_prints_control_drift_next_to_change_drift():
@@ -61,10 +67,11 @@ def test_report_prints_control_drift_next_to_change_drift():
     assert ok                 # the control does not enter the status
     assert lines[0] == "w/1: 3 levels, final DOFs 30"
     assert "newton_steps NO" in lines[2]
-    assert "eta_h 1e-09 / 0.000999" in lines[3]
+    assert "eta_h 1e-09 @ 3 / 0.000999 @ 3" in lines[3]
     assert "values 0 / 0" in lines[3]
     plain, _ = compare_records.report("w/1", records(), change)
     assert len(plain) == 3 and "/" not in plain[2]
+    assert "eta_h 1e-09 @ 3," in plain[2]
 
 
 def test_main_runs_the_control_on_the_parent(monkeypatch, capsys):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalfem.assembly import assemble_jacobian, gauss
-from goalfem.errors import ZeroTrueError
+from goalfem.errors import MeshMismatch, ZeroTrueError
 from goalfem.estimator import (EstimatorBreakdown, adjoint_weighted_form,
                                distribute_to_cells, effectivity, estimate,
                                fold_hanging, make_initial_guess,
@@ -23,17 +23,16 @@ def dwr_poisson(mesh, r=1, r2=2, functional=None):
     """Solve primal/adjoint on both spaces and estimate."""
     problem = poisson_problem()
     J = functional or RegionIntegral()
-    quad = gauss(r2 + 2)
-    space = build_space(mesh, r)
-    space2 = build_space(mesh, r2)
+    space, space2 = (build_space(mesh, degree, rule=gauss(r2 + 2))
+                     for degree in (r, r2))
     cons = build_constraints(space, problem.dirichlet)
     cons2 = build_constraints(space2, problem.dirichlet)
-    u, lu = linear_solve(problem, space, cons, quad)
-    u2, _ = linear_solve(problem, space2, cons2, quad)
+    u, lu = linear_solve(problem, space, cons)
+    u2, _ = linear_solve(problem, space2, cons2)
     z = space.function(cons.distribute(
-        lu.solve(J.gradient(space, cons, u, quad), transposed=True)))
-    z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-    bd = estimate(problem, J, cons, u, z, u2, z2, quad)
+        lu.solve(J.gradient(cons, u), transposed=True)))
+    z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+    bd = estimate(problem, J, cons, u, z, u2, z2)
     return problem, J, u, u2, bd
 
 
@@ -44,10 +43,9 @@ class TestEnrichedAdjoint:
         mesh = build_unit_square(4)
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
-        quad = gauss(4)
-        u2, _ = linear_solve(problem, space2, cons2, quad)
+        u2, _ = linear_solve(problem, space2, cons2)
         z2 = solve_enriched_adjoint(problem, RegionIntegral(), space2, cons2,
-                                    u2, quad)
+                                    u2)
         assert np.allclose(z2.coeffs, u2.coeffs, atol=1e-12)
 
     def test_zero_functional_gradient(self):
@@ -55,10 +53,9 @@ class TestEnrichedAdjoint:
         mesh = build_unit_square(2)
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
-        quad = gauss(4)
-        u2, _ = linear_solve(problem, space2, cons2, quad)
+        u2, _ = linear_solve(problem, space2, cons2)
         z2 = solve_enriched_adjoint(problem, RegionIntegral(weight=0.0),
-                                    space2, cons2, u2, quad)
+                                    space2, cons2, u2)
         assert max_norm(z2.coeffs) <= 1e-14
 
     def test_adjoint_residual_replay(self):
@@ -66,12 +63,11 @@ class TestEnrichedAdjoint:
         mesh = build_unit_square(3).refine([1])
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
-        quad = gauss(4)
-        u2, _ = linear_solve(problem, space2, cons2, quad)
+        u2, _ = linear_solve(problem, space2, cons2)
         J = RegionIntegral()
-        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        A = assemble_jacobian(problem, space2, cons2, u2, quad)
-        rhs = J.gradient(space2, cons2, u2, quad)
+        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        A = assemble_jacobian(problem, space2, cons2, u2)
+        rhs = J.gradient(cons2, u2)
         res = A.T @ z2.coeffs - rhs
         res[cons2.constrained] = 0.0
         assert max_norm(res) <= 1e-10 * (1 + max_norm(rhs))
@@ -86,16 +82,15 @@ def check_pu_sums(mesh, system, seed):
     else:
         problem, n_comp = build_plaplace(PLaplaceParams(
             4.0, 0.5, rhs=lambda x, y: np.cos(x - 2.0 * y))), 1
-    space, space2 = (build_space(mesh, r, n_comp) for r in (1, 2))
+    space, space2 = (build_space(mesh, r, n_comp, gauss(4)) for r in (1, 2))
     rng = np.random.default_rng(seed)
     u, z = (space.function(0.5 * rng.normal(size=space.n_dofs))
             for _ in range(2))
     w = space2.function(rng.normal(size=space2.n_dofs))
     x0 = mesh.points[mesh.cell_verts[mesh.active_cells[0]]].mean(axis=0)
     J = Sum([RegionIntegral(), PointValue(x0, component=n_comp - 1)])
-    quad = gauss(4)
-    for nodal, total in (primal_weighted_form(problem, u, w, quad),
-                         adjoint_weighted_form(problem, J, u, z, w, quad)):
+    for nodal, total in (primal_weighted_form(problem, u, w),
+                         adjoint_weighted_form(problem, J, u, z, w)):
         scale = np.abs(nodal).sum()
         assert abs(nodal.sum() - total) <= 1e-12 * scale
         folded = fold_hanging(mesh, nodal)
@@ -113,6 +108,17 @@ class TestEstimate:
         _, J, u, u2, bd = dwr_poisson(mesh)
         dJ = J.value(u2) - J.value(u)
         assert bd.eta_signed == pytest.approx(dJ, rel=1e-10)
+
+    def test_rules_must_agree(self):
+        # coarse and enriched functions meet under one integral
+        problem = poisson_problem()
+        mesh = build_unit_square(2)
+        space, space2 = build_space(mesh, 1), build_space(mesh, 2)
+        assert space.rule.n != space2.rule.n
+        u, u2 = space.function(), space2.function()
+        with pytest.raises(MeshMismatch, match="rule"):
+            estimate(problem, RegionIntegral(), build_constraints(space),
+                     u, u, u2, u2)
 
     def test_primal_equals_adjoint_for_selfadjoint_goal(self):
         _, _, _, _, bd = dwr_poisson(build_unit_square(4))
@@ -242,20 +248,18 @@ class TestNonlinearEstimate:
         problem = build_plaplace(PLaplaceParams(
             4.0, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
         J = RegionIntegral()
-        quad = gauss(4)
         mesh = build_unit_square(8)
-        space, space2 = build_space(mesh, 1), build_space(mesh, 2)
+        space, space2 = (build_space(mesh, r, rule=gauss(4)) for r in (1, 2))
         cons = build_constraints(space, problem.dirichlet)
         cons2 = build_constraints(space2, problem.dirichlet)
         u, _ = newton_solve(problem, space, cons,
-                            make_initial_guess(space, cons), 1e-10, quad=quad)
+                            make_initial_guess(space, cons), 1e-10)
         u2, _ = newton_solve(problem, space2, cons2,
-                             make_initial_guess(space2, cons2), 1e-10,
-                             quad=quad)
-        A = assemble_jacobian(problem, space, cons, u, quad)
+                             make_initial_guess(space2, cons2), 1e-10)
+        A = assemble_jacobian(problem, space, cons, u)
         z = space.function(cons.distribute(factorize(A).solve(
-            J.gradient(space, cons, u, quad), transposed=True)))
-        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2, quad)
-        bd = estimate(problem, J, cons, u, z, u2, z2, quad)
+            J.gradient(cons, u), transposed=True)))
+        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        bd = estimate(problem, J, cons, u, z, u2, z2)
         gap = J.value(u2) - J.value(u)
         assert abs(bd.eta_signed - gap) / abs(gap) <= 0.5

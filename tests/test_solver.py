@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import goalfem.solver as sv
-from goalfem.assembly import assemble_residual, gauss
+from goalfem.assembly import assemble_residual
 from goalfem.errors import IterationCap, LineSearchExhausted, MaxIterations
 from goalfem.estimator import make_initial_guess
 from goalfem.fespace import build_constraints, build_space
@@ -195,56 +195,52 @@ class TestAdaptiveNewton:
         space = build_space(build_unit_square(n), 1)
         cons = build_constraints(space, problem.dirichlet)
         J = RegionIntegral()
-        quad = gauss(3)
 
         def rhs(u_k):
-            return J.gradient(space, cons, u_k, quad)
+            return J.gradient(cons, u_k)
 
-        return space, cons, rhs, quad
+        return space, cons, rhs
 
     def test_linear_problem_one_update(self):
         problem = poisson_problem()
-        space, cons, rhs, quad = self._setup(problem)
+        space, cons, rhs = self._setup(problem)
         u0 = make_initial_guess(space, cons)
         u, z, stats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs,
-            quad=quad)
+            problem, space, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs)
         assert stats.iterations == 1
         assert stats.termination == "balanced"
         assert stats.eta_m[-1] <= 1e-10
 
     def test_balance_threshold_respected(self):
         problem = p4_problem()
-        space, cons, rhs, quad = self._setup(problem, n=2)
+        space, cons, rhs = self._setup(problem, n=2)
         u0 = make_initial_guess(space, cons)
         eta_prev = 1e-3
         u, z, stats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=eta_prev, adjoint_rhs=rhs,
-            quad=quad)
+            problem, space, cons, u0, eta_prev=eta_prev, adjoint_rhs=rhs)
         assert stats.eta_m[-1] <= 1e-2 * eta_prev
         # looser target -> fewer Newton steps than a tight solve
         _, _, tight = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs,
-            quad=quad)
+            problem, space, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs)
         assert stats.iterations < tight.iterations
 
     def test_fixed_mode_hits_absolute_tolerance(self):
         problem = p4_problem()
-        space, cons, rhs, quad = self._setup(problem, n=2)
+        space, cons, rhs = self._setup(problem, n=2)
         u0 = make_initial_guess(space, cons)
         u, z, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
-            quad=quad, mode="fixed", fixed_tol=1e-8)
+            mode="fixed", fixed_tol=1e-8)
         assert stats.residual_norms[-1] <= 1e-8
 
     def test_residual_floor_ends_fixed_mode(self):
         # fixed_tol = 0 is out of reach; the linear solve lands on roundoff
         problem = poisson_problem()
-        space, cons, rhs, quad = self._setup(problem)
+        space, cons, rhs = self._setup(problem)
         u0 = make_initial_guess(space, cons)
         _, _, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
-            quad=quad, mode="fixed", fixed_tol=0.0)
+            mode="fixed", fixed_tol=0.0)
         assert stats.termination == "residual_floor"
         norms = stats.residual_norms
         assert norms[-1] <= 1e-14 * (1.0 + norms[0])
@@ -252,12 +248,11 @@ class TestAdaptiveNewton:
     def test_iteration_cap_carries_stats(self, monkeypatch):
         monkeypatch.setattr(sv, "ITERATION_CAP", 2)
         problem = p4_problem()
-        space, cons, rhs, quad = self._setup(problem, n=2)
+        space, cons, rhs = self._setup(problem, n=2)
         u0 = make_initial_guess(space, cons)
         with pytest.raises(IterationCap) as err:
             adaptive_newton_multigoal(problem, space, cons, u0,
-                                      eta_prev=1e-8, adjoint_rhs=rhs,
-                                      quad=quad)
+                                      eta_prev=1e-8, adjoint_rhs=rhs)
         stats = err.value.stats
         assert stats.iterations == 2
         assert len(stats.eta_m) == len(stats.residual_norms) == 3
@@ -317,11 +312,10 @@ class TestSharedNewtonLoop:
         problem, space, cons, u0 = self._near_solution(rng)
         calls = self._exhausted(monkeypatch)
         J = RegionIntegral()
-        quad = gauss(3)
         u, _, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1.0,
-            adjoint_rhs=lambda u_k: J.gradient(space, cons, u_k, quad),
-            quad=quad, mode="fixed", fixed_tol=0.0)
+            adjoint_rhs=lambda u_k: J.gradient(cons, u_k),
+            mode="fixed", fixed_tol=0.0)
         assert stats.termination == "stagnation"
         assert stats.iterations == 0
         assert len(calls) == 2          # the stale try and the fresh retry

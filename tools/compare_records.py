@@ -7,9 +7,10 @@ Each directory is a checkout, for example one made with
 workloads of their own ``perfbench/workloads.py`` (``square_q3q6`` at
 seeds 1 and 2, the seed-independent workloads once), each side in one
 subprocess with BLAS pinned to one thread.  For every run the script
-prints whether the DOF sequence, ``n_cells``, ``newton_steps`` and
-``enriched_newton_steps`` are identical, and the largest relative
-difference of every other record field except ``wall_ms``.
+prints whether the level numbers, the DOF sequence, ``n_cells``,
+``newton_steps`` and ``enriched_newton_steps`` are identical, and the
+largest relative difference of every other record field except
+``wall_ms`` with the level it occurs at (``values 0.00235 @ 1``).
 
 ``--control`` runs the parent a third time with every residual vector
 it assembles scaled by (1 + 2^-52), a last-bit perturbation, and prints
@@ -34,7 +35,8 @@ from pathlib import Path
 
 RUNS = (("slit_quasilinear", 1), ("cheese_plaplace", 1),
         ("square_q3q6", 1), ("square_q3q6", 2))
-EXACT = ("n_dofs", "n_cells", "newton_steps", "enriched_newton_steps")
+EXACT = ("level", "n_dofs", "n_cells", "newton_steps",
+         "enriched_newton_steps")
 IGNORED = ("wall_ms",)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONTROL_SCALE = 1.0 + 2.0 ** -52
@@ -116,9 +118,11 @@ def compare(parent, change):
 
     Returns ``(identical, rel_diff)``: for each field of ``EXACT``
     whether its per-level sequence is the same on both sides, and for
-    every other field but ``IGNORED`` the largest relative difference
-    over the levels the two sides share (NaN against NaN counts as
-    equal, NaN against a number as an infinite difference).
+    every other field but ``IGNORED`` the pair (largest relative
+    difference over the levels the two sides share, the parent's level
+    where it first occurs, None when there is no difference).  NaN
+    against NaN counts as equal, NaN against a number as an infinite
+    difference.
     """
     identical = {f: [r[f] for r in parent] == [r[f] for r in change]
                  for f in EXACT}
@@ -126,16 +130,21 @@ def compare(parent, change):
     fields = [f for f in next(iter(parent + change), {})
               if f not in EXACT + IGNORED]
     for f in fields:
-        worst = 0.0
+        worst, where = 0.0, None
         for p, c in zip(parent, change):
             a, b = _flat(p[f]), _flat(c[f])
-            if len(a) != len(b):
-                worst = math.inf
-                continue
-            for x, y in zip(a, b):
-                worst = max(worst, _rel_diff(float(x), float(y)))
-        rel_diff[f] = worst
+            diff = math.inf if len(a) != len(b) else max(
+                (_rel_diff(float(x), float(y)) for x, y in zip(a, b)),
+                default=0.0)
+            if diff > worst:
+                worst, where = diff, p["level"]
+        rel_diff[f] = (worst, where)
     return identical, rel_diff
+
+
+def _drift(diff):
+    worst, where = diff
+    return f"{worst:.3g}" if where is None else f"{worst:.3g} @ {where}"
 
 
 def report(key, parent, change, control=None):
@@ -150,14 +159,14 @@ def report(key, parent, change, control=None):
                  for f, same in identical.items())]
     if control is None:
         lines.append("  largest relative difference: " + ", ".join(
-            f"{f} {d:.3g}" for f, d in rel_diff.items()))
+            f"{f} {_drift(d)}" for f, d in rel_diff.items()))
     else:
         c_identical, c_diff = compare(parent, control)
         lines.append("  control identical: " + ", ".join(
             f"{f} {'yes' if same else 'NO'}"
             for f, same in c_identical.items()))
         lines.append("  largest relative difference (change / control): "
-                     + ", ".join(f"{f} {d:.3g} / {c_diff[f]:.3g}"
+                     + ", ".join(f"{f} {_drift(d)} / {_drift(c_diff[f])}"
                                  for f, d in rel_diff.items()))
     return lines, all(identical.values())
 
