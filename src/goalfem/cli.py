@@ -24,24 +24,6 @@ from .mesh import write_vtk
 _TUPLE_FIELDS = {"omegas", "reference_values", "reference_uncertainties"}
 
 
-def serialize_config(config):
-    """RunConfig -> INI text (round-trips through parse_config)."""
-    cp = configparser.ConfigParser(interpolation=None)
-    cp["run"] = {}
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(config, f.name)
-        if val is None:
-            continue
-        if f.name in _TUPLE_FIELDS:
-            cp["run"][f.name] = ", ".join(repr(v) for v in val)
-        else:
-            cp["run"][f.name] = str(val)
-    import io
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
 def parse_config(text):
     """INI text -> RunConfig.  Every defect, malformed INI included (no
     section header, a duplicate key), raises ValueError.  Values are
@@ -104,12 +86,8 @@ def _load_config(args):
 def _vtk_callback(out_dir, tag):
     def on_level(level, mesh, u_h, breakdown):
         space = u_h.space
-        pd = {}
-        for comp in range(space.n_components):
-            vals = [0.0] * mesh.n_points
-            for v, nid in space.vertex_node.items():
-                vals[v] = u_h.coeffs[space.dof(comp, nid)]
-            pd[f"u{comp + 1}"] = vals
+        pd = {f"u{comp + 1}": u_h.coeffs[space.dof(comp, space.vertex_node)]
+              for comp in range(space.n_components)}
         pd["eta_nodal"] = breakdown.nodal
         write_vtk(os.path.join(out_dir, f"{tag}_level{level:02d}.vtk"),
                   mesh, point_data=pd,

@@ -133,12 +133,15 @@ def adjoint_weighted_form(problem, functional, u, z, weight):
 
 
 def fold_hanging(mesh, nodal):
-    """Move hanging-vertex shares onto the face endpoints (weights 1/2)."""
+    """Move hanging-vertex shares onto the face endpoints (weights 1/2).
+
+    Each endpoint receives its shares in face order; no hanging vertex
+    is an endpoint of another hanging face, so one pass folds them all.
+    """
+    t = mesh.edges()
     out = nodal.copy()
-    for _, (a, b), m in mesh.hanging_interfaces():
-        out[a] += 0.5 * out[m]
-        out[b] += 0.5 * out[m]
-        out[m] = 0.0
+    np.add.at(out, t.verts[t.hanging_face], 0.5 * nodal[t.hanging_mid, None])
+    out[t.hanging_mid] = 0.0
     return out
 
 

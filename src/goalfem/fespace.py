@@ -1,14 +1,17 @@
 """Continuous tensor-product Lagrange spaces Q^r on quad meshes.
 
 Scalar support points are equispaced tensor nodes per cell, unified
-across cells through topological keys (vertex / edge-position / cell
-interior), so DOF numbering is deterministic: cells are scanned by
-ascending id, local nodes in tensor order (x fastest).  Vector spaces
-use a block layout, ``dof = component * n_nodes + node``, tabulated
-once as ``FeSpace.cell_dofs[cell_row, component, local]``; every cell
-gather (``local_coeffs``) and scatter (``scatter``) goes through that
-table.  The scatter is one ``np.bincount``, which adds in the order of
-the table exactly as ``np.add.at`` would.
+across cells through topological keys: a vertex node is keyed by its
+vertex id (``FeSpace.vertex_node``), the r - 1 nodes inside a face by
+the face's id in ``Mesh.edges()`` (``FeSpace.edge_nodes``), and cell
+interior nodes belong to their cell alone.  DOF numbering is
+deterministic: cells are scanned by ascending id, local nodes in tensor
+order (x fastest).  Vector spaces use a block layout,
+``dof = component * n_nodes + node``, tabulated once as
+``FeSpace.cell_dofs[cell_row, component, local]``; every cell gather
+(``local_coeffs``) and scatter (``scatter``) goes through that table.
+The scatter is one ``np.bincount``, which adds in the order of the
+table exactly as ``np.add.at`` would.
 
 A space carries the Gauss rule of every integral over its functions
 (``FeSpace.rule``).  A ``DiscreteFunction`` caches its values at that
@@ -29,12 +32,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConflictingConstraints, MeshMismatch, PointOutsideDomain
-from .mesh import _ekey
+from .mesh import EDGE_CORNERS
 
 # local corner index of each cell corner in the (r+1)^2 tensor grid
 _CORNER_GRID = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-# edges as (corner_from, corner_to, axis): bottom, top, left, right
-_EDGE_RUNS = ((0, 1), (2, 3), (0, 2), (1, 3))
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +129,12 @@ def bilinear_map(corners, ref):
 # ----------------------------------------------------------------------
 class FeSpace:
     """Q^r space (scalar or vector) on the active cells of a mesh; its
-    ``rule`` is gauss(degree + 2) unless given."""
+    ``rule`` is gauss(degree + 2) unless given.
+
+    ``vertex_node`` (n_points,) is the scalar node of each mesh vertex
+    and ``edge_nodes`` (n_edges, r - 1) the nodes inside each face of
+    ``mesh.edges()``, ordered from the face's smaller vertex id.
+    """
 
     def __init__(self, mesh, degree, n_components=1, rule=None):
         if degree < 1:
@@ -147,9 +153,12 @@ class FeSpace:
         self.active = active
         nb = (r + 1) ** 2
         cell_nodes = np.empty((len(active), nb), dtype=np.int64)
+        edges = mesh.edges()
 
-        vertex_node = {}
-        edge_nodes = {}
+        # Python lists while numbering: the loop looks up one node at a
+        # time, and indexing numpy arrays by scalars is slow
+        vertex_node = [-1] * mesh.n_points
+        edge_nodes = [[-1] * (r - 1) for _ in range(len(edges.verts))]
         coords = []
 
         def new_node(xy):
@@ -159,8 +168,8 @@ class FeSpace:
         corner_local = {(gx * r, gy * r): ci
                         for ci, (gx, gy) in _CORNER_GRID.items()}
 
-        for row, c in enumerate(active):
-            verts = mesh.cell_verts[c]
+        for row, (verts, eids) in enumerate(zip(
+                mesh.cell_verts[active].tolist(), edges.of_cell.tolist())):
             cc = mesh.points[verts]
             for iy in range(r + 1):
                 for ix in range(r + 1):
@@ -168,30 +177,27 @@ class FeSpace:
                     corner = corner_local.get((ix, iy))
                     if corner is not None:
                         v = verts[corner]
-                        nid = vertex_node.get(v)
-                        if nid is None:
+                        nid = vertex_node[v]
+                        if nid < 0:
                             nid = new_node(mesh.points[v].copy())
                             vertex_node[v] = nid
                         cell_nodes[row, loc] = nid
                         continue
+                    # local edge in EDGE_CORNERS order, position k on it
                     on_edge = None
                     if iy == 0:
                         on_edge, k = 0, ix
-                    elif iy == r:
-                        on_edge, k = 1, ix
-                    elif ix == 0:
-                        on_edge, k = 2, iy
                     elif ix == r:
+                        on_edge, k = 1, iy
+                    elif iy == r:
+                        on_edge, k = 2, ix
+                    elif ix == 0:
                         on_edge, k = 3, iy
                     if on_edge is not None:
-                        ca, cb = _EDGE_RUNS[on_edge]
-                        va, vb = verts[ca], verts[cb]
-                        key = _ekey(va, vb)
-                        pos = k if va < vb else r - k
-                        run = edge_nodes.get(key)
-                        if run is None:
-                            run = np.full(r - 1, -1, dtype=np.int64)
-                            edge_nodes[key] = run
+                        ca, cb = EDGE_CORNERS[on_edge]
+                        # a face's nodes run from its smaller vertex id
+                        pos = k if verts[ca] < verts[cb] else r - k
+                        run = edge_nodes[eids[on_edge]]
                         nid = run[pos - 1]
                         if nid < 0:
                             ref = np.array([(ix / r, iy / r)])
@@ -207,8 +213,9 @@ class FeSpace:
         self.cell_dofs = self.dof(np.arange(self.n_components)[:, None],
                                   cell_nodes[:, None, :])
         self.node_coords = np.asarray(coords)
-        self.vertex_node = vertex_node
-        self.edge_nodes = edge_nodes
+        self.vertex_node = np.array(vertex_node, dtype=np.int64)
+        self.edge_nodes = np.array(edge_nodes, dtype=np.int64).reshape(
+            len(edge_nodes), r - 1)
 
     @property
     def n_dofs(self):
@@ -235,10 +242,6 @@ class FeSpace:
 
     def dof(self, component, nodes):
         return np.asarray(nodes) + component * self.n_nodes
-
-    def edge_node_run(self, a, b):
-        """Scalar nodes interior to edge (a, b), ordered from min(a, b)."""
-        return self.edge_nodes.get(_ekey(a, b))
 
     def local_coeffs(self, coeffs, rows=slice(None)):
         """Coefficient blocks of the active-cell ``rows``, shape
@@ -365,30 +368,32 @@ def build_constraints(space, dirichlet=()):
     """
     r = space.degree
     mesh = space.mesh
+    t = mesh.edges()
+    verts, owners = t.verts.tolist(), t.owners.tolist()
+    vertex_node = space.vertex_node.tolist()
+    edge_nodes = space.edge_nodes.tolist()
     dofs, masters, weights = [], [], []
     fixed = {}
 
-    # hanging faces: fine-side nodes interpolate the coarse edge trace
-    for _, (a, b), m in mesh.hanging_interfaces():
-        coarse_nodes = [space.vertex_node[a]]
-        run = space.edge_node_run(a, b)
-        if run is not None:
-            coarse_nodes.extend(run.tolist())
-        coarse_nodes.append(space.vertex_node[b])
+    def face_nodes(e):
+        """Nodes of face e from its smaller vertex to its larger."""
+        a, b = verts[e]
+        return [vertex_node[a], *edge_nodes[e], vertex_node[b]]
 
-        fine = [(space.vertex_node[m], 0.5)]
+    # hanging faces: fine-side nodes interpolate the coarse edge trace
+    for face, m, halves in zip(t.hanging_face.tolist(), t.hanging_mid.tolist(),
+                               t.hanging_halves.tolist()):
+        coarse_nodes = np.asarray(face_nodes(face))
+        a, b = verts[face]
+        fine = [(vertex_node[m], 0.5)]
         t_of = {a: 0.0, b: 1.0, m: 0.5}
-        for p, q in ((a, m), (m, b)):
-            sub = space.edge_node_run(p, q)
-            if sub is None:
-                continue
-            lo, hi = (p, q) if p < q else (q, p)
-            for k, nid in enumerate(sub, start=1):
+        for half in halves:
+            lo, hi = verts[half]
+            for k, nid in enumerate(edge_nodes[half], start=1):
                 fine.append((nid, t_of[lo] + (k / r) * (t_of[hi] - t_of[lo])))
 
-        coarse_nodes = np.asarray(coarse_nodes)
-        for nid, t in fine:
-            w = lagrange_1d(r, np.array([t]))[:, 0]
+        for nid, pos in fine:
+            w = lagrange_1d(r, np.array([pos]))[:, 0]
             keep = np.abs(w) > 1e-14
             for comp in range(space.n_components):
                 dofs.extend([space.dof(comp, nid)] * int(keep.sum()))
@@ -396,18 +401,11 @@ def build_constraints(space, dirichlet=()):
                 weights.extend(w[keep])
 
     # Dirichlet values by nodal interpolation of the data
-    emap = mesh.active_edge_map()
-    for e, owners in emap.items():
-        tag = mesh.boundary_tags.get(e)
-        if tag is None or len(owners) != 1:
+    for e, tag in enumerate(t.tag.tolist()):
+        if tag is None:
             continue
-        a, b = e
-        nodes = [space.vertex_node[a]]
-        run = space.edge_node_run(a, b)
-        if run is not None:
-            nodes.extend(run.tolist())
-        nodes.append(space.vertex_node[b])
-        centroid = mesh.points[mesh.cell_verts[owners[0]]].mean(axis=0)
+        nodes = face_nodes(e)
+        centroid = mesh.points[mesh.cell_verts[owners[e][0]]].mean(axis=0)
         for btag, comp, g in dirichlet:
             if btag != tag:
                 continue

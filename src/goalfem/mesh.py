@@ -6,16 +6,23 @@ child/ref coordinates run x fastest.  Refinement splits a cell into four
 children through the straight-edge midpoints, so hanging vertices always
 sit at the geometric midpoint of the coarse face.  Meshes are immutable:
 ``refine`` and ``distort`` return new objects.
+
+The faces of the active cells are one array table, ``Mesh.edges()``
+(an ``EdgeTable``), cached per mesh: every consumer indexes it by edge
+id.  Sorted vertex pairs key only the refinement history
+(``edge_midpoint``, ``boundary_tags``) and stay inside this module.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DistortionInvertsCell
 
 # local corner pairs of the four cell edges: bottom, right, top, left
-_EDGE_CORNERS = ((0, 1), (1, 3), (2, 3), (0, 2))
+EDGE_CORNERS = ((0, 1), (1, 3), (2, 3), (0, 2))
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -23,6 +30,36 @@ NEUMANN = "neumann"
 
 def _ekey(a, b):
     return (a, b) if a < b else (b, a)
+
+
+@dataclass(frozen=True)
+class EdgeTable:
+    """The faces of a mesh's active cells, one row per edge id.
+
+    Rows are in first-appearance order: active cells ascending, then
+    their local edges in ``EDGE_CORNERS`` order.
+
+    verts : (n, 2) sorted vertex ids.
+    owners : (n, 2) active cell ids, ascending; -1 in the second column
+        of a face with one owner (a boundary or a hanging face).
+    of_cell : (n_active, 4) edge id of each local edge, rows in
+        ``active_cells`` order.
+    tag : (n,) object array, the boundary tag of a boundary face, else
+        None.
+    hanging_face, hanging_mid : (k,) edge id of each hanging face, in
+        row order, and the vertex that hangs at its midpoint.
+    hanging_halves : (k, 2) edge ids of the face's two active halves,
+        the one at ``verts[face, 0]`` first.  No hanging midpoint is an
+        endpoint of another hanging face (1-irregularity).
+    """
+
+    verts: np.ndarray
+    owners: np.ndarray
+    of_cell: np.ndarray
+    tag: np.ndarray
+    hanging_face: np.ndarray
+    hanging_mid: np.ndarray
+    hanging_halves: np.ndarray
 
 
 class Mesh:
@@ -44,7 +81,7 @@ class Mesh:
 
     def __init__(self, points, cell_verts, cell_level, cell_parent,
                  cell_children, boundary_tags, edge_midpoint,
-                 sub_edge_parent, slit_pairs=None):
+                 slit_pairs=None):
         self.points = points
         self.cell_verts = cell_verts
         self.cell_level = cell_level
@@ -52,7 +89,6 @@ class Mesh:
         self.cell_children = cell_children
         self.boundary_tags = boundary_tags
         self.edge_midpoint = edge_midpoint
-        self.sub_edge_parent = sub_edge_parent
         self.slit_pairs = list(slit_pairs or [])
         self._caches = {}
 
@@ -74,78 +110,63 @@ class Mesh:
             self._caches["active"] = np.flatnonzero(self.cell_children[:, 0] < 0)
         return self._caches["active"]
 
-    def is_active(self, c):
-        return self.cell_children[c, 0] < 0
-
     def corners(self, cells=None):
         """Corner coordinates, shape (n, 4, 2)."""
         if cells is None:
             cells = self.active_cells
         return self.points[self.cell_verts[cells]]
 
-    def cell_edges(self, c):
-        """The four sorted vertex pairs bounding cell ``c``."""
-        v = self.cell_verts[c]
-        return [_ekey(v[a], v[b]) for a, b in _EDGE_CORNERS]
+    def edges(self):
+        """The ``EdgeTable`` of the active cells, built once per mesh."""
+        if "edges" not in self._caches:
+            self._caches["edges"] = self._edge_table()
+        return self._caches["edges"]
 
-    def active_edge_map(self):
-        """Sorted vertex pair -> list of active cells sharing that edge."""
-        if "edge_map" not in self._caches:
-            emap = {}
-            for c in self.active_cells:
-                for e in self.cell_edges(c):
-                    emap.setdefault(e, []).append(c)
-            self._caches["edge_map"] = emap
-        return self._caches["edge_map"]
+    def _edge_table(self):
+        n = self.n_points
+        active = self.active_cells
+        ends = np.sort(self.cell_verts[active][:, EDGE_CORNERS], axis=2)
+        code = (ends[..., 0] * n + ends[..., 1]).ravel()
+        keys, first, inverse = np.unique(code, return_index=True,
+                                         return_inverse=True)
+        last = code.size - 1 - np.unique(code[::-1], return_index=True)[1]
+        # np.unique sorts by key; rows go in first-appearance order
+        order = np.argsort(first)
+        row = np.empty_like(order)
+        row[order] = np.arange(order.size)
+        first, last = first[order], last[order]
+        cell = np.repeat(active, 4)
+        verts = ends.reshape(-1, 2)[first]
+        owners = np.stack([cell[first], np.where(last > first, cell[last], -1)],
+                          axis=1)
 
-    def hanging_interfaces(self):
-        """(coarse cell, edge, midpoint) triples with a finer active neighbor.
+        def find(a, b):
+            """Row of each sorted pair (a, b), -1 where it is no face."""
+            c = a * n + b
+            i = np.minimum(np.searchsorted(keys, c), keys.size - 1)
+            return np.where(keys[i] == c, row[i], -1)
 
-        The edge belongs to the returned (coarse) active cell; the vertex
-        in the middle hangs from the finer side.
-        """
-        emap = self.active_edge_map()
-        out = []
-        for e, cells in emap.items():
-            if len(cells) != 1:
-                continue
-            m = self.edge_midpoint.get(e)
-            if m is None:
-                continue
-            a, b = e
-            if _ekey(a, m) in emap or _ekey(m, b) in emap:
-                out.append((cells[0], e, m))
-        return out
-
-    def max_hanging_per_face(self):
-        """Largest number of hanging vertices on any active face."""
-
-        emap = self.active_edge_map()
-
-        def interior_count(e):
-            m = self.edge_midpoint.get(e)
-            if m is None:
-                return 0
-            a, b = e
-            s1, s2 = _ekey(a, m), _ekey(m, b)
-            if s1 not in emap and s2 not in emap:
-                return 0
-            return 1 + interior_count(s1) + interior_count(s2)
-
-        worst = 0
-        for e, cells in emap.items():
-            if len(cells) == 1:
-                worst = max(worst, interior_count(e))
-        return worst
+        single = np.flatnonzero(owners[:, 1] < 0)
+        pairs = [tuple(p) for p in verts[single].tolist()]
+        tag = np.full(len(verts), None, dtype=object)
+        tag[single] = [self.boundary_tags.get(p) for p in pairs]
+        mid = np.array([self.edge_midpoint.get(p, -1) for p in pairs],
+                       dtype=np.int64)
+        split = mid >= 0
+        face, mid = single[split], mid[split]
+        a, b = verts[face].T
+        halves = np.stack([find(np.minimum(a, mid), np.maximum(a, mid)),
+                           find(np.minimum(mid, b), np.maximum(mid, b))],
+                          axis=1)
+        hanging = np.all(halves >= 0, axis=1)
+        return EdgeTable(verts, owners, row[inverse].reshape(-1, 4), tag,
+                         face[hanging], mid[hanging], halves[hanging])
 
     def boundary_vertices(self):
-        """Vertex ids lying on tagged boundary faces of active cells."""
-        emap = self.active_edge_map()
-        verts = set()
-        for e in emap:
-            if e in self.boundary_tags:
-                verts.update(e)
-        return verts
+        """Vertex ids lying on tagged boundary faces of active cells,
+        ascending."""
+        t = self.edges()
+        return np.unique(t.verts[np.not_equal(t.tag, None)])
 
     def corner_jacobian_dets(self, cells=None):
         """Bilinear-map Jacobian determinant at the 4 corners, (n, 4).
@@ -170,11 +191,13 @@ class Mesh:
     # refinement
     # ------------------------------------------------------------------
     def refine(self, marks):
-        """Split the marked active cells (plus 1-irregularity closure)."""
-        marks = set(int(c) for c in marks)
-        for c in marks:
-            if not self.is_active(c):
-                raise ValueError(f"cell {c} is not active")
+        """Split the marked active cells (plus 1-irregularity closure).
+
+        Every mark must be the id of an active cell (ValueError)."""
+        marks = np.asarray(marks, dtype=np.int64).ravel()
+        stray = marks[~np.isin(marks, self.active_cells)]
+        if stray.size:
+            raise ValueError(f"cells {stray.tolist()} are not active")
 
         points = [p for p in self.points]
         cell_verts = [tuple(v) for v in self.cell_verts]
@@ -183,28 +206,23 @@ class Mesh:
         cell_children = [tuple(ch) for ch in self.cell_children]
         boundary_tags = dict(self.boundary_tags)
         edge_midpoint = dict(self.edge_midpoint)
-        sub_edge_parent = dict(self.sub_edge_parent)
-
-        emap = self.active_edge_map()
 
         # closure: a cell may only be split if no neighbor across any of its
-        # edges is coarser, so coarser edge owners are pulled in recursively
+        # edges is coarser, so splitting the owner of a hanging face's half
+        # pulls in the face's coarse owner, recursively
+        t = self.edges()
+        coarser = {}
+        coarse = t.owners[t.hanging_face, 0].tolist()
+        for halves in t.hanging_halves.T:
+            for fine, c in zip(t.owners[halves, 0].tolist(), coarse):
+                coarser.setdefault(fine, []).append(c)
         to_split = set()
-        stack = list(marks)
+        stack = marks.tolist()
         while stack:
             c = stack.pop()
-            if c in to_split:
-                continue
-            to_split.add(c)
-            for e in self.cell_edges(c):
-                parent_edge = sub_edge_parent.get(e)
-                if parent_edge is None:
-                    continue
-                owners = emap.get(parent_edge)
-                if owners:
-                    for o in owners:
-                        if o not in to_split:
-                            stack.append(o)
+            if c not in to_split:
+                to_split.add(c)
+                stack.extend(coarser.get(c, ()))
 
         def midpoint(a, b):
             key = _ekey(a, b)
@@ -213,8 +231,6 @@ class Mesh:
                 m = len(points)
                 points.append(0.5 * (points[a] + points[b]))
                 edge_midpoint[key] = m
-                sub_edge_parent[_ekey(a, m)] = key
-                sub_edge_parent[_ekey(m, b)] = key
                 tag = boundary_tags.get(key)
                 if tag is not None:
                     boundary_tags[_ekey(a, m)] = tag
@@ -244,8 +260,7 @@ class Mesh:
                    np.asarray(cell_level, dtype=np.int32),
                    np.asarray(cell_parent, dtype=np.int64),
                    np.asarray(cell_children, dtype=np.int64),
-                   boundary_tags, edge_midpoint, sub_edge_parent,
-                   self.slit_pairs)
+                   boundary_tags, edge_midpoint, self.slit_pairs)
         if self.slit_pairs:
             new.slit_pairs = new._recover_slit_pairs()
         return new
@@ -274,33 +289,34 @@ class Mesh:
     # ------------------------------------------------------------------
     def distort(self, factor, seed):
         """Randomly displace interior vertices by up to ``factor`` of the
-        shortest incident edge per coordinate (PCG64 stream from ``seed``)."""
+        shortest incident edge per coordinate (PCG64 stream from ``seed``).
+
+        A hanging vertex is not free: it follows its face and stays at
+        the midpoint of the face's displaced endpoints."""
         if not 0.0 <= factor < 0.5:
             raise ValueError("factor must lie in [0, 0.5)")
+        t = self.edges()
+        a, b = t.verts.T
+        h = np.linalg.norm(self.points[a] - self.points[b], axis=1)
         h_min = np.full(self.n_points, np.inf)
-        used = np.zeros(self.n_points, dtype=bool)
-        for e in self.active_edge_map():
-            a, b = e
-            h = float(np.linalg.norm(self.points[a] - self.points[b]))
-            h_min[a] = min(h_min[a], h)
-            h_min[b] = min(h_min[b], h)
-            used[a] = used[b] = True
+        np.minimum.at(h_min, a, h)
+        np.minimum.at(h_min, b, h)
 
         rng = np.random.default_rng(seed)
         shift = rng.uniform(-1.0, 1.0, size=(self.n_points, 2))
-        movable = used.copy()
-        for v in self.boundary_vertices():
-            movable[v] = False
-        for a, b in self.slit_pairs:
-            movable[a] = movable[b] = False
+        movable = np.zeros(self.n_points, dtype=bool)
+        movable[t.verts] = True
+        movable[self.boundary_vertices()] = False
+        movable[np.ravel(self.slit_pairs).astype(np.int64)] = False
 
         points = self.points.copy()
         points[movable] += factor * h_min[movable, None] * shift[movable]
+        points[t.hanging_mid] = points[t.verts[t.hanging_face]].mean(axis=1)
 
         new = Mesh(points, self.cell_verts.copy(), self.cell_level.copy(),
                    self.cell_parent.copy(), self.cell_children.copy(),
                    dict(self.boundary_tags), dict(self.edge_midpoint),
-                   dict(self.sub_edge_parent), self.slit_pairs)
+                   self.slit_pairs)
         if factor > 0 and np.any(new.corner_jacobian_dets() <= 0):
             raise DistortionInvertsCell(
                 f"distort(factor={factor}, seed={seed}) inverted a cell")
@@ -310,8 +326,21 @@ class Mesh:
 # ----------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------
+def _tagged(points, cell_verts, tag_of, slit_pairs=None):
+    """Unrefined mesh whose one-owner faces carry the tag
+    ``tag_of(pa, pb)`` of their end coordinates."""
+    n = len(cell_verts)
+    fields = (points, cell_verts, np.zeros(n, dtype=np.int32),
+              -np.ones(n, dtype=np.int64), -np.ones((n, 4), dtype=np.int64))
+    t = Mesh(*fields, {}, {}).edges()
+    tags = {(a, b): tag_of(points[a], points[b])
+            for a, b in t.verts[t.owners[:, 1] < 0].tolist()}
+    return Mesh(*fields, tags, {}, slit_pairs)
+
+
 def _grid(x0, y0, nx, ny, h, hole=None):
-    """Uniform grid mesh; cells whose center falls in ``hole`` are skipped."""
+    """Uniform grid mesh; cells whose center falls in ``hole`` are skipped.
+    Every boundary face is Dirichlet."""
     xs = x0 + h * np.arange(nx + 1)
     ys = y0 + h * np.arange(ny + 1)
     vid = -np.ones((ny + 1, nx + 1), dtype=np.int64)
@@ -332,16 +361,9 @@ def _grid(x0, y0, nx, ny, h, hole=None):
                 quad.append(vid[j + dj, i + di])
             cells.append(tuple(quad))
 
-    points = np.asarray(points, dtype=float)
-    cell_verts = np.asarray(cells, dtype=np.int64)
-    n = len(cells)
-    mesh = Mesh(points, cell_verts,
-                np.zeros(n, dtype=np.int32), -np.ones(n, dtype=np.int64),
-                -np.ones((n, 4), dtype=np.int64), {}, {}, {})
-    for e, owners in mesh.active_edge_map().items():
-        if len(owners) == 1:
-            mesh.boundary_tags[e] = DIRICHLET
-    return mesh
+    return _tagged(np.asarray(points, dtype=float),
+                   np.asarray(cells, dtype=np.int64),
+                   lambda pa, pb: DIRICHLET)
 
 
 def build_unit_square(n_cells_per_side):
@@ -382,20 +404,12 @@ def build_slit():
                     if verts[k] == v:
                         verts[k] = dup
 
-    n = len(cell_verts)
-    out = Mesh(np.asarray(points), np.asarray(cell_verts, dtype=np.int64),
-               np.zeros(n, dtype=np.int32), -np.ones(n, dtype=np.int64),
-               -np.ones((n, 4), dtype=np.int64), {}, {}, {}, pairs)
-    for e, owners in out.active_edge_map().items():
-        if len(owners) != 1:
-            continue
-        (a, b) = e
-        pa, pb = out.points[a], out.points[b]
-        if pa[1] == 0.0 and pb[1] == 0.0 and max(pa[0], pb[0]) <= 0.0:
-            out.boundary_tags[e] = NEUMANN
-        else:
-            out.boundary_tags[e] = DIRICHLET
-    return out
+    def lip_or_outer(pa, pb):
+        on_slit = pa[1] == 0.0 and pb[1] == 0.0 and max(pa[0], pb[0]) <= 0.0
+        return NEUMANN if on_slit else DIRICHLET
+
+    return _tagged(np.asarray(points), np.asarray(cell_verts, dtype=np.int64),
+                   lip_or_outer, pairs)
 
 
 # ----------------------------------------------------------------------

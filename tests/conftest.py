@@ -63,3 +63,47 @@ def refined_mesh(kind, marks):
     for fractions in marks:
         mesh = mesh.refine(marked_cells(mesh, fractions))
     return mesh
+
+
+# corner pairs of a cell's local edges: bottom, right, top, left
+_EDGE_CORNERS = ((0, 1), (1, 3), (2, 3), (0, 2))
+
+
+def reference_edge_map(mesh):
+    """Sorted vertex pair -> active cells sharing that face, in
+    first-appearance order: the dict loop that ``Mesh.edges()``
+    replaced, kept as its reference."""
+    emap = {}
+    for c in mesh.active_cells.tolist():
+        v = mesh.cell_verts[c].tolist()
+        for a, b in _EDGE_CORNERS:
+            emap.setdefault(tuple(sorted((v[a], v[b]))), []).append(c)
+    return emap
+
+
+def reference_hanging(mesh):
+    """(coarse cell, face, midpoint) of every face with a finer active
+    neighbor, in ``reference_edge_map`` order."""
+    emap = reference_edge_map(mesh)
+    out = []
+    for (a, b), cells in emap.items():
+        m = mesh.edge_midpoint.get((a, b))
+        if len(cells) == 1 and m is not None and (
+                tuple(sorted((a, m))) in emap or tuple(sorted((m, b))) in emap):
+            out.append((cells[0], (a, b), m))
+    return out
+
+
+def max_hanging_per_face(mesh):
+    """Largest number of hanging vertices on any active face: the
+    midpoints of the face's split history."""
+
+    def interior(a, b):
+        m = mesh.edge_midpoint.get((a, b))
+        if m is None:
+            return 0
+        return 1 + interior(*sorted((a, m))) + interior(*sorted((m, b)))
+
+    t = mesh.edges()
+    return max((interior(a, b)
+                for a, b in t.verts[t.owners[:, 1] < 0].tolist()), default=0)

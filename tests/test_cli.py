@@ -1,11 +1,17 @@
+import configparser
 import csv
 import dataclasses
+import io
 
+import numpy as np
 import pytest
 
-from goalfem.adaptivity import read_csv
-from goalfem.cli import main, parse_config, serialize_config
+from goalfem.adaptivity import RunConfig, read_csv
+from goalfem.cli import _vtk_callback, main, parse_config
 from goalfem.errors import MalformedCsv
+from goalfem.estimator import EstimatorBreakdown
+from goalfem.fespace import build_space
+from goalfem.mesh import build_slit
 from goalfem.presets import get_preset, preset_names
 
 TINY_INI = """\
@@ -25,6 +31,23 @@ reference_values = 0.03514425375
 je_truth = reference
 label = tiny
 """
+
+
+def serialize_config(config):
+    """RunConfig -> INI text that parse_config reads back."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp["run"] = {}
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(config, f.name)
+        if val is None:
+            continue
+        if isinstance(val, tuple):
+            cp["run"][f.name] = ", ".join(repr(v) for v in val)
+        else:
+            cp["run"][f.name] = str(val)
+    buf = io.StringIO()
+    cp.write(buf)
+    return buf.getvalue()
 
 
 def read_rows(path):
@@ -301,6 +324,28 @@ class TestReportVerb:
             read_csv(path)
         assert main(["report", str(path)]) == 3
         assert "missing columns" in capsys.readouterr().err
+
+
+def test_vtk_point_data_are_vertex_coefficients(tmp_path):
+    # vector Q2 on the slit with hanging faces; a vertex's coefficient is
+    # read through the corner nodes of the cells at it
+    mesh = build_slit().refine([0, 3]).refine([5])
+    space = build_space(mesh, 2, 3)
+    u = space.function(np.random.default_rng(4).normal(size=space.n_dofs))
+    bd = EstimatorBreakdown(0.0, 0.0, 0.0, np.zeros(mesh.n_points),
+                            np.zeros(len(mesh.active_cells)))
+    _vtk_callback(str(tmp_path), "t")(1, mesh, u, bd)
+    lines = (tmp_path / "t_level01.vtk").read_text().splitlines()
+    r = space.degree
+    corner_local = (0, r, r * (r + 1), (r + 1) ** 2 - 1)
+    expected = np.full((3, mesh.n_points), np.nan)
+    for row, c in enumerate(mesh.active_cells):
+        for v, loc in zip(mesh.cell_verts[c], corner_local):
+            expected[:, v] = u.coeffs[space.cell_dofs[row, :, loc]]
+    for comp in range(3):
+        start = lines.index(f"SCALARS u{comp + 1} double 1") + 2
+        assert lines[start:start + mesh.n_points] \
+            == [f"{x:.16g}" for x in expected[comp]]
 
 
 def test_mesh_dump(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from goalfem.goals import PointValue
 from goalfem.mesh import build_slit, build_unit_square
 from goalfem.problems import build_quasilinear
 
-from conftest import marked_cells, mesh_marks, refined_mesh
+from conftest import marked_cells, mesh_marks, reference_hanging, refined_mesh
 
 
 def zero(x, y, side):
@@ -177,20 +178,62 @@ class TestConstraints:
             return float(f.coeffs[f.space.cell_nodes[row]] @ N[:, 0])
 
         mesh = build_unit_square(2).refine([1])
-        emap = mesh.active_edge_map()
+        edges = mesh.edges()
         for degree in (1, 2, 3):
             s = build_space(mesh, degree)
             cons = build_constraints(s)
             f = s.function(cons.apply(rng.normal(size=s.n_dofs)))
-            for coarse, (a, b), m in mesh.hanging_interfaces():
-                pa, pb = mesh.points[a], mesh.points[b]
+            for face, halves in zip(edges.hanging_face, edges.hanging_halves):
+                coarse = edges.owners[face, 0]
+                pa, pb = mesh.points[edges.verts[face]]
                 for t in rng.uniform(0.05, 0.95, size=5):
                     p = pa + t * (pb - pa)
-                    sub = (a, m) if t < 0.5 else (m, b)
-                    key = tuple(sorted(sub))
-                    fine = emap[key][0]
+                    fine = edges.owners[halves[0] if t < 0.5 else halves[1], 0]
                     assert abs(eval_in_cell(f, coarse, p)
                                - eval_in_cell(f, fine, p)) <= 1e-12
+
+
+# digests of (cell_dofs, node_coords, C with its mask and b) from the
+# numbering and constraint loops keyed by sorted vertex pairs, as they
+# were before the mesh's edge table replaced those keys
+PIN_MARKS = [[0.0, 0.5], [0.2, 0.7, 0.95]]
+PINS = {
+    ("cheese", 1): ("56f27d9140212eb4", "adc880a95bfbfa23", "b704ef0a17becf0e"),
+    ("cheese", 2): ("2b207612d63b43de", "22ab53ce10ea6edf", "77bf121326b3ff3e"),
+    ("cheese", 3): ("3ad261494da628ba", "c61e6774da76c4ad", "1f5f8582889a083c"),
+    ("slit", 1): ("6e1f237266e9ef7f", "6d1f52306578ea4b", "caa6690d867e80c4"),
+    ("slit", 2): ("621f576f3fe7e460", "62f9df2d55ef46e9", "e85098734b9ff789"),
+    ("slit", 3): ("e78858c2c89a8410", "30df61b45dd8a7de", "6c7288fb08da6a4e"),
+    ("square", 1): ("fdb8e49615a14442", "f20ab230e7afde68", "36e350a1c219ac74"),
+    ("square", 2): ("9fcd4ad21ac485e8", "cbc495d38b9f3e66", "8db5a00e43a07bb8"),
+    ("square", 3): ("5b84bec6a93a6c96", "254f48d44254c4eb", "e3bf7da6690a5b11"),
+}
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def pin_data(x, y, side):
+    # the side term lives on the slit line only, so the two lips differ
+    return 1.0 + x - 0.5 * y + (0.25 * side * min(x, 0.0) if y == 0.0 else 0.0)
+
+
+@pytest.mark.parametrize("kind, degree", sorted(PINS))
+def test_numbering_and_constraints_pinned(kind, degree):
+    mesh = refined_mesh(kind, PIN_MARKS)
+    assert reference_hanging(mesh)
+    s = build_space(mesh, degree)
+    cons = build_constraints(s, [("dirichlet", 0, pin_data),
+                                 ("neumann", 0, pin_data)])
+    C = cons.matrix
+    assert (digest(s.cell_dofs.astype(np.int64)), digest(s.node_coords),
+            digest(C.indptr.astype(np.int64), C.indices.astype(np.int64),
+                   C.data, cons.constrained, cons.inhomogeneity)) \
+        == PINS[kind, degree]
 
 
 def reference_closure(n_dofs, hanging, fixed):

@@ -82,7 +82,7 @@ class TestOrdering:
             mid = mesh.corners().mean(axis=1)
             mesh = mesh.refine(mesh.active_cells[
                 np.hypot(mid[:, 0], mid[:, 1]) < radius])
-        assert mesh.hanging_interfaces()
+        assert mesh.edges().hanging_face.size
         space = build_space(mesh, 2, 3)
         cons = build_constraints(space, prob.dirichlet)
         return assemble_jacobian(prob, space, cons,

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 
 from goalfem.errors import DistortionInvertsCell
-from goalfem.mesh import (DIRICHLET, NEUMANN, build_cheese, build_slit,
-                          build_unit_square, write_vtk)
+from goalfem.mesh import (DIRICHLET, EDGE_CORNERS, NEUMANN, build_cheese,
+                          build_slit, build_unit_square, write_vtk)
 from goalfem.problems import slit_exact
 
-from conftest import MESHES, marked_cells, mesh_marks
+from conftest import (MESHES, marked_cells, max_hanging_per_face, mesh_marks,
+                      reference_edge_map, reference_hanging, refined_mesh)
 
 
 class TestBuilders:
@@ -81,9 +82,10 @@ class TestSlit:
 
     def test_boundary_tag_partition(self):
         m = build_slit()
-        emap = m.active_edge_map()
-        boundary = [e for e, cells in emap.items() if len(cells) == 1]
+        t = m.edges()
+        boundary = t.verts[t.owners[:, 1] < 0].tolist()
         assert sorted(map(tuple, boundary)) == sorted(map(tuple, m.boundary_tags))
+        assert list(t.tag[t.owners[:, 1] < 0]) == list(m.boundary_tags.values())
         tags = set(m.boundary_tags.values())
         assert tags == {DIRICHLET, NEUMANN}
 
@@ -109,8 +111,8 @@ class TestRefine:
         assert len(m.active_cells) == 7
         # oracle: the split cell shares two faces with unrefined peers,
         # each carrying exactly one hanging midpoint
-        assert len(m.hanging_interfaces()) == 2
-        assert m.max_hanging_per_face() == 1
+        assert len(m.edges().hanging_face) == 2
+        assert max_hanging_per_face(m) == 1
 
     @given(case=mesh_marks)
     @settings(max_examples=40, deadline=None)
@@ -120,7 +122,7 @@ class TestRefine:
         for fractions in marks:
             cells = marked_cells(m, fractions)
             m2 = m.refine(cells)
-            assert m2.max_hanging_per_face() <= 1
+            assert max_hanging_per_face(m2) <= 1
             assert not np.isin(cells, m2.active_cells).any()
             assert len(m2.active_cells) > len(m.active_cells)
             m = m2
@@ -129,6 +131,12 @@ class TestRefine:
         m = build_unit_square(2).refine([0])
         with pytest.raises(ValueError):
             m.refine([0])
+
+    @pytest.mark.parametrize("mark", [-1, 99])
+    def test_marks_must_be_cell_ids(self, mark):
+        # a negative id would index from the end of the cell arrays
+        with pytest.raises(ValueError):
+            build_unit_square(2).refine([mark])
 
     def test_levels_and_parents(self):
         m = build_unit_square(1).refine([0])
@@ -157,6 +165,15 @@ class TestDistort:
         for v in m.boundary_vertices():
             assert np.array_equal(m.points[v], d.points[v])
 
+    def test_hanging_vertices_stay_on_their_faces(self):
+        m = build_unit_square(4).refine([5])
+        d = m.distort(0.3, seed=1)
+        hanging = reference_hanging(d)
+        assert len(hanging) == 4
+        assert not np.array_equal(d.points, m.points)
+        for _, (a, b), v in hanging:
+            assert np.array_equal(d.points[v], 0.5 * (d.points[a] + d.points[b]))
+
     def test_sixteen_by_sixteen_stays_valid(self):
         d = build_unit_square(16).distort(0.2, seed=42)
         assert np.all(d.corner_jacobian_dets() > 0)
@@ -172,6 +189,39 @@ class TestDistort:
             for seed in range(500):
                 m.distort(0.4999, seed=seed)
             pytest.skip("no inverting seed found")
+
+
+class TestEdgeTable:
+    @given(case=mesh_marks)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dict_loop(self, case):
+        mesh = refined_mesh(*case)
+        t = mesh.edges()
+        emap = reference_edge_map(mesh)
+        assert list(map(tuple, t.verts.tolist())) == list(emap)
+        assert [[c for c in row if c >= 0] for row in t.owners.tolist()] \
+            == list(emap.values())
+        ends = np.sort(mesh.cell_verts[mesh.active_cells][:, EDGE_CORNERS],
+                       axis=2)
+        assert np.array_equal(t.verts[t.of_cell], ends)
+        assert [mesh.boundary_tags.get(e) if len(cells) == 1 else None
+                for e, cells in emap.items()] == t.tag.tolist()
+        hanging = reference_hanging(mesh)
+        assert [(int(t.owners[f, 0]), tuple(t.verts[f].tolist()), int(m))
+                for f, m in zip(t.hanging_face, t.hanging_mid)] == hanging
+        for (_, (a, b), m), halves in zip(hanging, t.hanging_halves):
+            assert t.verts[halves].tolist() == [sorted((a, m)), sorted((m, b))]
+
+    @given(case=mesh_marks)
+    @settings(max_examples=40, deadline=None)
+    def test_hanging_midpoints_are_not_face_endpoints(self, case):
+        # fold_hanging folds every face in one pass because of this
+        t = refined_mesh(*case).edges()
+        assert not np.isin(t.hanging_mid, t.verts[t.hanging_face]).any()
+
+    def test_cached_per_mesh(self):
+        m = build_unit_square(2).refine([0])
+        assert m.edges() is m.edges()
 
 
 def test_vtk_dump(tmp_path):

@@ -193,13 +193,12 @@ def interp_exact_nodal(mesh, space):
         for v in mesh.cell_verts[c]:
             if mesh.points[v][1] == 0.0 and centroids[row][1] < 0.0:
                 side[v] = -1.0
+    nodes = space.vertex_node
+    se = slit_exact(*space.node_coords[nodes].T, side)
     vals = np.zeros(space.n_dofs)
-    for v, nid in space.vertex_node.items():
-        x, y = space.node_coords[nid]
-        se = float(slit_exact(x, y, side[v]))
-        vals[space.dof(0, nid)] = se
-        vals[space.dof(1, nid)] = 1.0 - se
-        vals[space.dof(2, nid)] = se
+    vals[space.dof(0, nodes)] = se
+    vals[space.dof(1, nodes)] = 1.0 - se
+    vals[space.dof(2, nodes)] = se
     return vals
 
 
