@@ -52,14 +52,12 @@ class LineSearchExhausted(GoalFemError):
     """No damping factor satisfied the residual-decrease acceptance rule."""
 
 
-class MaxIterations(GoalFemError):
-    """Newton iteration cap (100) hit before reaching the tolerance."""
-
-
 class IterationCap(GoalFemError):
-    """Adaptive Newton cap hit with the iteration/discretization balance unmet."""
+    """Newton iteration cap (100) hit before its stopping rule held,
+    the tolerance or the iteration/discretization balance; carries the
+    solve's ``NewtonStats``."""
 
-    def __init__(self, message, stats=None):
+    def __init__(self, message, stats):
         super().__init__(message)
         self.stats = stats
 

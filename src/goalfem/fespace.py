@@ -150,7 +150,6 @@ class FeSpace:
         r = self.degree
         mesh = self.mesh
         active = mesh.active_cells
-        self.active = active
         nb = (r + 1) ** 2
         cell_nodes = np.empty((len(active), nb), dtype=np.int64)
         edges = mesh.edges()
@@ -363,8 +362,13 @@ def build_constraints(space, dirichlet=()):
     """Hanging-node + Dirichlet constraints for a space.
 
     ``dirichlet`` is a list of (boundary_tag, component, g) with
-    ``g(x, y, side)``; ``side`` is +-1 on horizontal slit lips (sign of
-    the owning cell's offset) and 0 elsewhere.
+    ``g(x, y, side)``.  On every face whose tag the list names, ``side``
+    is the sign of the owning cell's centroid y minus the node's y, and 0
+    where the two are level.  So it is nonzero at the nodes of vertical
+    faces too: the slit mouth (-1, 0) and its copy lie on vertical outer
+    faces only, and take the traces of their own sides through it.  A
+    DOF that two faces give different values raises
+    ``ConflictingConstraints``.
     """
     r = space.degree
     mesh = space.mesh
@@ -462,12 +466,13 @@ def transfer_to_refined(source, target_space, constraints=None):
     if source.space.n_components != target_space.n_components:
         raise MeshMismatch("component counts differ")
 
+    src_active = src_mesh.active_cells
     src_row = np.full(tgt_mesh.n_cells, -1)
-    src_row[source.space.active] = np.arange(len(source.space.active))
+    src_row[src_active] = np.arange(len(src_active))
     # climb every target cell to its source-active ancestor; row r of
     # ``chains`` lists the child slots climbed from target row r, padded
     # with -1 once the ancestor is reached
-    cells = np.array(target_space.active)
+    cells = tgt_mesh.active_cells.copy()
     chains = []
     while np.any(pending := src_row[cells] < 0):
         up = cells[pending]

@@ -7,10 +7,13 @@ children through the straight-edge midpoints, so hanging vertices always
 sit at the geometric midpoint of the coarse face.  Meshes are immutable:
 ``refine`` and ``distort`` return new objects.
 
-The faces of the active cells are one array table, ``Mesh.edges()``
-(an ``EdgeTable``), cached per mesh: every consumer indexes it by edge
-id.  Sorted vertex pairs key only the refinement history
-(``edge_midpoint``, ``boundary_tags``) and stay inside this module.
+A mesh is five arrays: the vertex coordinates and, per cell, its
+corners, parent, children and boundary tags.  The refinement history is
+those cell arrays: a split edge's midpoint is a corner of the split
+cell's children, and a child inherits its parent's tags on the edges
+they share.  The faces of the active cells are one array table,
+``Mesh.edges()`` (an ``EdgeTable``), cached per mesh: every consumer
+indexes it by edge id.
 """
 
 from __future__ import annotations
@@ -21,15 +24,29 @@ import numpy as np
 
 from .errors import DistortionInvertsCell
 
-# local corner pairs of the four cell edges: bottom, right, top, left
+# local corner pairs of the four cell edges: bottom, right, top, left.
+# Child j of a split cell sits at its parent's corner j, and the child's
+# corner k lies halfway to the parent's corner k: the midpoint of edge
+# (a, b) is corner b of child a, and child j lies on the edges that
+# contain j.
 EDGE_CORNERS = ((0, 1), (1, 3), (2, 3), (0, 2))
+_ON_PARENT_EDGE = np.array([[j in ab for ab in EDGE_CORNERS]
+                            for j in range(4)])
+# corners of the four children, as indices into (v0, v1, v2, v3,
+# bottom, right, top and left midpoints, centre)
+_CHILD_CORNERS = np.array([[0, 4, 7, 8], [4, 1, 8, 5],
+                           [7, 8, 2, 6], [8, 5, 6, 3]])
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
 
-def _ekey(a, b):
-    return (a, b) if a < b else (b, a)
+def _lookup(keys, values, query):
+    """``values`` at the position of each query in the sorted unique
+    ``keys``, -1 where the query is absent."""
+    i = np.searchsorted(keys, query)
+    found = np.append(keys, -1)[i] == query
+    return np.where(found, np.append(values, -1)[i], -1)
 
 
 @dataclass(frozen=True)
@@ -69,27 +86,23 @@ class Mesh:
     ----------
     points : (n_points, 2) float array of vertex coordinates.
     cell_verts : (n_cells, 4) int array, corner ids in tensor order.
-    cell_level, cell_parent : per-cell refinement metadata.
+    cell_parent : (n_cells,) int array, -1 for base cells.
     cell_children : (n_cells, 4) int array, -1 rows for leaf cells.
-    boundary_tags : dict mapping sorted vertex pairs of boundary faces to
-        a tag string (``dirichlet``/``neumann``); children faces inherit.
-    edge_midpoint : sorted pair -> midpoint vertex id, for every edge that
-        has ever been split.
-    slit_pairs : list of (upper, lower) duplicated vertex ids along an
-        interior slit; coordinates coincide, topology does not.
+    edge_tag : (n_cells, 4) object array, the boundary tag
+        (``dirichlet``/``neumann``) of each local edge in ``EDGE_CORNERS``
+        order, None on interior edges.
+
+    Refinement only appends: a split cell keeps its row and gains four
+    children, so these arrays are the whole refinement history.
     """
 
-    def __init__(self, points, cell_verts, cell_level, cell_parent,
-                 cell_children, boundary_tags, edge_midpoint,
-                 slit_pairs=None):
+    def __init__(self, points, cell_verts, cell_parent, cell_children,
+                 edge_tag):
         self.points = points
         self.cell_verts = cell_verts
-        self.cell_level = cell_level
         self.cell_parent = cell_parent
         self.cell_children = cell_children
-        self.boundary_tags = boundary_tags
-        self.edge_midpoint = edge_midpoint
-        self.slit_pairs = list(slit_pairs or [])
+        self.edge_tag = edge_tag
         self._caches = {}
 
     # ------------------------------------------------------------------
@@ -124,9 +137,15 @@ class Mesh:
 
     def _edge_table(self):
         n = self.n_points
+
+        def edge_codes(cells):
+            """Sorted end pairs (len(cells), 4, 2) of the cells' local
+            edges, and their codes lo * n + hi, flattened."""
+            ends = np.sort(self.cell_verts[cells][:, EDGE_CORNERS], axis=2)
+            return ends, (ends[..., 0] * n + ends[..., 1]).ravel()
+
         active = self.active_cells
-        ends = np.sort(self.cell_verts[active][:, EDGE_CORNERS], axis=2)
-        code = (ends[..., 0] * n + ends[..., 1]).ravel()
+        ends, code = edge_codes(active)
         keys, first, inverse = np.unique(code, return_index=True,
                                          return_inverse=True)
         last = code.size - 1 - np.unique(code[::-1], return_index=True)[1]
@@ -140,24 +159,23 @@ class Mesh:
         owners = np.stack([cell[first], np.where(last > first, cell[last], -1)],
                           axis=1)
 
-        def find(a, b):
-            """Row of each sorted pair (a, b), -1 where it is no face."""
-            c = a * n + b
-            i = np.minimum(np.searchsorted(keys, c), keys.size - 1)
-            return np.where(keys[i] == c, row[i], -1)
-
         single = np.flatnonzero(owners[:, 1] < 0)
-        pairs = [tuple(p) for p in verts[single].tolist()]
         tag = np.full(len(verts), None, dtype=object)
-        tag[single] = [self.boundary_tags.get(p) for p in pairs]
-        mid = np.array([self.edge_midpoint.get(p, -1) for p in pairs],
-                       dtype=np.int64)
-        split = mid >= 0
-        face, mid = single[split], mid[split]
+        tag[single] = self.edge_tag[active].ravel()[first[single]]
+        # a one-owner face was split iff it is an edge of a split cell;
+        # the midpoint of edge (a, b) is corner b of child a
+        split = np.flatnonzero(self.cell_children[:, 0] >= 0)
+        split_code, at = np.unique(edge_codes(split)[1], return_index=True)
+        child, corner = np.array(EDGE_CORNERS).T
+        split_mid = self.cell_verts[self.cell_children[split][:, child],
+                                    corner].ravel()
+        mid = _lookup(split_code, split_mid[at], code[first[single]])
+        face, mid = single[mid >= 0], mid[mid >= 0]
         a, b = verts[face].T
-        halves = np.stack([find(np.minimum(a, mid), np.maximum(a, mid)),
-                           find(np.minimum(mid, b), np.maximum(mid, b))],
-                          axis=1)
+        halves = np.stack(
+            [_lookup(keys, row, np.minimum(a, mid) * n + np.maximum(a, mid)),
+             _lookup(keys, row, np.minimum(mid, b) * n + np.maximum(mid, b))],
+            axis=1)
         hanging = np.all(halves >= 0, axis=1)
         return EdgeTable(verts, owners, row[inverse].reshape(-1, 4), tag,
                          face[hanging], mid[hanging], halves[hanging])
@@ -199,90 +217,61 @@ class Mesh:
         if stray.size:
             raise ValueError(f"cells {stray.tolist()} are not active")
 
-        points = [p for p in self.points]
-        cell_verts = [tuple(v) for v in self.cell_verts]
-        cell_level = list(self.cell_level)
-        cell_parent = list(self.cell_parent)
-        cell_children = [tuple(ch) for ch in self.cell_children]
-        boundary_tags = dict(self.boundary_tags)
-        edge_midpoint = dict(self.edge_midpoint)
-
         # closure: a cell may only be split if no neighbor across any of its
         # edges is coarser, so splitting the owner of a hanging face's half
-        # pulls in the face's coarse owner, recursively
+        # pulls in the face's coarse owner, up to a fixed point
         t = self.edges()
-        coarser = {}
-        coarse = t.owners[t.hanging_face, 0].tolist()
-        for halves in t.hanging_halves.T:
-            for fine, c in zip(t.owners[halves, 0].tolist(), coarse):
-                coarser.setdefault(fine, []).append(c)
-        to_split = set()
-        stack = marks.tolist()
-        while stack:
-            c = stack.pop()
-            if c not in to_split:
-                to_split.add(c)
-                stack.extend(coarser.get(c, ()))
+        coarse = t.owners[t.hanging_face, 0]
+        fine = t.owners[t.hanging_halves, 0]
+        split = np.unique(marks)
+        while True:
+            grown = np.union1d(split, coarse[np.isin(fine, split).any(axis=1)])
+            if grown.size == split.size:
+                break
+            split = grown
 
-        def midpoint(a, b):
-            key = _ekey(a, b)
-            m = edge_midpoint.get(key)
-            if m is None:
-                m = len(points)
-                points.append(0.5 * (points[a] + points[b]))
-                edge_midpoint[key] = m
-                tag = boundary_tags.get(key)
-                if tag is not None:
-                    boundary_tags[_ekey(a, m)] = tag
-                    boundary_tags[_ekey(m, b)] = tag
-            return m
+        # new vertices, numbered cell by cell in ascending order: the
+        # cell's bottom, right, top and left midpoints that do not exist
+        # yet, then its centre.  A hanging face keeps its midpoint, and
+        # an edge of two split cells gets its vertex from the first.
+        s = split.size
+        edge = t.of_cell[np.searchsorted(self.active_cells, split)]
+        mid = np.full(len(t.verts), -1)
+        mid[t.hanging_face] = t.hanging_mid
+        first = np.zeros(edge.size, dtype=bool)
+        first[np.unique(edge, return_index=True)[1]] = True
+        fresh = np.ones((s, 5), dtype=bool)
+        fresh[:, :4] = first.reshape(s, 4) & (mid[edge] < 0)
+        ids = self.n_points - 1 + np.cumsum(fresh).reshape(s, 5)
+        mid[edge[fresh[:, :4]]] = ids[:, :4][fresh[:, :4]]
 
-        for c in sorted(to_split):
-            v0, v1, v2, v3 = cell_verts[c]
-            mb = midpoint(v0, v1)
-            mr = midpoint(v1, v3)
-            mt = midpoint(v2, v3)
-            ml = midpoint(v0, v2)
-            mc = len(points)
-            points.append(0.25 * (points[v0] + points[v1] + points[v2] + points[v3]))
-            kids = []
-            lvl = cell_level[c] + 1
-            for verts in ((v0, mb, ml, mc), (mb, v1, mc, mr),
-                          (ml, mc, v2, mt), (mc, mr, mt, v3)):
-                kids.append(len(cell_verts))
-                cell_verts.append(verts)
-                cell_level.append(lvl)
-                cell_parent.append(c)
-                cell_children.append((-1, -1, -1, -1))
-            cell_children[c] = tuple(kids)
-
-        new = Mesh(np.asarray(points), np.asarray(cell_verts, dtype=np.int64),
-                   np.asarray(cell_level, dtype=np.int32),
-                   np.asarray(cell_parent, dtype=np.int64),
-                   np.asarray(cell_children, dtype=np.int64),
-                   boundary_tags, edge_midpoint, self.slit_pairs)
-        if self.slit_pairs:
-            new.slit_pairs = new._recover_slit_pairs()
-        return new
+        ends = self.points[t.verts[edge]]
+        corner = self.points[self.cell_verts[split]]
+        centre = 0.25 * (corner[:, 0] + corner[:, 1] + corner[:, 2]
+                         + corner[:, 3])
+        new_points = np.concatenate([0.5 * (ends[:, :, 0] + ends[:, :, 1]),
+                                     centre[:, None]], axis=1)[fresh]
+        nine = np.concatenate([self.cell_verts[split], mid[edge], ids[:, 4:]],
+                              axis=1)
+        kids = self.n_cells + np.arange(4 * s).reshape(s, 4)
+        cell_children = np.concatenate([self.cell_children,
+                                        np.full((4 * s, 4), -1)])
+        cell_children[split] = kids
+        kid_tag = np.where(_ON_PARENT_EDGE, self.edge_tag[split][:, None, :],
+                           None)
+        return Mesh(
+            np.concatenate([self.points, new_points]),
+            np.concatenate([self.cell_verts,
+                            nine[:, _CHILD_CORNERS].reshape(-1, 4)]),
+            np.concatenate([self.cell_parent, np.repeat(split, 4)]),
+            cell_children,
+            np.concatenate([self.edge_tag, kid_tag.reshape(-1, 4)]))
 
     def refine_uniform(self, times=1):
         m = self
         for _ in range(times):
             m = m.refine(m.active_cells)
         return m
-
-    def _recover_slit_pairs(self):
-        """Duplicated-vertex pairs, matched by exact coordinates."""
-        groups = {}
-        for vid in range(self.n_points):
-            groups.setdefault(self.points[vid].tobytes(), []).append(vid)
-        pairs = []
-        for ids in groups.values():
-            if len(ids) == 2:
-                pairs.append((ids[0], ids[1]))
-            elif len(ids) > 2:
-                raise AssertionError("more than two coincident vertices")
-        return pairs
 
     # ------------------------------------------------------------------
     # distortion
@@ -291,8 +280,9 @@ class Mesh:
         """Randomly displace interior vertices by up to ``factor`` of the
         shortest incident edge per coordinate (PCG64 stream from ``seed``).
 
-        A hanging vertex is not free: it follows its face and stays at
-        the midpoint of the face's displaced endpoints."""
+        Vertices on tagged faces stay, the slit's lips included.  A
+        hanging vertex is not free: it follows its face and stays at the
+        midpoint of the face's displaced endpoints."""
         if not 0.0 <= factor < 0.5:
             raise ValueError("factor must lie in [0, 0.5)")
         t = self.edges()
@@ -307,16 +297,13 @@ class Mesh:
         movable = np.zeros(self.n_points, dtype=bool)
         movable[t.verts] = True
         movable[self.boundary_vertices()] = False
-        movable[np.ravel(self.slit_pairs).astype(np.int64)] = False
 
         points = self.points.copy()
         points[movable] += factor * h_min[movable, None] * shift[movable]
         points[t.hanging_mid] = points[t.verts[t.hanging_face]].mean(axis=1)
 
-        new = Mesh(points, self.cell_verts.copy(), self.cell_level.copy(),
-                   self.cell_parent.copy(), self.cell_children.copy(),
-                   dict(self.boundary_tags), dict(self.edge_midpoint),
-                   self.slit_pairs)
+        new = Mesh(points, self.cell_verts, self.cell_parent,
+                   self.cell_children, self.edge_tag)
         if factor > 0 and np.any(new.corner_jacobian_dets() <= 0):
             raise DistortionInvertsCell(
                 f"distort(factor={factor}, seed={seed}) inverted a cell")
@@ -326,16 +313,18 @@ class Mesh:
 # ----------------------------------------------------------------------
 # constructors
 # ----------------------------------------------------------------------
-def _tagged(points, cell_verts, tag_of, slit_pairs=None):
+def _tagged(points, cell_verts, tag_of):
     """Unrefined mesh whose one-owner faces carry the tag
     ``tag_of(pa, pb)`` of their end coordinates."""
     n = len(cell_verts)
-    fields = (points, cell_verts, np.zeros(n, dtype=np.int32),
-              -np.ones(n, dtype=np.int64), -np.ones((n, 4), dtype=np.int64))
-    t = Mesh(*fields, {}, {}).edges()
-    tags = {(a, b): tag_of(points[a], points[b])
-            for a, b in t.verts[t.owners[:, 1] < 0].tolist()}
-    return Mesh(*fields, tags, {}, slit_pairs)
+    fields = (points, cell_verts, -np.ones(n, dtype=np.int64),
+              -np.ones((n, 4), dtype=np.int64))
+    t = Mesh(*fields, np.full((n, 4), None, dtype=object)).edges()
+    single = np.flatnonzero(t.owners[:, 1] < 0)
+    tag = np.full(len(t.verts), None, dtype=object)
+    tag[single] = [tag_of(points[a], points[b])
+                   for a, b in t.verts[single].tolist()]
+    return Mesh(*fields, tag[t.of_cell])
 
 
 def _grid(x0, y0, nx, ny, h, hole=None):
@@ -392,11 +381,9 @@ def build_slit():
 
     on_slit = [v for v in range(len(points))
                if points[v][1] == 0.0 and -1.0 <= points[v][0] < 0.0]
-    pairs = []
     for v in sorted(on_slit):
         dup = len(points)
         points.append(points[v].copy())
-        pairs.append((v, dup))
         for c, verts in enumerate(cell_verts):
             cy = np.mean([points[q][1] for q in mesh.cell_verts[c]])
             if cy < 0.0:
@@ -409,7 +396,7 @@ def build_slit():
         return NEUMANN if on_slit else DIRICHLET
 
     return _tagged(np.asarray(points), np.asarray(cell_verts, dtype=np.int64),
-                   lip_or_outer, pairs)
+                   lip_or_outer)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import assemble_jacobian, assemble_residual, on_ray
-from .errors import IterationCap, LineSearchExhausted, MaxIterations
+from .errors import IterationCap, LineSearchExhausted
 from .linalg import factorize, max_norm
 
 ITERATION_CAP = 100
@@ -42,26 +42,25 @@ REBUILD_RATIO = 0.85
 L_MAX = 200          # damping trials per line search
 
 
-def acceptance_factor(L, l_max=L_MAX):
-    """Required residual contraction c(L, L_max) for damping gamma^L."""
+def acceptance_factor(L):
+    """Required residual contraction c(L, L_MAX) for damping gamma^L."""
     if L == 0:
         return 0.8
     if L == 1:
         return 0.888
-    return 0.888 + 0.112 * np.sqrt((L + 1) / l_max)
+    return 0.888 + 0.112 * np.sqrt((L + 1) / L_MAX)
 
 
 @dataclass
 class NewtonStats:
+    """What one Newton solve did; ``eta_m`` stays empty under the
+    tolerance stop of ``newton_solve``."""
+
     iterations: int = 0
     residual_norms: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
     rebuilds: list = field(default_factory=list)
     termination: str = ""
-
-
-@dataclass
-class AdaptiveNewtonStats(NewtonStats):
     eta_m: list = field(default_factory=list)
 
 
@@ -84,7 +83,7 @@ def line_search(problem, space, constraints, u, delta, gamma, *, res_norm):
         u_try = on_ray(u, delta, alpha)
         res = assemble_residual(problem, space, constraints, u_try)
         norm = max_norm(res)
-        if norm < acceptance_factor(L, L_MAX) * res_norm:
+        if norm < acceptance_factor(L) * res_norm:
             return alpha, L, space.function(u_try.coeffs), res, norm
     raise LineSearchExhausted(
         f"no damping in {L_MAX} tries from |A| = {res_norm:.3e}")
@@ -112,8 +111,8 @@ def newton_solve(problem, space, constraints, u0, rtol, log=None):
         if not norm > tol:
             return "tolerance"
         if stats.iterations >= ITERATION_CAP:
-            raise MaxIterations(f"|A| = {norm:.3e} > {tol:.3e} "
-                                f"after {ITERATION_CAP} iterations")
+            raise IterationCap(f"|A| = {norm:.3e} > {tol:.3e} "
+                               f"after {ITERATION_CAP} iterations", stats)
         return None
 
     u = _newton(problem, space, constraints,
@@ -135,7 +134,7 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
 
     Returns (u, z, stats).
     """
-    stats = AdaptiveNewtonStats()
+    stats = NewtonStats()
     target = 1e-2 * eta_prev
     u = space.function(constraints.apply(u0.coeffs))
     z = None

@@ -416,7 +416,7 @@ class TestLargeMesh:
         problem = build_quasilinear() if n_comp == 3 else build_plaplace(
             PLaplaceParams(4.0, 0.5, rhs=lambda x, y: np.sin(3.0 * x + y)))
         space = build_space(large_mesh, 1, n_comp)
-        assert len(space.active) > 4096
+        assert len(space.mesh.active_cells) > 4096
         rule = gauss(3)
         u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
         none = ConstraintSet(space.n_dofs)

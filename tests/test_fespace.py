@@ -28,9 +28,9 @@ def cell_loop_transfer(source, target_space):
     to its source-active ancestor one parent at a time."""
     src_mesh, tgt_mesh = source.space.mesh, target_space.mesh
     src_loc = source.space.local_coeffs(source.coeffs)
-    src_row = {int(c): i for i, c in enumerate(source.space.active)}
+    src_row = {int(c): i for i, c in enumerate(source.space.mesh.active_cells)}
     out = np.zeros(target_space.n_dofs)
-    for row, c in enumerate(target_space.active):
+    for row, c in enumerate(target_space.mesh.active_cells):
         chain, cc = [], int(c)
         while cc not in src_row:
             parent = int(tgt_mesh.cell_parent[cc])
@@ -90,7 +90,7 @@ class TestDofCounts:
 
     def test_cell_dofs_block_layout(self):
         s = build_space(build_unit_square(2).refine([1]), 2, n_components=3)
-        assert s.cell_dofs.shape == (len(s.active), 3, 9)
+        assert s.cell_dofs.shape == (len(s.mesh.active_cells), 3, 9)
         for comp in range(3):
             assert np.array_equal(s.cell_dofs[:, comp, :],
                                   s.dof(comp, s.cell_nodes))
@@ -171,7 +171,7 @@ class TestConstraints:
         from goalfem.fespace import _invert_bilinear, tensor_basis
 
         def eval_in_cell(f, cell, p):
-            row = int(np.searchsorted(f.space.active, cell))
+            row = int(np.searchsorted(f.space.mesh.active_cells, cell))
             ref = _invert_bilinear(f.space.mesh.corners()[row], p)
             assert ref is not None
             N, _ = tensor_basis(f.space.degree, ref[None, :])

@@ -7,8 +7,9 @@ from goalfem.mesh import (DIRICHLET, EDGE_CORNERS, NEUMANN, build_cheese,
                           build_slit, build_unit_square, write_vtk)
 from goalfem.problems import slit_exact
 
-from conftest import (MESHES, marked_cells, max_hanging_per_face, mesh_marks,
-                      reference_edge_map, reference_hanging, refined_mesh)
+from conftest import (MESHES, ReferenceMesh, marked_cells,
+                      max_hanging_per_face, mesh_marks, reference_edge_map,
+                      reference_hanging, refined_mesh, refined_reference)
 
 
 class TestBuilders:
@@ -22,8 +23,9 @@ class TestBuilders:
 
     def test_all_dirichlet(self):
         m = build_unit_square(3)
-        assert set(m.boundary_tags.values()) == {DIRICHLET}
-        assert len(m.boundary_tags) == 12
+        tags = m.edge_tag[np.not_equal(m.edge_tag, None)]
+        assert set(tags) == {DIRICHLET}
+        assert len(tags) == 12
 
     def test_cheese_cell_count(self):
         # oracle: enumerate the unit cells of [0,3]^2 whose center is
@@ -81,20 +83,30 @@ class TestSlit:
         assert slit_exact(0.0, 0.0, +1.0) == 0.0 == slit_exact(0.0, 0.0, -1.0)
 
     def test_boundary_tag_partition(self):
+        # every one-owner face is tagged, with its owner's entry, and no
+        # face of two owners is
         m = build_slit()
         t = m.edges()
-        boundary = t.verts[t.owners[:, 1] < 0].tolist()
-        assert sorted(map(tuple, boundary)) == sorted(map(tuple, m.boundary_tags))
-        assert list(t.tag[t.owners[:, 1] < 0]) == list(m.boundary_tags.values())
-        tags = set(m.boundary_tags.values())
-        assert tags == {DIRICHLET, NEUMANN}
+        single = t.owners[:, 1] < 0
+        assert np.array_equal(np.not_equal(t.tag, None), single)
+        assert np.array_equal(np.not_equal(m.edge_tag, None), single[t.of_cell])
+        assert t.tag[t.of_cell].tolist() == m.edge_tag.tolist()
+        assert set(t.tag[single]) == {DIRICHLET, NEUMANN}
 
     def test_neumann_only_on_lips(self):
         m = build_slit().refine_uniform(1)
-        for (a, b), tag in m.boundary_tags.items():
-            pa, pb = m.points[a], m.points[b]
-            on_slit = pa[1] == 0.0 and pb[1] == 0.0 and max(pa[0], pb[0]) <= 0.0
-            assert (tag == NEUMANN) == on_slit
+        tagged = 0
+        for v, tags in zip(m.cell_verts.tolist(), m.edge_tag.tolist()):
+            for (a, b), tag in zip(EDGE_CORNERS, tags):
+                if tag is None:
+                    continue
+                tagged += 1
+                pa, pb = m.points[v[a]], m.points[v[b]]
+                on_slit = (pa[1] == 0.0 and pb[1] == 0.0
+                           and max(pa[0], pb[0]) <= 0.0)
+                assert (tag == NEUMANN) == on_slit
+        # the base cells' 10 faces and their children's 20 halves
+        assert tagged == 30
 
 
 class TestRefine:
@@ -127,6 +139,15 @@ class TestRefine:
             assert len(m2.active_cells) > len(m.active_cells)
             m = m2
 
+    def test_closure_cascades(self):
+        # after [0] and then its child 7, cell 7's top-right child sits
+        # next to children of cells 1 and 2, and those next to cell 3:
+        # the closure takes two rounds to reach it
+        m = build_unit_square(2).refine([0]).refine([7])
+        m2 = m.refine([m.cell_children[7, 3]])
+        assert 3 not in m2.active_cells
+        assert max_hanging_per_face(m2) <= 1
+
     def test_marks_must_be_active(self):
         m = build_unit_square(2).refine([0])
         with pytest.raises(ValueError):
@@ -139,10 +160,33 @@ class TestRefine:
             build_unit_square(2).refine([mark])
 
     def test_levels_and_parents(self):
+        # the children are one level down: their parent is a base cell
         m = build_unit_square(1).refine([0])
         kids = m.cell_children[0]
-        assert np.all(m.cell_level[kids] == 1)
+        assert np.array_equal(kids, [1, 2, 3, 4])
         assert np.all(m.cell_parent[kids] == 0)
+        assert m.cell_parent[0] == -1
+        assert np.all(m.cell_children[kids] == -1)
+
+    @given(case=mesh_marks)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dict_reference(self, case):
+        # the cell arrays of every round equal the dict loop's bitwise,
+        # and each local edge carries the tag of its vertex pair
+        kind, marks = case
+        mesh = MESHES[kind]()
+        ref = ReferenceMesh.of(mesh)
+        for fractions in marks:
+            cells = marked_cells(mesh, fractions)
+            mesh, ref = mesh.refine(cells), ref.refine(cells)
+            for name in ("points", "cell_verts", "cell_parent",
+                         "cell_children"):
+                a, b = getattr(mesh, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            ends = np.sort(mesh.cell_verts[:, EDGE_CORNERS], axis=2)
+            assert mesh.edge_tag.tolist() == [
+                [ref.boundary_tags.get(tuple(e)) for e in cell]
+                for cell in ends.tolist()]
 
 
 class TestDistort:
@@ -164,6 +208,20 @@ class TestDistort:
         d = m.distort(0.3, seed=1)
         for v in m.boundary_vertices():
             assert np.array_equal(m.points[v], d.points[v])
+
+    def test_slit_lips_stay(self):
+        # the lips are tagged faces, so their vertices, copies, mouth and
+        # tip included, are boundary vertices
+        m = build_slit().refine_uniform(1)
+        m = m.refine(m.active_cells[np.any(m.edge_tag[m.active_cells]
+                                           == NEUMANN, axis=1)])
+        d = m.distort(0.3, seed=1)
+        x, y = m.points.T
+        lips = (y == 0.0) & (x <= 0.0)
+        # four points on each lip and the tip
+        assert np.count_nonzero(lips) == 9
+        assert np.array_equal(d.points[lips], m.points[lips])
+        assert not np.array_equal(d.points, m.points)
 
     def test_hanging_vertices_stay_on_their_faces(self):
         m = build_unit_square(4).refine([5])
@@ -196,6 +254,7 @@ class TestEdgeTable:
     @settings(max_examples=40, deadline=None)
     def test_matches_dict_loop(self, case):
         mesh = refined_mesh(*case)
+        ref = refined_reference(*case)
         t = mesh.edges()
         emap = reference_edge_map(mesh)
         assert list(map(tuple, t.verts.tolist())) == list(emap)
@@ -204,9 +263,9 @@ class TestEdgeTable:
         ends = np.sort(mesh.cell_verts[mesh.active_cells][:, EDGE_CORNERS],
                        axis=2)
         assert np.array_equal(t.verts[t.of_cell], ends)
-        assert [mesh.boundary_tags.get(e) if len(cells) == 1 else None
+        assert [ref.boundary_tags.get(e) if len(cells) == 1 else None
                 for e, cells in emap.items()] == t.tag.tolist()
-        hanging = reference_hanging(mesh)
+        hanging = reference_hanging(mesh, ref.edge_midpoint)
         assert [(int(t.owners[f, 0]), tuple(t.verts[f].tolist()), int(m))
                 for f, m in zip(t.hanging_face, t.hanging_mid)] == hanging
         for (_, (a, b), m), halves in zip(hanging, t.hanging_halves):

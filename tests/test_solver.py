@@ -5,7 +5,7 @@ import pytest
 
 import goalfem.solver as sv
 from goalfem.assembly import assemble_residual
-from goalfem.errors import IterationCap, LineSearchExhausted, MaxIterations
+from goalfem.errors import IterationCap, LineSearchExhausted
 from goalfem.estimator import make_initial_guess
 from goalfem.fespace import build_constraints, build_space
 from goalfem.goals import RegionIntegral
@@ -27,12 +27,13 @@ class TestAcceptanceSchedule:
     def test_pinned_values(self):
         assert acceptance_factor(0) == 0.8
         assert acceptance_factor(1) == 0.888
-        assert acceptance_factor(5, 200) == pytest.approx(
+        assert sv.L_MAX == 200
+        assert acceptance_factor(5) == pytest.approx(
             0.888 + 0.112 * np.sqrt(6 / 200))
 
     def test_below_one_until_cap(self):
-        for L in range(199):
-            assert acceptance_factor(L, 200) < 1.0
+        for L in range(sv.L_MAX - 1):
+            assert acceptance_factor(L) < 1.0
 
 
 class TestNestedTolerance:
@@ -278,14 +279,21 @@ class TestSharedNewtonLoop:
         assert stats.termination == "tolerance"
         assert max_norm(assemble_residual(problem, space, cons, u)) <= tol
 
-    def test_newton_cap_raises_max_iterations(self, monkeypatch):
+    def test_newton_cap_raises_iteration_cap(self, monkeypatch):
+        # the tolerance stop hits the same cap, with the same error and
+        # stats type as the balanced stop
         monkeypatch.setattr(sv, "ITERATION_CAP", 2)
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = make_initial_guess(space, cons)
-        with pytest.raises(MaxIterations):
+        with pytest.raises(IterationCap) as err:
             newton_solve(problem, space, cons, u0, 1e-8)
+        stats = err.value.stats
+        assert isinstance(stats, sv.NewtonStats)
+        assert stats.iterations == 2
+        assert len(stats.residual_norms) == 3
+        assert stats.eta_m == []
 
     def _near_solution(self, rng):
         """A Poisson iterate whose residual (~1e-12) sits between the
