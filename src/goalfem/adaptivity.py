@@ -24,7 +24,7 @@ from . import goals, mesh as meshmod, multigoal
 from .assembly import assemble_residual
 from .errors import GoalFemError, MalformedCsv
 from .estimator import (distribute_to_cells, effectivity, estimate,
-                        make_initial_guess, solve_enriched_adjoint)
+                        solve_enriched_adjoint)
 from .fespace import build_constraints, build_space, gauss, \
     transfer_to_refined
 from .problems import build_plaplace, build_quasilinear, manufactured_rhs, \
@@ -183,7 +183,7 @@ def homotopy_guess(config, space, constraints):
     steps = 3
     path = [2.0] + [2.0 + (config.p - 2.0) * k / steps
                     for k in range(1, steps + 1)]
-    u = make_initial_guess(space, constraints)
+    u = space.function(np.ones(space.n_dofs))
     total = 0
     for p_k in path:
         prob_k = build_plaplace(replace(params, p=p_k))
@@ -195,12 +195,13 @@ def homotopy_guess(config, space, constraints):
 def _initial_guess(config, space, cons, u_prev):
     """Newton start on one level and the Newton steps spent on it: the
     previous level's solution ``u_prev`` transferred to ``space``, or,
-    on the first level (``u_prev`` None), the configured cold start."""
+    on the first level (``u_prev`` None), the configured cold start.
+    The Newton drivers project it onto ``cons``."""
     if u_prev is not None:
-        return transfer_to_refined(u_prev, space, cons), 0
+        return transfer_to_refined(u_prev, space), 0
     if config.cold_start == "homotopy":
         return homotopy_guess(config, space, cons)
-    return make_initial_guess(space, cons), 0
+    return space.function(np.ones(space.n_dofs)), 0
 
 
 def mark_average(cellwise, threshold=0.85):
@@ -220,6 +221,15 @@ def _relative_errors(values, refs):
     if refs is None:
         return tuple(math.nan for _ in values)
     return tuple(abs(r - v) / abs(r) for v, r in zip(values, refs))
+
+
+def _je(config, values_ref, values_at):
+    """The run's J_E with ``values_ref`` standing in for the exact goal
+    values: |J(ref) - J(at)| in raw mode, ``multigoal.combined_error``
+    in weighted mode."""
+    if config.combine == "raw":
+        return abs(values_ref[0] - values_at[0])
+    return multigoal.combined_error(values_ref, values_at, config.omegas)
 
 
 def run_uniform(config, log=None, on_level=None):
@@ -293,21 +303,13 @@ def _levels(config, log, on_level):
         # combine, enriched adjoint, estimate
         values = multigoal.member_values(functionals, u_h)
         goal = goal_at(u_h)
-        if config.combine == "weighted":
-            je_surrogate = goal.combined_error_value()
-        else:
-            je_surrogate = abs(u2_values[0] - values[0])
+        je_surrogate = _je(config, u2_values, values)
         z2 = solve_enriched_adjoint(problem, goal, space2, cons2, u2)
         breakdown = estimate(problem, goal, cons, u_h, z_h, u2, z2)
 
         refs = config.reference_values
         rel_errors = _relative_errors(values, refs)
-        if refs is None:
-            je_ref = math.nan
-        elif config.combine == "weighted":
-            je_ref = multigoal.combined_error(refs, values, config.omegas)
-        else:
-            je_ref = abs(refs[0] - values[0])
+        je_ref = math.nan if refs is None else _je(config, refs, values)
         truth = je_surrogate if config.je_truth == "surrogate" else je_ref
         if truth and not math.isnan(truth):
             i_eff, i_effp, i_effa = effectivity(truth, breakdown)

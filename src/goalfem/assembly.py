@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import QuadratureFailure
-from .fespace import gauss, tensor_basis  # noqa: F401  (gauss re-exported)
+from .fespace import tensor_basis
 
 
 # ----------------------------------------------------------------------

@@ -53,16 +53,11 @@ class EstimatorBreakdown:
         return float(np.sum(self.nodal))
 
 
-def make_initial_guess(space, constraints):
-    """All-ones nodal vector with the boundary data imposed."""
-    return space.function(constraints.apply(np.ones(space.n_dofs)))
-
-
 def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2):
     """One transposed linear solve at the enriched primal state."""
     A = assembly.assemble_jacobian(problem, space2, constraints2, u_h2)
     rhs = functional.gradient(constraints2, u_h2)
-    lu = factorize(A, pivot_rtol=0.0)
+    lu = factorize(A)
     return space2.function(constraints2.distribute(lu.solve(rhs, transposed=True)))
 
 

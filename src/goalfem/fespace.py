@@ -449,7 +449,7 @@ def interpolate_between(source, target_space):
 _CHILD_OFFSET = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 
 
-def transfer_to_refined(source, target_space, constraints=None):
+def transfer_to_refined(source, target_space):
     """Inject a function into a space on a refinement of its mesh.
 
     Exact for nested Q^r: children evaluate the parent polynomial at
@@ -498,8 +498,6 @@ def transfer_to_refined(source, target_space, constraints=None):
     # shared DOFs keep the value of their last cell, as a cell loop would
     out = np.zeros(target_space.n_dofs)
     out[target_space.cell_dofs] = vals
-    if constraints is not None:
-        out = constraints.apply(out)
     return target_space.function(out)
 
 

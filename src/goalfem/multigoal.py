@@ -60,7 +60,3 @@ class CombinedFunctional(goals.Sum):
                                            self.omegas)
         super().__init__(goals.Scale(w, J)
                          for w, J in zip(self.weights, self.functionals))
-
-    def combined_error_value(self):
-        """J_E(u_h) with J_i(u_h2) standing in for the exact values."""
-        return combined_error(self.values_h2, self.values_h, self.omegas)

@@ -1,10 +1,18 @@
 """Newton's method with residual-ratio line search and matrix reuse.
 
-One damped loop serves two stopping rules: a residual tolerance
-relative to the start, |A(u)| <= rtol |A(u0)| with the first residual
-the loop assembles anyway (``newton_solve``), and the estimator-balanced
-iteration-error indicator of the (multi)goal adjoint
-(``adaptive_newton_multigoal``).
+One damped loop, ``_newton``, serves two drivers, and it owns what they
+share: it projects the start onto the constraints, and it owns every
+exit but the driver's own target, which each driver states as one
+predicate.  ``newton_solve`` stops at a residual tolerance relative to
+the start, |A(u)| <= rtol |A(u0)| with the first residual the loop
+assembles anyway; ``adaptive_newton_multigoal`` at the estimator-balanced
+iteration-error indicator of the (multi)goal adjoint, or at
+|A(u)| <= FIXED_TOL in its fixed mode.  After the target the loop stops
+at the residual floor |A| <= 1e-14 (1 + |A0|), where an iterate that
+starts converged ends with no step, and raises ``IterationCap`` after
+``ITERATION_CAP`` steps.  A line search that fails even along a fresh
+Jacobian's direction ends the solve as "stagnation" at
+|A| <= 1e-10 (1 + |A0|) and raises ``LineSearchExhausted`` above it.
 
 The line search walks the ray u + gamma^L delta.  Each iterate is
 evaluated at the quadrature points once (the values are cached on it)
@@ -19,10 +27,9 @@ Newton count.  No iterate or trial holds a reference to the one before.
 The Jacobian is refreshed only when the residual sup-norm contracted by
 less than 0.85 over the last update; the stale factorization is reused
 otherwise, including (transposed) for the adjoint solves of the
-balanced variant.  Tiny pivots are tolerated here on purpose: the
-barely-regularized p-Laplacian produces quasi-singular Jacobians that
-the damped updates handle.  A solve that overflows still raises
-``SingularMatrix``.
+balanced variant.  Tiny pivots pass: the barely-regularized
+p-Laplacian produces quasi-singular Jacobians that the damped updates
+handle.  A solve that overflows raises ``SingularMatrix``.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ from .errors import IterationCap, LineSearchExhausted
 from .linalg import factorize, max_norm
 
 ITERATION_CAP = 100
+FIXED_TOL = 1e-8            # |A| target of the fixed-tolerance mode
+RESIDUAL_FLOOR = 1e-14      # relative to 1 + |A0|: nothing left to cut
+STAGNATION = 1e-10          # relative to 1 + |A0|: converged to roundoff
 REBUILD_RATIO = 0.85
 
 
@@ -101,42 +111,35 @@ def newton_solve(problem, space, constraints, u0, rtol, log=None):
     """Damped Newton until the residual sup-norm drops to ``rtol`` times
     that of the constrained start.
 
-    ``log`` receives one trace line per iteration (k, |A|, alpha,
-    rebuilt flag).
+    The shared loop projects ``u0`` and owns the other exits (residual
+    floor, stagnation, iteration cap).  ``log`` receives one trace line
+    per iteration (k, |A|, alpha, rebuilt flag).
     """
     stats = NewtonStats()
 
-    def stop(norm):
-        tol = rtol * stats.residual_norms[0]
-        if not norm > tol:
-            return "tolerance"
-        if stats.iterations >= ITERATION_CAP:
-            raise IterationCap(f"|A| = {norm:.3e} > {tol:.3e} "
-                               f"after {ITERATION_CAP} iterations", stats)
-        return None
+    def reached(norm):
+        return None if norm > rtol * stats.residual_norms[0] else "tolerance"
 
-    u = _newton(problem, space, constraints,
-                space.function(constraints.apply(u0.coeffs)), None, 0.9,
-                stats, stop, log=log)
+    u = _newton(problem, space, constraints, u0, 0.9, stats, reached,
+                log=log)
     return u, stats
 
 
 def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
-                              adjoint_rhs, mode="adaptive", fixed_tol=1e-8,
-                              log=None):
+                              adjoint_rhs, mode="adaptive", log=None):
     """Newton iteration stopped by the iteration-error indicator.
 
     Each sweep solves the adjoint with the current (possibly stale)
     factorization transposed and RHS ``adjoint_rhs(u)`` evaluated at the
     new iterate; the loop ends once eta_m = |A(u)(z)| falls to
-    1e-2 * eta_prev (``mode='adaptive'``) or once |A(u)| <= fixed_tol
-    (``mode='fixed'``, the comparison variant).
+    1e-2 * eta_prev (``mode='adaptive'``) or once |A(u)| <= FIXED_TOL
+    (``mode='fixed'``, the comparison variant).  The shared loop
+    projects ``u0`` and owns the other exits.
 
     Returns (u, z, stats).
     """
     stats = NewtonStats()
     target = 1e-2 * eta_prev
-    u = space.function(constraints.apply(u0.coeffs))
     z = None
 
     def observe(u_k, res, lu):
@@ -145,52 +148,52 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
         stats.eta_m.append(abs(float(res @ z)))
         return f" eta_m={stats.eta_m[-1]:.3e}"
 
-    def stop(norm):
+    def reached(norm):
         if mode == "adaptive":
-            if stats.eta_m[-1] <= target:
-                return "balanced"
-        elif norm <= fixed_tol:
-            return "tolerance"
-        if norm <= 1e-14 * (1.0 + stats.residual_norms[0]):
-            return "residual_floor"
-        if stats.iterations >= ITERATION_CAP:
-            raise IterationCap(f"eta_m = {stats.eta_m[-1]:.3e} vs target "
-                               f"{target:.3e}", stats)
-        return None
+            return "balanced" if stats.eta_m[-1] <= target else None
+        return "tolerance" if norm <= FIXED_TOL else None
 
-    def stagnated(norm):
-        # float-limit stagnation of an already-converged iterate
-        return norm <= 1e-10 * (1.0 + stats.residual_norms[0])
-
-    u = _newton(problem, space, constraints, u,
-                _fresh_lu(problem, space, constraints, u), 0.85,
-                stats, stop, stagnated, observe, log)
+    u = _newton(problem, space, constraints, u0, 0.85, stats, reached,
+                observe, log)
     return u, space.function(z), stats
 
 
 def _fresh_lu(problem, space, constraints, u):
-    return factorize(assemble_jacobian(problem, space, constraints, u),
-                     pivot_rtol=0.0)
+    return factorize(assemble_jacobian(problem, space, constraints, u))
 
 
-def _newton(problem, space, constraints, u, lu, gamma, stats, stop,
-            stagnated=None, observe=None, log=None):
-    """The damped Newton loop behind both solvers; returns the last
+def _newton(problem, space, constraints, u0, gamma, stats, reached,
+            observe=None, log=None):
+    """The damped Newton loop behind both drivers; returns the last
     iterate and sets ``stats.termination``.
 
-    ``u`` is the constrained start and ``lu`` a factorization at it, or
-    None; ``gamma`` is the line search's damping base.  ``stop(norm)`` runs before every step: it returns the
-    termination reason or None to go on, and raises at the iteration
-    cap.  When not even a fresh Jacobian's direction admits a damping,
-    ``stagnated(norm)`` decides whether the loop ends as "stagnation"
-    instead of raising.  ``observe(u, res, lu)`` sees the start and
-    every accepted iterate and returns a note for the log line.
+    It starts from the projection of ``u0`` onto the constraints and
+    stops as the module docstring says; ``reached(norm)`` returns the
+    driver's termination reason once its target holds, else None.
+    ``gamma`` is the line search's damping base.  ``observe(u, res, lu)``
+    sees the start, factorized there for it, and every accepted iterate,
+    and returns a note for the log line; without it the first step
+    factorizes.
     """
+    u = space.function(constraints.apply(u0.coeffs))
+    lu = _fresh_lu(problem, space, constraints, u) if observe else None
     res = assemble_residual(problem, space, constraints, u)
     norm = max_norm(res)
     stats.residual_norms.append(norm)
+    floor = RESIDUAL_FLOOR * (1.0 + norm)
+    stagnant = STAGNATION * (1.0 + norm)
     if observe:
         observe(u, res, lu)
+
+    def stop(norm):
+        if reason := reached(norm):
+            return reason
+        if norm <= floor:
+            return "residual_floor"
+        if stats.iterations >= ITERATION_CAP:
+            raise IterationCap(f"|A| = {norm:.3e} after {ITERATION_CAP} "
+                               f"iterations", stats)
+        return None
 
     def damped_step():
         delta = constraints.distribute(lu.solve(-res))
@@ -214,7 +217,8 @@ def _newton(problem, space, constraints, u, lu, gamma, stats, stop,
                 lu = _fresh_lu(problem, space, constraints, u)
                 alpha, _, u, res, new_norm = damped_step()
         except LineSearchExhausted:
-            if not (stagnated and stagnated(norm)):
+            # float-limit stagnation of an already-converged iterate
+            if norm > stagnant:
                 raise
             reason = "stagnation"
             break

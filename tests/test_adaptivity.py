@@ -101,6 +101,18 @@ class TestRunAdaptive:
         dofs = [r.n_dofs for r in records]
         assert all(b > a for a, b in zip(dofs, dofs[1:]))
 
+    def test_homotopy_cold_start_at_p2(self):
+        # at p = 2 the continuation path is [2, 2, 2, 2]: the first solve
+        # takes the one step of the linear problem, and every later one
+        # starts converged, which the residual floor ends with no step
+        cfg = tiny_p2_config(n_initial=2, manufactured=True,
+                             cold_start="homotopy", max_levels=2,
+                             reference_values=None)
+        records = run_adaptive(cfg)
+        assert [r.level for r in records] == [1, 2]
+        first = records[0]
+        assert (first.newton_steps, first.enriched_newton_steps) == (1, 1)
+
     def test_distorted_geometry_reused(self):
         cfg = dataclasses.replace(get_preset("example1b_case1"))
         a = build_geometry(cfg)
@@ -111,7 +123,6 @@ class TestRunAdaptive:
         # warm-started enriched solves need no more iterations than a
         # cold start on the same mesh, on at least 80% of levels
         from goalfem.adaptivity import build_problem
-        from goalfem.estimator import make_initial_guess
         from goalfem.fespace import build_constraints, build_space
         from goalfem.solver import nested_tolerance, newton_solve
 
@@ -131,7 +142,7 @@ class TestRunAdaptive:
                 continue
             space2 = build_space(mesh, cfg.r2)
             cons2 = build_constraints(space2, problem.dirichlet)
-            u0 = make_initial_guess(space2, cons2)
+            u0 = space2.function(np.ones(space2.n_dofs))
             _, stats = newton_solve(problem, space2, cons2, u0,
                                     nested_tolerance(level))
             comparisons += 1

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from goalfem import assembly
 from goalfem.assembly import (assemble_jacobian, assemble_residual,
                               basis_integrals, cell_basis, cell_geometry,
-                              gauss, local_matrices, on_ray,
-                              quadrature_values)
+                              local_matrices, on_ray, quadrature_values)
 from goalfem.errors import QuadratureFailure
 from goalfem.estimator import (_transposed_flux, adjoint_weighted_form,
                                primal_weighted_form, solve_enriched_adjoint)
 from goalfem.fespace import (ConstraintSet, build_constraints, build_space,
-                             interpolate_between, tensor_basis)
+                             gauss, interpolate_between, tensor_basis)
 from goalfem.goals import PointValue, Product, RegionIntegral
 from goalfem.linalg import factorize, max_norm
 from goalfem.mesh import build_slit, build_unit_square

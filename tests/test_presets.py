@@ -41,16 +41,20 @@ def test_point_reference_is_exact_closed_form():
 
 def test_slit_integral_reference_oracle():
     # recompute the frozen J_C by adaptive quadrature of the closed form,
-    # split along the slit where the integrand jumps
+    # split along the slit where the integrand jumps, over only the part
+    # where the weight (y - x)_+ is nonzero: the kink along y = x stays
+    # on the boundary of both regions
     from scipy import integrate
 
     from goalfem.problems import slit_exact
 
     def f(y, x):
-        return (y - x) * float(slit_exact(x, y)) if x < y else 0.0
+        return (y - x) * float(slit_exact(x, y))
 
-    up, _ = integrate.dblquad(f, -1, 1, 0, 1, epsabs=1e-11, epsrel=1e-11)
-    lo, _ = integrate.dblquad(f, -1, 1, -1, 0, epsabs=1e-11, epsrel=1e-11)
+    up, _ = integrate.dblquad(f, -1, 1, lambda x: max(x, 0.0), 1,
+                              epsabs=1e-11, epsrel=1e-11)
+    lo, _ = integrate.dblquad(f, -1, 0, lambda x: x, 0,
+                              epsabs=1e-11, epsrel=1e-11)
     assert SLIT_JC == pytest.approx(up + lo, abs=5e-9)
 
 

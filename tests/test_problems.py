@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from goalfem.assembly import assemble_jacobian, assemble_residual, gauss
-from goalfem.fespace import build_constraints, build_space
+from goalfem.assembly import assemble_jacobian, assemble_residual
+from goalfem.fespace import build_constraints, build_space, gauss
 from goalfem.mesh import build_slit, build_unit_square
 from goalfem.problems import (PLaplaceParams, build_plaplace,
                               build_quasilinear, manufactured_rhs,

@@ -6,7 +6,6 @@ import pytest
 import goalfem.solver as sv
 from goalfem.assembly import assemble_residual
 from goalfem.errors import IterationCap, LineSearchExhausted
-from goalfem.estimator import make_initial_guess
 from goalfem.fespace import build_constraints, build_space
 from goalfem.goals import RegionIntegral
 from goalfem.linalg import max_norm
@@ -16,6 +15,11 @@ from goalfem.solver import (acceptance_factor, adaptive_newton_multigoal,
                             line_search, nested_tolerance, newton_solve)
 
 from conftest import linear_solve, poisson_problem
+
+
+def ones(space):
+    """The all-ones cold start; the Newton drivers project it."""
+    return space.function(np.ones(space.n_dofs))
 
 
 def p4_problem():
@@ -64,7 +68,7 @@ class TestNewton:
         problem = poisson_problem()
         space = build_space(build_unit_square(3), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         u, stats = newton_solve(problem, space, cons, u0, 1e-8)
         assert stats.iterations == 1
         assert stats.alphas == [1.0]
@@ -73,7 +77,7 @@ class TestNewton:
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = space.function(cons.apply(np.ones(space.n_dofs)))
         u, stats = newton_solve(problem, space, cons, u0, 1e-8)
         # the tolerance is relative to the start's residual, which the
         # loop assembles itself
@@ -89,7 +93,7 @@ class TestNewton:
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         u, stats = newton_solve(problem, space, cons, u0, 1e-8)
         assert stats.iterations <= 30
         assert sum(stats.rebuilds) < stats.iterations  # reuse happened
@@ -98,7 +102,7 @@ class TestNewton:
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         _, stats = newton_solve(problem, space, cons, u0, 1e-6)
         norms = stats.residual_norms
         assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -112,7 +116,7 @@ class TestNewton:
         old = sv.REBUILD_RATIO
         sv.REBUILD_RATIO = -1.0    # rebuild every step
         try:
-            u0 = make_initial_guess(space, cons)
+            u0 = ones(space)
             _, stats = newton_solve(problem, space, cons, u0, 1e-12)
         finally:
             sv.REBUILD_RATIO = old
@@ -128,7 +132,7 @@ class TestNewton:
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         u1, s1 = newton_solve(problem, space, cons, u0, 1e-8)
         u2, s2 = newton_solve(problem, space, cons, u0, 1e-8)
         assert np.array_equal(u1.coeffs, u2.coeffs)
@@ -142,7 +146,7 @@ class TestNewton:
         problem = p4_problem()
         space = build_space(build_unit_square(4), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         starts, accepted, dead = [], [], []
         original = sv.line_search
 
@@ -171,7 +175,7 @@ class TestLineSearch:
         cons = build_constraints(space, problem.dirichlet)
         from goalfem.assembly import assemble_jacobian
         from goalfem.linalg import factorize
-        u = make_initial_guess(space, cons)
+        u = space.function(cons.apply(np.ones(space.n_dofs)))
         res = assemble_residual(problem, space, cons, u)
         lu = factorize(assemble_jacobian(problem, space, cons, u))
         delta = cons.distribute(lu.solve(-res))
@@ -184,7 +188,7 @@ class TestLineSearch:
         problem = poisson_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u = make_initial_guess(space, cons)
+        u = ones(space)
         with pytest.raises(ValueError):
             line_search(problem, space, cons, u,
                         np.zeros(space.n_dofs), 0.9,
@@ -205,7 +209,7 @@ class TestAdaptiveNewton:
     def test_linear_problem_one_update(self):
         problem = poisson_problem()
         space, cons, rhs = self._setup(problem)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         u, z, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs)
         assert stats.iterations == 1
@@ -215,7 +219,7 @@ class TestAdaptiveNewton:
     def test_balance_threshold_respected(self):
         problem = p4_problem()
         space, cons, rhs = self._setup(problem, n=2)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         eta_prev = 1e-3
         u, z, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=eta_prev, adjoint_rhs=rhs)
@@ -226,22 +230,25 @@ class TestAdaptiveNewton:
         assert stats.iterations < tight.iterations
 
     def test_fixed_mode_hits_absolute_tolerance(self):
+        assert sv.FIXED_TOL == 1e-8
         problem = p4_problem()
         space, cons, rhs = self._setup(problem, n=2)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         u, z, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
-            mode="fixed", fixed_tol=1e-8)
+            mode="fixed")
+        assert stats.termination == "tolerance"
         assert stats.residual_norms[-1] <= 1e-8
 
-    def test_residual_floor_ends_fixed_mode(self):
-        # fixed_tol = 0 is out of reach; the linear solve lands on roundoff
+    def test_residual_floor_ends_fixed_mode(self, monkeypatch):
+        # FIXED_TOL = 0 is out of reach; the linear solve lands on roundoff
+        monkeypatch.setattr(sv, "FIXED_TOL", 0.0)
         problem = poisson_problem()
         space, cons, rhs = self._setup(problem)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         _, _, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
-            mode="fixed", fixed_tol=0.0)
+            mode="fixed")
         assert stats.termination == "residual_floor"
         norms = stats.residual_norms
         assert norms[-1] <= 1e-14 * (1.0 + norms[0])
@@ -250,7 +257,7 @@ class TestAdaptiveNewton:
         monkeypatch.setattr(sv, "ITERATION_CAP", 2)
         problem = p4_problem()
         space, cons, rhs = self._setup(problem, n=2)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         with pytest.raises(IterationCap) as err:
             adaptive_newton_multigoal(problem, space, cons, u0,
                                       eta_prev=1e-8, adjoint_rhs=rhs)
@@ -268,7 +275,7 @@ class TestSharedNewtonLoop:
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         u, stats = newton_solve(problem, space, cons, u0, 1e-8)
         norms = stats.residual_norms
         tol = 1e-8 * norms[0]
@@ -286,7 +293,7 @@ class TestSharedNewtonLoop:
         problem = p4_problem()
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
-        u0 = make_initial_guess(space, cons)
+        u0 = ones(space)
         with pytest.raises(IterationCap) as err:
             newton_solve(problem, space, cons, u0, 1e-8)
         stats = err.value.stats
@@ -317,22 +324,84 @@ class TestSharedNewtonLoop:
 
     def test_exhausted_search_near_solution_is_stagnation(self, rng,
                                                           monkeypatch):
+        monkeypatch.setattr(sv, "FIXED_TOL", 0.0)
         problem, space, cons, u0 = self._near_solution(rng)
         calls = self._exhausted(monkeypatch)
         J = RegionIntegral()
         u, _, stats = adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1.0,
-            adjoint_rhs=lambda u_k: J.gradient(cons, u_k),
-            mode="fixed", fixed_tol=0.0)
+            adjoint_rhs=lambda u_k: J.gradient(cons, u_k), mode="fixed")
         assert stats.termination == "stagnation"
         assert stats.iterations == 0
         assert len(calls) == 2          # the stale try and the fresh retry
         assert np.array_equal(u.coeffs, u0.coeffs)
 
-    def test_exhausted_search_raises_in_plain_newton(self, rng,
-                                                     monkeypatch):
+    def test_exhausted_search_near_solution_is_stagnation_in_plain_newton(
+            self, rng, monkeypatch):
+        # the stagnation rule belongs to the shared loop, so the plain
+        # driver ends there too instead of raising
         problem, space, cons, u0 = self._near_solution(rng)
         calls = self._exhausted(monkeypatch)
-        with pytest.raises(LineSearchExhausted):
-            newton_solve(problem, space, cons, u0, 0.0)
+        u, stats = newton_solve(problem, space, cons, u0, 0.0)
+        assert stats.termination == "stagnation"
+        assert stats.iterations == 0
         assert len(calls) == 1          # the first step is already fresh
+        assert np.array_equal(u.coeffs, u0.coeffs)
+
+    def test_exhausted_search_far_from_solution_raises(self, monkeypatch):
+        problem = p4_problem()
+        space = build_space(build_unit_square(2), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        J = RegionIntegral()
+        calls = self._exhausted(monkeypatch)
+        with pytest.raises(LineSearchExhausted):
+            newton_solve(problem, space, cons, ones(space), 1e-8)
+        assert len(calls) == 1          # the first step is already fresh
+        with pytest.raises(LineSearchExhausted):
+            adaptive_newton_multigoal(
+                problem, space, cons, ones(space), eta_prev=1e-8,
+                adjoint_rhs=lambda u_k: J.gradient(cons, u_k))
+
+    def test_converged_start_ends_at_residual_floor(self, monkeypatch):
+        # a start that is already a solution to roundoff cannot be cut
+        # by any relative tolerance; the floor ends it with no step and
+        # no factorization
+        problem = poisson_problem()
+        space = build_space(build_unit_square(3), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        u0, _ = linear_solve(problem, space, cons)
+        n0 = max_norm(assemble_residual(problem, space, cons, u0))
+        assert 0.0 < n0 <= sv.RESIDUAL_FLOOR
+
+        def no_factorization(*args):
+            raise AssertionError("factorized a converged start")
+
+        monkeypatch.setattr(sv, "factorize", no_factorization)
+        u, stats = newton_solve(problem, space, cons, u0, 1e-2)
+        assert (stats.iterations, stats.termination) == (0, "residual_floor")
+        assert stats.residual_norms == [n0]
+        assert np.array_equal(u.coeffs, u0.coeffs)
+
+    def test_unprojected_start_gives_the_projected_result(self, rng):
+        # the loop projects the start itself: a start off the constraints
+        # (Dirichlet and hanging values) solves bitwise as its projection
+        problem = p4_problem()
+        mesh = build_unit_square(2)
+        mesh = mesh.refine(mesh.active_cells[:1])
+        space = build_space(mesh, 1)
+        cons = build_constraints(space, problem.dirichlet)
+        J = RegionIntegral()
+        raw = 1.0 + 0.1 * rng.normal(size=space.n_dofs)
+        projected = cons.apply(raw)
+        assert not np.array_equal(raw, projected)
+        starts = [space.function(raw), space.function(projected)]
+        plain = [newton_solve(problem, space, cons, u0, 1e-8)
+                 for u0 in starts]
+        balanced = [adaptive_newton_multigoal(
+            problem, space, cons, u0, eta_prev=1e-6,
+            adjoint_rhs=lambda u_k: J.gradient(cons, u_k))
+            for u0 in starts]
+        for (a, sa), (b, sb) in (plain, [r[::2] for r in balanced]):
+            assert np.array_equal(a.coeffs, b.coeffs)
+            assert sa == sb
+        assert np.array_equal(balanced[0][1].coeffs, balanced[1][1].coeffs)
