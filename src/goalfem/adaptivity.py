@@ -23,8 +23,7 @@ from . import goals, mesh as meshmod, multigoal
 # namespace's binding is wrapped
 from .assembly import assemble_residual
 from .errors import GoalFemError, MalformedCsv
-from .estimator import (distribute_to_cells, effectivity, estimate,
-                        solve_enriched_adjoint)
+from .estimator import effectivity, estimate, solve_enriched_adjoint
 from .fespace import build_constraints, build_space, gauss, \
     transfer_to_refined
 from .problems import build_plaplace, build_quasilinear, manufactured_rhs, \
@@ -62,7 +61,7 @@ class RunConfig:
     label: str = ""
 
     def __post_init__(self):
-        for name, hint in get_type_hints(RunConfig).items():
+        for name, hint in CONFIG_TYPES.items():
             value = getattr(self, name)
             if get_origin(hint) is Literal and value not in get_args(hint):
                 raise ValueError(f"{name} must be one of {get_args(hint)}, "
@@ -97,6 +96,11 @@ class RunConfig:
     @property
     def r2(self):
         return self.enriched_degree or self.degree + 1
+
+
+# the resolved annotation of each RunConfig field: what __post_init__
+# validates against and what cli.parse_config converts INI values to
+CONFIG_TYPES = get_type_hints(RunConfig)
 
 
 @dataclass
@@ -317,7 +321,7 @@ def _levels(config, log, on_level):
             i_eff = i_effp = i_effa = math.nan
 
         wall_ms = 1e3 * (time.perf_counter() - t0)
-        yield ConvergenceRecord(
+        record = ConvergenceRecord(
             level=level, n_dofs=space.n_dofs, n_cells=len(mesh.active_cells),
             values=tuple(values), rel_errors=rel_errors,
             je_error=truth, je_surrogate=je_surrogate,
@@ -328,9 +332,10 @@ def _levels(config, log, on_level):
             enriched_newton_steps=stats2.iterations + boot2,
             eta_m=astats.eta_m[-1] if astats.eta_m else math.nan,
             wall_ms=wall_ms)
-        emit(f"level {level}: dofs={space.n_dofs} eta_h={breakdown.eta_h:.3e} "
-             f"J_E_err={truth:.3e} newton={astats.iterations} "
-             f"(enriched {stats2.iterations})")
+        yield record
+        emit(f"level {level}: dofs={record.n_dofs} eta_h={record.eta_h:.3e} "
+             f"J_E_err={record.je_error:.3e} newton={record.newton_steps} "
+             f"(enriched {record.enriched_newton_steps})")
         if on_level is not None:
             on_level(level, mesh, u_h, breakdown)
 
@@ -372,40 +377,47 @@ def uniform_reference(config, n_refines, log=None):
 # ----------------------------------------------------------------------
 # record serialization
 # ----------------------------------------------------------------------
-def csv_header(n_functionals):
-    cols = ["level", "dofs"]
-    for i in range(1, n_functionals + 1):
-        cols += [f"J_{i}", f"J_{i}_rel_error"]
-    cols += ["J_E_error", "eta_h", "eta_primal", "eta_adjoint",
-             "I_eff", "I_effp", "I_effa", "newton_steps", "wall_ms"]
-    return cols
+# (column, record field, format spec) of the columns after the goals'
+# J_i, J_i_rel_error pairs, in file order; older files end at wall_ms
+_E = ".12e"
+_TAIL_COLUMNS = (
+    ("J_E_error", "je_error", _E), ("eta_h", "eta_h", _E),
+    ("eta_primal", "eta_primal", _E), ("eta_adjoint", "eta_adjoint", _E),
+    ("I_eff", "i_eff", _E), ("I_effp", "i_effp", _E), ("I_effa", "i_effa", _E),
+    ("newton_steps", "newton_steps", "d"), ("wall_ms", "wall_ms", ".3f"),
+    ("n_cells", "n_cells", "d"),
+    ("enriched_newton_steps", "enriched_newton_steps", "d"),
+    ("eta_m", "eta_m", _E), ("je_surrogate", "je_surrogate", _E))
 
 
-def record_row(rec):
-    row = [rec.level, rec.n_dofs]
-    for v, e in zip(rec.values, rec.rel_errors):
-        row += [f"{v:.12e}", f"{e:.12e}"]
-    row += [f"{rec.je_error:.12e}", f"{rec.eta_h:.12e}",
-            f"{rec.eta_primal:.12e}", f"{rec.eta_adjoint:.12e}",
-            f"{rec.i_eff:.12e}", f"{rec.i_effp:.12e}", f"{rec.i_effa:.12e}",
-            rec.newton_steps, f"{rec.wall_ms:.3f}"]
-    return row
+def record_columns(rec):
+    """The record's (column, text) pairs in file order: the one schema
+    of the CSV and the gnuplot table."""
+    cols = [("level", f"{rec.level:d}"), ("dofs", f"{rec.n_dofs:d}")]
+    for i, (v, e) in enumerate(zip(rec.values, rec.rel_errors), 1):
+        cols += [(f"J_{i}", f"{v:.12e}"), (f"J_{i}_rel_error", f"{e:.12e}")]
+    return cols + [(name, format(getattr(rec, attr), spec))
+                   for name, attr, spec in _TAIL_COLUMNS]
+
+
+def _table(records):
+    """The header row, then one row of texts per record."""
+    rows = [record_columns(rec) for rec in records]
+    header = [name for name, _ in rows[0]]
+    return [header] + [[text for _, text in row] for row in rows]
 
 
 def write_csv(records, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_header(len(records[0].values)))
-        for rec in records:
-            writer.writerow(record_row(rec))
+        csv.writer(fh).writerows(_table(records))
 
 
 def write_gnuplot(records, path):
     """Whitespace table with the same columns as the CSV."""
+    header, *rows = _table(records)
     with open(path, "w") as fh:
-        fh.write("# " + " ".join(csv_header(len(records[0].values))) + "\n")
-        for rec in records:
-            fh.write(" ".join(str(x) for x in record_row(rec)) + "\n")
+        for line in [["#"] + header] + rows:
+            fh.write(" ".join(line) + "\n")
 
 
 def read_csv(path):

@@ -14,20 +14,37 @@ import dataclasses
 import math
 import os
 import sys
+from typing import Union, get_args, get_origin
 
 from . import adaptivity, presets
-from .adaptivity import RunConfig, fit_rate, read_csv, run_adaptive, \
-    run_uniform, write_csv, write_gnuplot
+from .adaptivity import CONFIG_TYPES, RunConfig, fit_rate, read_csv, \
+    run_adaptive, run_uniform, write_csv, write_gnuplot
 from .errors import GoalFemError, MalformedCsv, UnknownExperiment
 from .mesh import write_vtk
 
-_TUPLE_FIELDS = {"omegas", "reference_values", "reference_uncertainties"}
+
+def _boolean(raw):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+# INI text -> value, by the annotated type; the rest (str and the
+# Literal choices, which RunConfig validates) stay text
+_PARSERS = {
+    int: int,
+    float: float,
+    bool: _boolean,
+    tuple: lambda raw: tuple(float(v) for v in raw.split(",")),
+}
 
 
 def parse_config(text):
-    """INI text -> RunConfig.  Every defect, malformed INI included (no
-    section header, a duplicate key), raises ValueError.  Values are
-    taken literally: no ``%`` interpolation."""
+    """INI text -> RunConfig, each value converted by the type hint of
+    its field (``Optional[T]`` by T).  Every defect, malformed INI
+    included (no section header, a duplicate key), raises ValueError.
+    Values are taken literally: no ``%`` interpolation."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -35,29 +52,17 @@ def parse_config(text):
         raise ValueError(f"malformed config: {exc}") from None
     if not cp.has_section("run"):
         raise ValueError("config needs a [run] section")
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     kwargs = {}
     for key, raw in cp["run"].items():
-        if key not in fields:
+        if key not in CONFIG_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _TUPLE_FIELDS:
-            kwargs[key] = tuple(float(v) for v in raw.split(","))
-            continue
-        ftype = fields[key].type
-        if ftype == "int":
-            kwargs[key] = int(raw)
-        elif ftype == "float":
-            kwargs[key] = float(raw)
-        elif ftype == "bool":
-            try:
-                kwargs[key] = cp["run"].getboolean(key)
-            except ValueError:
-                raise ValueError(f"{key} must be a boolean, not {raw!r}") \
-                    from None
-        elif ftype == "Optional[int]":
-            kwargs[key] = int(raw)
-        else:
-            kwargs[key] = raw
+        hint = CONFIG_TYPES[key]
+        if get_origin(hint) is Union:
+            (hint,) = set(get_args(hint)) - {type(None)}
+        try:
+            kwargs[key] = _PARSERS.get(hint, str)(raw)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     return RunConfig(**kwargs)
 
 
@@ -129,16 +134,11 @@ def cmd_report(args):
     tables = []
     for path in args.csv:
         header, rows = read_csv(path)
-        n_fn = sum(1 for h in header if h.endswith("_rel_error"))
         dofs = [r["dofs"] for r in rows]
         print(f"\n=== {path} ({len(rows)} levels) ===")
         print(f"{'quantity':<14}{'rate':>8}   (log-log slope vs DOFs)")
-        for i in range(1, n_fn + 1):
-            rate = fit_rate(dofs, [r[f"J_{i}_rel_error"] for r in rows])
-            label = f"J_{i}_rel_error"
-            txt = f"{rate:8.2f}" if not math.isnan(rate) else "     n/a"
-            print(f"{label:<14}{txt}")
-        for col in ("J_E_error", "eta_h"):
+        rated = [h for h in header if h.endswith("_rel_error")]
+        for col in rated + ["J_E_error", "eta_h"]:
             rate = fit_rate(dofs, [abs(r[col]) for r in rows])
             txt = f"{rate:8.2f}" if not math.isnan(rate) else "     n/a"
             print(f"{col:<14}{txt}")

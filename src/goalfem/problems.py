@@ -19,7 +19,7 @@ is built eagerly: the kernel's work happens inside the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +31,6 @@ from .mesh import DIRICHLET
 class ProblemDefinition:
     """Weak-form kernels plus boundary data for one PDE instance."""
 
-    name: str
     n_components: int
     residual: Callable
     jacobian: Callable
@@ -95,8 +94,7 @@ def build_plaplace(params):
         return [(True, True, 0, 0, gg)]
 
     g = params.dirichlet or (lambda x, y, side: 0.0)
-    return ProblemDefinition("plaplace", 1, residual, jacobian,
-                             ((DIRICHLET, 0, g),))
+    return ProblemDefinition(1, residual, jacobian, ((DIRICHLET, 0, g),))
 
 
 def manufactured_rhs(grad_fn, hess_fn, params):
@@ -140,23 +138,6 @@ def _dg2(t):
     return (2.0 * t - 1.0) * np.exp(t * t - t)
 
 
-@dataclass(frozen=True)
-class QuasilinearParams:
-    g1: Callable = field(default=_g1)
-    dg1: Callable = field(default=_dg1)
-    g2: Callable = field(default=_g2)
-    dg2: Callable = field(default=_dg2)
-
-    def __post_init__(self):
-        # guard the hand-written derivative formulas
-        h = 1e-6
-        for t in (-0.7, 0.0, 0.4, 1.3):
-            for fn, dfn in ((self.g1, self.dg1), (self.g2, self.dg2)):
-                fd = (fn(t + h) - fn(t - h)) / (2 * h)
-                if abs(fd - dfn(t)) > 1e-6 * (1.0 + abs(fd)):
-                    raise AssertionError("nonlinearity derivative mismatch")
-
-
 def slit_exact(x, y, side=0.0):
     """sign(y) sqrt(sqrt(x^2+y^2) - x); the side hint resolves y == 0."""
     x = np.asarray(x, dtype=float)
@@ -167,7 +148,7 @@ def slit_exact(x, y, side=0.0):
     return sgn * np.sqrt(np.maximum(root, 0.0))
 
 
-def build_quasilinear(params=None):
+def build_quasilinear():
     """Coupled system with exact solution u1 = 1 - u2 = u3 = slit_exact.
 
     Weak forms (all tested componentwise, homogeneous natural conditions
@@ -176,8 +157,7 @@ def build_quasilinear(params=None):
         <grad u2, grad v2> + <g1(1-u2) - g1(u3), v2>
         <g2(u1+u2) grad u3, grad v3> + <g1(u3) - g1(u1), v3>
     """
-    prm = params or QuasilinearParams()
-    g1, dg1, g2, dg2 = prm.g1, prm.dg1, prm.g2, prm.dg2
+    g1, dg1, g2, dg2 = _g1, _dg1, _g2, _dg2
     eye = np.eye(2)
 
     def residual(x, u, grad_u):
@@ -218,7 +198,7 @@ def build_quasilinear(params=None):
     def u2_data(x, y, side):
         return 1.0 - slit_exact(x, y, side)
 
-    return ProblemDefinition("quasilinear", 3, residual, jacobian,
+    return ProblemDefinition(3, residual, jacobian,
                              ((DIRICHLET, 0, u1_data),
                               (DIRICHLET, 1, u2_data),
                               (DIRICHLET, 2, u1_data)))

@@ -173,7 +173,8 @@ def _newton(problem, space, constraints, u0, gamma, stats, reached,
     ``gamma`` is the line search's damping base.  ``observe(u, res, lu)``
     sees the start, factorized there for it, and every accepted iterate,
     and returns a note for the log line; without it the first step
-    factorizes.
+    factorizes.  A failed line search is retried along a fresh
+    Jacobian only if ``lu`` was factorized at an earlier iterate.
     """
     u = space.function(constraints.apply(u0.coeffs))
     lu = _fresh_lu(problem, space, constraints, u) if observe else None
@@ -210,7 +211,9 @@ def _newton(problem, space, constraints, u0, gamma, stats, reached,
             try:
                 alpha, _, u, res, new_norm = damped_step()
             except LineSearchExhausted:
-                if rebuild:
+                # lu is fresh after a rebuild and at the start, where
+                # it was factorized for observe or by this rebuild
+                if rebuild or stats.iterations == 0:
                     raise
                 # a stale direction may not descend at all; retry fresh
                 rebuild = True

@@ -113,6 +113,23 @@ class TestRunAdaptive:
         first = records[0]
         assert (first.newton_steps, first.enriched_newton_steps) == (1, 1)
 
+    def test_level_log_line_reads_the_record(self):
+        # the homotopy's Newton steps count in the record, so the log
+        # line, formatted from the record, shows them too
+        cfg = tiny_p2_config(n_initial=2, manufactured=True,
+                             cold_start="homotopy", max_levels=2,
+                             reference_values=None)
+        lines = []
+        records = run_adaptive(cfg, log=lines.append)
+        level_lines = [line for line in lines if line.startswith("level ")]
+        assert len(level_lines) == len(records)
+        for line, rec in zip(level_lines, records):
+            assert line == (
+                f"level {rec.level}: dofs={rec.n_dofs} "
+                f"eta_h={rec.eta_h:.3e} J_E_err=nan "
+                f"newton={rec.newton_steps} "
+                f"(enriched {rec.enriched_newton_steps})")
+
     def test_distorted_geometry_reused(self):
         cfg = dataclasses.replace(get_preset("example1b_case1"))
         a = build_geometry(cfg)
@@ -161,6 +178,52 @@ class TestUniformReference:
         assert vals[0] == pytest.approx(0.03514425375, abs=5e-6)
 
 
+def hand_made_records():
+    """Two records of a two-goal run, with nan, negative, zero and
+    rounded values in the formatted columns."""
+    common = dict(je_surrogate=2.5e-4, eta_primal=-1e-3, eta_adjoint=2e-3,
+                  i_eff=1.25, i_effp=-0.5, i_effa=math.nan)
+    return [
+        adaptivity.ConvergenceRecord(
+            level=1, n_dofs=9, n_cells=4, values=(0.5, -1.0 / 3.0),
+            rel_errors=(1e-2, math.nan), je_error=3e-3, eta_h=1e-3,
+            newton_steps=2, enriched_newton_steps=3, eta_m=math.nan,
+            wall_ms=12.3456, **common),
+        adaptivity.ConvergenceRecord(
+            level=2, n_dofs=25, n_cells=10, values=(0.25, 2.0),
+            rel_errors=(5e-3, 0.0), je_error=math.nan, eta_h=123.0,
+            newton_steps=0, enriched_newton_steps=1, eta_m=7e-9,
+            wall_ms=0.0004, **common),
+    ]
+
+
+# what write_csv and write_gnuplot make of hand_made_records()
+HAND_MADE_CSV = (
+    "level,dofs,J_1,J_1_rel_error,J_2,J_2_rel_error,J_E_error,eta_h,"
+    "eta_primal,eta_adjoint,I_eff,I_effp,I_effa,newton_steps,wall_ms,"
+    "n_cells,enriched_newton_steps,eta_m,je_surrogate\r\n"
+    "1,9,5.000000000000e-01,1.000000000000e-02,-3.333333333333e-01,nan,"
+    "3.000000000000e-03,1.000000000000e-03,-1.000000000000e-03,"
+    "2.000000000000e-03,1.250000000000e+00,-5.000000000000e-01,nan,"
+    "2,12.346,4,3,nan,2.500000000000e-04\r\n"
+    "2,25,2.500000000000e-01,5.000000000000e-03,2.000000000000e+00,"
+    "0.000000000000e+00,nan,1.230000000000e+02,-1.000000000000e-03,"
+    "2.000000000000e-03,1.250000000000e+00,-5.000000000000e-01,nan,"
+    "0,0.000,10,1,7.000000000000e-09,2.500000000000e-04\r\n")
+HAND_MADE_DAT = (
+    "# level dofs J_1 J_1_rel_error J_2 J_2_rel_error J_E_error eta_h "
+    "eta_primal eta_adjoint I_eff I_effp I_effa newton_steps wall_ms "
+    "n_cells enriched_newton_steps eta_m je_surrogate\n"
+    "1 9 5.000000000000e-01 1.000000000000e-02 -3.333333333333e-01 nan "
+    "3.000000000000e-03 1.000000000000e-03 -1.000000000000e-03 "
+    "2.000000000000e-03 1.250000000000e+00 -5.000000000000e-01 nan "
+    "2 12.346 4 3 nan 2.500000000000e-04\n"
+    "2 25 2.500000000000e-01 5.000000000000e-03 2.000000000000e+00 "
+    "0.000000000000e+00 nan 1.230000000000e+02 -1.000000000000e-03 "
+    "2.000000000000e-03 1.250000000000e+00 -5.000000000000e-01 nan "
+    "0 0.000 10 1 7.000000000000e-09 2.500000000000e-04\n")
+
+
 class TestCsv:
     def test_roundtrip_and_schema(self, tmp_path):
         records = run_adaptive(tiny_p2_config(max_levels=2))
@@ -169,12 +232,20 @@ class TestCsv:
         header, rows = read_csv(path)
         assert header[:2] == ["level", "dofs"]
         assert header[2:4] == ["J_1", "J_1_rel_error"]
-        assert header[4:] == ["J_E_error", "eta_h", "eta_primal",
-                              "eta_adjoint", "I_eff", "I_effp", "I_effa",
-                              "newton_steps", "wall_ms"]
+        assert header[4:13] == ["J_E_error", "eta_h", "eta_primal",
+                                "eta_adjoint", "I_eff", "I_effp", "I_effa",
+                                "newton_steps", "wall_ms"]
+        assert header[13:] == ["n_cells", "enriched_newton_steps", "eta_m",
+                               "je_surrogate"]
         assert len(rows) == len(records)
         assert rows[0]["dofs"] == records[0].n_dofs
         assert rows[1]["eta_h"] == pytest.approx(records[1].eta_h, rel=1e-11)
+        for row, rec in zip(rows, records):
+            assert row["n_cells"] == rec.n_cells
+            assert row["enriched_newton_steps"] == rec.enriched_newton_steps
+            assert row["eta_m"] == pytest.approx(rec.eta_m, rel=1e-11)
+            assert row["je_surrogate"] == pytest.approx(rec.je_surrogate,
+                                                        rel=1e-11)
 
     def test_gnuplot_table(self, tmp_path):
         records = run_adaptive(tiny_p2_config(max_levels=2))
@@ -183,6 +254,13 @@ class TestCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("# level dofs")
         assert len(lines) == 1 + len(records)
+
+    def test_exact_text(self, tmp_path):
+        records = hand_made_records()
+        write_csv(records, tmp_path / "out.csv")
+        write_gnuplot(records, tmp_path / "out.dat")
+        assert (tmp_path / "out.csv").read_bytes().decode() == HAND_MADE_CSV
+        assert (tmp_path / "out.dat").read_text() == HAND_MADE_DAT
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -326,8 +326,7 @@ class TestLocalMatrices:
             return [(False, False, 0, 0, vv)]
 
         prob = build_plaplace(PLaplaceParams(2.0, 1.0))
-        bad = ProblemDefinition("nan", 1, prob.residual, jacobian,
-                                prob.dirichlet)
+        bad = ProblemDefinition(1, prob.residual, jacobian, prob.dirichlet)
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, bad.dirichlet)
         with pytest.raises(QuadratureFailure):

@@ -70,6 +70,27 @@ class TestConfig:
         cfg = dataclasses.replace(parse_config(TINY_INI), label="50%")
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_each_annotation_kind_parses_to_its_type(self):
+        cfg = parse_config(
+            "[run]\n"
+            "experiment = example1a\n"
+            "n_initial = 3\n"                        # int
+            "p = 4\n"                                # float
+            "manufactured = yes\n"                   # bool
+            "enriched_degree = 3\n"                  # Optional[int]
+            "reference_values = 0.5\n"               # Optional[tuple]
+            "geometry = unit_square\n"               # Literal
+            "label = run 1\n")                       # str
+        assert cfg == RunConfig(
+            experiment="example1a", n_initial=3, p=4.0, manufactured=True,
+            enriched_degree=3, reference_values=(0.5,),
+            geometry="unit_square", label="run 1")
+        typed = {"n_initial": int, "p": float, "manufactured": bool,
+                 "enriched_degree": int, "reference_values": tuple,
+                 "geometry": str, "label": str}
+        for key, kind in typed.items():
+            assert type(getattr(cfg, key)) is kind, key
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             parse_config("[run]\nbogus = 1\n")
@@ -311,6 +332,22 @@ class TestReportVerb:
                         1.0, 1.0, 1.0, 2, 1.0])
         assert main(["report", str(path)]) == 0
         assert "n/a" in capsys.readouterr().out
+
+    def test_goal_columns_read_from_the_header(self, tmp_path, capsys):
+        # a file whose only goal is J_2 is rated by the columns it has
+        path = tmp_path / "j2.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["level", "dofs", "J_2", "J_2_rel_error", "J_E_error",
+                        "eta_h"])
+            for lvl, dofs in enumerate((100, 400, 1600, 6400), 1):
+                w.writerow([lvl, dofs, 1.0, 3.0 / dofs, 5.0 / dofs,
+                            2.0 / dofs ** 0.5])
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in out[3:]] == [
+            ["J_2_rel_error", "-1.00"], ["J_E_error", "-1.00"],
+            ["eta_h", "-0.50"]]
 
     def test_malformed_exit_3(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -4,9 +4,9 @@ import pytest
 from goalfem.assembly import assemble_jacobian, assemble_residual
 from goalfem.fespace import build_constraints, build_space, gauss
 from goalfem.mesh import build_slit, build_unit_square
-from goalfem.problems import (PLaplaceParams, build_plaplace,
-                              build_quasilinear, manufactured_rhs,
-                              plaplace_flux, slit_exact)
+from goalfem.problems import (PLaplaceParams, _dg1, _dg2, _g1, _g2,
+                              build_plaplace, build_quasilinear,
+                              manufactured_rhs, plaplace_flux, slit_exact)
 
 
 def gg_term(g, prm):
@@ -204,7 +204,13 @@ def interp_exact_nodal(mesh, space):
 
 class TestQuasilinear:
     def test_derivative_formulas_guarded(self):
-        build_quasilinear()  # construction runs the FD self-check
+        # the hand-written derivatives of the nonlinearities against
+        # central differences
+        h = 1e-6
+        for fn, dfn in ((_g1, _dg1), (_g2, _dg2)):
+            for t in (-0.7, 0.0, 0.4, 1.3):
+                fd = (fn(t + h) - fn(t - h)) / (2 * h)
+                assert abs(fd - dfn(t)) <= 1e-6 * (1.0 + abs(fd))
 
     def test_constant_state_residual_density(self):
         # u = (0, 1, 0): first equation density u2+u3-1 = 0 and the

@@ -333,7 +333,7 @@ class TestSharedNewtonLoop:
             adjoint_rhs=lambda u_k: J.gradient(cons, u_k), mode="fixed")
         assert stats.termination == "stagnation"
         assert stats.iterations == 0
-        assert len(calls) == 2          # the stale try and the fresh retry
+        assert len(calls) == 1          # factorized at the start: no retry
         assert np.array_equal(u.coeffs, u0.coeffs)
 
     def test_exhausted_search_near_solution_is_stagnation_in_plain_newton(
@@ -357,10 +357,12 @@ class TestSharedNewtonLoop:
         with pytest.raises(LineSearchExhausted):
             newton_solve(problem, space, cons, ones(space), 1e-8)
         assert len(calls) == 1          # the first step is already fresh
+        calls.clear()
         with pytest.raises(LineSearchExhausted):
             adaptive_newton_multigoal(
                 problem, space, cons, ones(space), eta_prev=1e-8,
                 adjoint_rhs=lambda u_k: J.gradient(cons, u_k))
+        assert len(calls) == 1          # factorized at the start: no retry
 
     def test_converged_start_ends_at_residual_floor(self, monkeypatch):
         # a start that is already a solution to roundoff cannot be cut
