@@ -121,6 +121,8 @@ class ConvergenceRecord:
     newton_steps: int
     enriched_newton_steps: int
     eta_m: float
+    adjoint_applications: int    # matrix-free operator applications
+    adjoint_factorized: int      # 1 when J(u2) was assembled and factored
     wall_ms: float
 
 
@@ -191,7 +193,7 @@ def homotopy_guess(config, space, constraints):
     total = 0
     for p_k in path:
         prob_k = build_plaplace(replace(params, p=p_k))
-        u, stats = newton_solve(prob_k, space, constraints, u, 1e-2)
+        u, _, stats = newton_solve(prob_k, space, constraints, u, 1e-2)
         total += stats.iterations
     return u, total
 
@@ -285,8 +287,13 @@ def _levels(config, log, on_level):
         u_prev = u2_prev = None
 
         # enriched primal (Newton tolerances nested by level)
-        u2, stats2 = newton_solve(problem, space2, cons2, u2_0,
-                                  nested_tolerance(level), log=log)
+        u2, lu2, stats2 = newton_solve(problem, space2, cons2, u2_0,
+                                       nested_tolerance(level), log=log)
+        # a factorization made for the last step, one damped step from
+        # u2, preconditions the enriched adjoint; a staler one would need
+        # about as many Krylov iterations as the direct solve costs
+        if not (stats2.rebuilds and stats2.rebuilds[-1]):
+            lu2 = None
 
         # coarse primal + adjoint, stopped by the iteration-error balance
         u2_values = multigoal.member_values(functionals, u2)
@@ -308,7 +315,9 @@ def _levels(config, log, on_level):
         values = multigoal.member_values(functionals, u_h)
         goal = goal_at(u_h)
         je_surrogate = _je(config, u2_values, values)
-        z2 = solve_enriched_adjoint(problem, goal, space2, cons2, u2)
+        z2, zstats = solve_enriched_adjoint(problem, goal, space2, cons2,
+                                            u2, lu2)
+        lu2 = None
         breakdown = estimate(problem, goal, cons, u_h, z_h, u2, z2)
 
         refs = config.reference_values
@@ -331,6 +340,8 @@ def _levels(config, log, on_level):
             newton_steps=astats.iterations + boot1,
             enriched_newton_steps=stats2.iterations + boot2,
             eta_m=astats.eta_m[-1] if astats.eta_m else math.nan,
+            adjoint_applications=zstats.applications,
+            adjoint_factorized=int(zstats.factorized),
             wall_ms=wall_ms)
         yield record
         emit(f"level {level}: dofs={record.n_dofs} eta_h={record.eta_h:.3e} "
@@ -365,8 +376,8 @@ def uniform_reference(config, n_refines, log=None):
         space = build_space(mesh, config.degree, problem.n_components)
         cons = build_constraints(space, problem.dirichlet)
         u0, _ = _initial_guess(config, space, cons, u_prev)
-        u_h, _ = newton_solve(problem, space, cons, u0,
-                              nested_tolerance(level))
+        u_h, _, _ = newton_solve(problem, space, cons, u0,
+                                 nested_tolerance(level))
         emit(f"reference level {level}: dofs={space.n_dofs}")
         if level == n_refines + 1:
             return multigoal.member_values(functionals, u_h)
@@ -387,7 +398,9 @@ _TAIL_COLUMNS = (
     ("newton_steps", "newton_steps", "d"), ("wall_ms", "wall_ms", ".3f"),
     ("n_cells", "n_cells", "d"),
     ("enriched_newton_steps", "enriched_newton_steps", "d"),
-    ("eta_m", "eta_m", _E), ("je_surrogate", "je_surrogate", _E))
+    ("eta_m", "eta_m", _E), ("je_surrogate", "je_surrogate", _E),
+    ("adjoint_applications", "adjoint_applications", "d"),
+    ("adjoint_factorized", "adjoint_factorized", "d"))
 
 
 def record_columns(rec):

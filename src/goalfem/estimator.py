@@ -22,6 +22,15 @@ integrated against the Q1 vertex hats of ``assembly.cell_basis``, give
 nodal values eta_i summing exactly to the global number; hanging
 vertices fold their share onto the face endpoints so the hats still
 partition unity.
+
+The transposed flux is the estimator's one action of J(u)^T: integrated
+against the test basis instead of the hats, it applies the transposed
+condensed Jacobian without a matrix (``transposed_jacobian``).  The
+enriched adjoint z_h2 solves with that operator by GMRES, preconditioned
+by the transposed solves of the enriched Newton's last factorization,
+made one damped step from u_h2.  Only when no such factorization is at
+hand, or GMRES does not reach the residual the direct solve would, is
+J(u_h2) assembled and factored.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import assembly
 from .errors import MeshMismatch, ZeroTrueError
@@ -51,14 +61,6 @@ class EstimatorBreakdown:
     @property
     def pu_sum(self):
         return float(np.sum(self.nodal))
-
-
-def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2):
-    """One transposed linear solve at the enriched primal state."""
-    A = assembly.assemble_jacobian(problem, space2, constraints2, u_h2)
-    rhs = functional.gradient(constraints2, u_h2)
-    lu = factorize(A)
-    return space2.function(constraints2.distribute(lu.solve(rhs, transposed=True)))
 
 
 def _localize(weight, fv, fg):
@@ -106,6 +108,12 @@ def _transposed_flux(terms, zv, zg):
     return tv, tg
 
 
+def _jacobian_terms(problem, u):
+    """The Jacobian kernel's terms at u's quadrature points."""
+    _, _, xq = assembly.cell_geometry(u.space.mesh, u.space.rule)
+    return problem.jacobian(xq, *assembly.quadrature_values(u))
+
+
 def primal_weighted_form(problem, u, weight):
     """rho(u)(w psi_a) per vertex and the global rho(u)(w) = -A(u)(w);
     the weight ``w`` may live in an enriched space on u's mesh with the
@@ -119,12 +127,101 @@ def primal_weighted_form(problem, u, weight):
 def adjoint_weighted_form(problem, functional, u, z, weight):
     """rho*(u, z)(w psi_a) per vertex and the global
     rho*(u, z)(w) = J'(u)(w) - A'(u)(w, z)."""
-    _, _, xq = assembly.cell_geometry(u.space.mesh, u.space.rule)
-    terms = problem.jacobian(xq, *assembly.quadrature_values(u))
-    nodal, total = _localize(
-        weight, *_transposed_flux(terms, *assembly.quadrature_values(z)))
+    nodal, total = _localize(weight, *_transposed_flux(
+        _jacobian_terms(problem, u), *assembly.quadrature_values(z)))
     return (functional.nodal_directional(u, weight) - nodal,
             functional.directional(u, weight) - total)
+
+
+ADJOINT_RTOL = 1e-12    # GMRES target, relative to |J'(u_h2)|
+ADJOINT_ACCEPT = 1e-10  # true relative residual the Krylov result must meet
+ADJOINT_CAP = 20        # GMRES iterations; about the cost of the direct solve
+
+
+@dataclass
+class AdjointStats:
+    """What one enriched adjoint solve did: its applications of
+    ``transposed_jacobian`` (those spent before a fallback included) and
+    whether it assembled and factored J(u_h2)."""
+
+    applications: int = 0
+    factorized: bool = False
+
+
+def transposed_jacobian(problem, constraints, u):
+    """y -> A^T y for the condensed Jacobian A = C^T J(u) C + D that
+    ``assembly.assemble_jacobian`` returns, D being the unit diagonal of
+    the constrained rows; no matrix is formed.
+
+    The kernel's terms at u are formed once.  An application takes the
+    quadrature values of C y, contracts them with the terms
+    (``_transposed_flux``), integrates against the test basis, scatters,
+    condenses with C^T and adds y on the constrained rows.
+    """
+    space = u.space
+    rule = space.rule
+    det, _, _ = assembly.cell_geometry(space.mesh, rule)
+    wdet = rule.weights * det
+    basis = assembly.cell_basis(space.mesh, space.degree, rule)
+    terms = _jacobian_terms(problem, u)
+    mask = constraints.constrained
+
+    def apply(y):
+        w = space.function(constraints.distribute(y))
+        local = assembly.basis_integrals(
+            *_transposed_flux(terms, *assembly.quadrature_values(w)),
+            wdet, basis)
+        out = constraints.condense_rhs(space.scatter(local))
+        out[mask] = y[mask]
+        return out
+
+    return apply
+
+
+def _krylov_adjoint(apply, rhs, lu, stats):
+    """GMRES for A^T y = rhs preconditioned by ``lu``'s transposed
+    solves; y, or None when its true residual misses ADJOINT_ACCEPT."""
+    def counted(y):
+        stats.applications += 1
+        return apply(y)
+
+    # a LinearOperator given no dtype applies itself once to find one
+    shape = (len(rhs), len(rhs))
+    y, _ = spla.gmres(
+        spla.LinearOperator(shape, matvec=counted, dtype=float), rhs,
+        rtol=ADJOINT_RTOL, restart=ADJOINT_CAP, maxiter=1,
+        M=spla.LinearOperator(
+            shape, matvec=lambda r: lu.solve(r, transposed=True),
+            dtype=float))
+    # GMRES stops on the preconditioned residual; judge the true one.
+    # Near roundoff it may stall just above ADJOINT_RTOL: that passes.
+    residual = np.linalg.norm(rhs - counted(y))
+    return y if residual <= ADJOINT_ACCEPT * np.linalg.norm(rhs) else None
+
+
+def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2,
+                           lu=None):
+    """The enriched adjoint z_h2 of A'(u_h2)(w, z) = J'(u_h2)(w): one
+    transposed linear solve at the enriched primal state.
+
+    ``lu``, a factorization of the condensed Jacobian near u_h2, turns
+    the solve matrix-free (see the module docstring); without it, or
+    when GMRES falls short, J(u_h2) is assembled and factored.  A zero
+    right-hand side gives z_h2 = 0 at once.  Returns (z_h2, AdjointStats).
+    """
+    rhs = functional.gradient(constraints2, u_h2)
+    stats = AdjointStats()
+    if not rhs.any():
+        return space2.function(), stats
+    y = None
+    if lu is not None:
+        y = _krylov_adjoint(transposed_jacobian(problem, constraints2, u_h2),
+                            rhs, lu, stats)
+    if y is None:
+        A = assembly.assemble_jacobian(problem, space2, constraints2, u_h2)
+        y = factorize(A).solve(rhs, transposed=True)
+        stats.factorized = True
+    return space2.function(constraints2.distribute(y)), stats
 
 
 def fold_hanging(mesh, nodal):

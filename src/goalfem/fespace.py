@@ -347,9 +347,10 @@ class ConstraintSet:
 
     def condense_matrix(self, A):
         # constrained columns of C vanish, so C^T A C already has zero
-        # rows/columns there; only the unit diagonal must be added
-        C = self.matrix
-        out = (C.T @ (A @ C)) + sp.diags(self.constrained.astype(float))
+        # rows/columns there; only the unit diagonal must be added.  The
+        # cached CSR transpose spares the conversion of the CSC view C.T
+        out = self._transposed @ (A @ self.matrix) \
+            + sp.diags(self.constrained.astype(float))
         return out.tocsr()
 
     def condense_rhs(self, r):
@@ -362,22 +363,23 @@ def build_constraints(space, dirichlet=()):
     """Hanging-node + Dirichlet constraints for a space.
 
     ``dirichlet`` is a list of (boundary_tag, component, g) with
-    ``g(x, y, side)``.  On every face whose tag the list names, ``side``
-    is the sign of the owning cell's centroid y minus the node's y, and 0
-    where the two are level.  So it is nonzero at the nodes of vertical
-    faces too: the slit mouth (-1, 0) and its copy lie on vertical outer
-    faces only, and take the traces of their own sides through it.  A
-    DOF that two faces give different values raises
-    ``ConflictingConstraints``.
+    ``g(x, y, side)``, called once per entry on the arrays of all nodes
+    of the faces whose tag it names; it may return a scalar for constant
+    data.  ``side`` is the sign of the owning cell's centroid y minus the
+    node's y, and 0 where the two are level.  So it is nonzero at the
+    nodes of vertical faces too: the slit mouth (-1, 0) and its copy lie
+    on vertical outer faces only, and take the traces of their own sides
+    through it.  A DOF keeps the value it gets first, in face order, then
+    entry order, then along the face; a DOF that two faces give different
+    values raises ``ConflictingConstraints``.
     """
     r = space.degree
     mesh = space.mesh
     t = mesh.edges()
-    verts, owners = t.verts.tolist(), t.owners.tolist()
+    verts = t.verts.tolist()
     vertex_node = space.vertex_node.tolist()
     edge_nodes = space.edge_nodes.tolist()
     dofs, masters, weights = [], [], []
-    fixed = {}
 
     def face_nodes(e):
         """Nodes of face e from its smaller vertex to its larger."""
@@ -404,29 +406,45 @@ def build_constraints(space, dirichlet=()):
                 masters.extend(space.dof(comp, coarse_nodes[keep]))
                 weights.extend(w[keep])
 
-    # Dirichlet values by nodal interpolation of the data
-    for e, tag in enumerate(t.tag.tolist()):
-        if tag is None:
-            continue
-        nodes = face_nodes(e)
-        centroid = mesh.points[mesh.cell_verts[owners[e][0]]].mean(axis=0)
-        for btag, comp, g in dirichlet:
-            if btag != tag:
-                continue
-            for nid in nodes:
-                x, y = space.node_coords[nid]
-                side = float(np.sign(centroid[1] - y)) if centroid[1] != y else 0.0
-                val = float(g(x, y, side))
-                dof = int(space.dof(comp, nid))
-                prev = fixed.get(dof)
-                if prev is not None:
-                    if abs(prev - val) > 1e-12 * (1.0 + abs(prev)):
-                        raise ConflictingConstraints(
-                            f"dof {dof} at ({x}, {y}): {prev} vs {val}")
-                    continue
-                fixed[dof] = val
+    return ConstraintSet(space.n_dofs, (dofs, masters, weights),
+                         _dirichlet_values(space, t, dirichlet))
 
-    return ConstraintSet(space.n_dofs, (dofs, masters, weights), fixed)
+
+def _dirichlet_values(space, t, dirichlet):
+    """{dof: value} of the nodal interpolation of the Dirichlet data on
+    the faces of edge table ``t``, as ``build_constraints`` says."""
+    mesh = space.mesh
+    tagged = np.flatnonzero(np.not_equal(t.tag, None))
+    pos = np.arange(space.degree + 1)
+    key, dof, val, node = [], [], [], []
+    for j, (btag, comp, g) in enumerate(dirichlet):
+        faces = tagged[t.tag[tagged] == btag]
+        nodes = np.column_stack([space.vertex_node[t.verts[faces, 0]],
+                                 space.edge_nodes[faces],
+                                 space.vertex_node[t.verts[faces, 1]]])
+        cy = mesh.points[mesh.cell_verts[t.owners[faces, 0]]].mean(axis=1)
+        x, y = space.node_coords[nodes].transpose(2, 0, 1)
+        side = np.sign(cy[:, None, 1] - y)
+        val.append(np.broadcast_to(np.asarray(g(x, y, side), dtype=float),
+                                   x.shape).ravel())
+        key.append(((faces[:, None] * len(dirichlet) + j) * len(pos)
+                    + pos).ravel())
+        dof.append(space.dof(comp, nodes).ravel())
+        node.append(nodes.ravel())
+    if not key:
+        return {}
+    order = np.argsort(np.concatenate(key), kind="stable")
+    dof, val, node = (np.concatenate(a)[order] for a in (dof, val, node))
+    _, first, inverse = np.unique(dof, return_index=True, return_inverse=True)
+    prev = val[first][inverse]
+    clash = np.flatnonzero(np.abs(prev - val) > 1e-12 * (1.0 + np.abs(prev)))
+    if clash.size:
+        i = clash[0]
+        x, y = space.node_coords[node[i]]
+        raise ConflictingConstraints(f"dof {dof[i]} at ({x}, {y}): "
+                                     f"{float(prev[i])} vs {float(val[i])}")
+    first.sort()
+    return dict(zip(dof[first].tolist(), val[first].tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,14 @@ A^T + A has few more entries (12% on an enriched slit Jacobian).
 SuperLU therefore orders the columns by minimum degree on the pattern
 of A^T + A (``MMD_AT_PLUS_A``), which fills far less than the default
 COLAMD here.
+
+A factorization outlives the step it was made for, and is reused
+transposed: the balanced Newton solves each sweep's coarse adjoint with
+its current (possibly stale) LU, and the enriched Newton's last LU,
+made one damped step from u_h2, preconditions the matrix-free GMRES of
+the enriched adjoint.  Only that adjoint's exact path, taken without a
+fresh enough LU or when GMRES falls short, factors a matrix for one
+transposed solve.
 """
 
 from __future__ import annotations

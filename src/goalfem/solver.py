@@ -27,9 +27,14 @@ Newton count.  No iterate or trial holds a reference to the one before.
 The Jacobian is refreshed only when the residual sup-norm contracted by
 less than 0.85 over the last update; the stale factorization is reused
 otherwise, including (transposed) for the adjoint solves of the
-balanced variant.  Tiny pivots pass: the barely-regularized
-p-Laplacian produces quasi-singular Jacobians that the damped updates
-handle.  A solve that overflows raises ``SingularMatrix``.
+balanced variant.  ``newton_solve`` hands its last factorization back
+next to the iterate, so a caller can reuse it (the enriched adjoint
+takes it, transposed, as its preconditioner) and drop it when done;
+``stats.rebuilds[-1]`` tells whether it was factorized for the last
+step, one damped step from the returned iterate.  Tiny pivots pass: the
+barely-regularized p-Laplacian produces quasi-singular Jacobians that
+the damped updates handle.  A solve that overflows raises
+``SingularMatrix``.
 """
 
 from __future__ import annotations
@@ -114,15 +119,18 @@ def newton_solve(problem, space, constraints, u0, rtol, log=None):
     The shared loop projects ``u0`` and owns the other exits (residual
     floor, stagnation, iteration cap).  ``log`` receives one trace line
     per iteration (k, |A|, alpha, rebuilt flag).
+
+    Returns (u, lu, stats): ``lu`` is the last factorization, None when
+    the solve factorized nothing.
     """
     stats = NewtonStats()
 
     def reached(norm):
         return None if norm > rtol * stats.residual_norms[0] else "tolerance"
 
-    u = _newton(problem, space, constraints, u0, 0.9, stats, reached,
-                log=log)
-    return u, stats
+    u, lu = _newton(problem, space, constraints, u0, 0.9, stats, reached,
+                    log=log)
+    return u, lu, stats
 
 
 def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
@@ -153,8 +161,8 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
             return "balanced" if stats.eta_m[-1] <= target else None
         return "tolerance" if norm <= FIXED_TOL else None
 
-    u = _newton(problem, space, constraints, u0, 0.85, stats, reached,
-                observe, log)
+    u, _ = _newton(problem, space, constraints, u0, 0.85, stats, reached,
+                   observe, log)
     return u, space.function(z), stats
 
 
@@ -165,7 +173,7 @@ def _fresh_lu(problem, space, constraints, u):
 def _newton(problem, space, constraints, u0, gamma, stats, reached,
             observe=None, log=None):
     """The damped Newton loop behind both drivers; returns the last
-    iterate and sets ``stats.termination``.
+    iterate and the last factorization, and sets ``stats.termination``.
 
     It starts from the projection of ``u0`` onto the constraints and
     stops as the module docstring says; ``reached(norm)`` returns the
@@ -236,4 +244,4 @@ def _newton(problem, space, constraints, u0, gamma, stats, reached,
             log(f"  newton k={stats.iterations} |A|={norm:.6e} "
                 f"alpha={alpha:.4g} rebuilt={rebuild}{note}")
     stats.termination = reason
-    return u
+    return u, lu

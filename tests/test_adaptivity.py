@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from goalfem import adaptivity
+from goalfem import adaptivity, estimator
 from goalfem.adaptivity import (RunConfig, build_geometry, fit_rate,
                                 mark_average, read_csv, run_adaptive,
                                 run_uniform, uniform_reference, write_csv,
@@ -96,6 +96,22 @@ class TestRunAdaptive:
                      meshes.append(weakref.ref(mesh)))
         assert alive == [[], [False], [False, False], [False, False, False]]
 
+    def test_adjoint_path_recorded(self, monkeypatch):
+        # p = 2: every enriched Newton step factorizes afresh, so each
+        # level's adjoint runs matrix-free on the Newton's LU, which is
+        # J itself up to roundoff; an unmeetable acceptance bound sends
+        # every level to the assembled and factored J(u2)
+        fresh = run_adaptive(tiny_p2_config())
+        assert [r.adjoint_factorized for r in fresh] == [0, 0, 0]
+        assert all(r.adjoint_applications >= 2 for r in fresh)
+        monkeypatch.setattr(estimator, "ADJOINT_ACCEPT", 0.0)
+        fallen = run_adaptive(tiny_p2_config())
+        assert [r.adjoint_factorized for r in fallen] == [1, 1, 1]
+        assert [r.adjoint_applications for r in fallen] \
+            == [r.adjoint_applications for r in fresh]
+        for a, b in zip(fresh, fallen):
+            assert b.eta_h == pytest.approx(a.eta_h, rel=1e-10)
+
     def test_dofs_strictly_increase(self):
         records = run_adaptive(tiny_p2_config(max_levels=4))
         dofs = [r.n_dofs for r in records]
@@ -160,8 +176,8 @@ class TestRunAdaptive:
             space2 = build_space(mesh, cfg.r2)
             cons2 = build_constraints(space2, problem.dirichlet)
             u0 = space2.function(np.ones(space2.n_dofs))
-            _, stats = newton_solve(problem, space2, cons2, u0,
-                                    nested_tolerance(level))
+            _, _, stats = newton_solve(problem, space2, cons2, u0,
+                                       nested_tolerance(level))
             comparisons += 1
             if rec.enriched_newton_steps <= stats.iterations:
                 wins += 1
@@ -188,11 +204,13 @@ def hand_made_records():
             level=1, n_dofs=9, n_cells=4, values=(0.5, -1.0 / 3.0),
             rel_errors=(1e-2, math.nan), je_error=3e-3, eta_h=1e-3,
             newton_steps=2, enriched_newton_steps=3, eta_m=math.nan,
+            adjoint_applications=0, adjoint_factorized=1,
             wall_ms=12.3456, **common),
         adaptivity.ConvergenceRecord(
             level=2, n_dofs=25, n_cells=10, values=(0.25, 2.0),
             rel_errors=(5e-3, 0.0), je_error=math.nan, eta_h=123.0,
             newton_steps=0, enriched_newton_steps=1, eta_m=7e-9,
+            adjoint_applications=7, adjoint_factorized=0,
             wall_ms=0.0004, **common),
     ]
 
@@ -201,27 +219,29 @@ def hand_made_records():
 HAND_MADE_CSV = (
     "level,dofs,J_1,J_1_rel_error,J_2,J_2_rel_error,J_E_error,eta_h,"
     "eta_primal,eta_adjoint,I_eff,I_effp,I_effa,newton_steps,wall_ms,"
-    "n_cells,enriched_newton_steps,eta_m,je_surrogate\r\n"
+    "n_cells,enriched_newton_steps,eta_m,je_surrogate,"
+    "adjoint_applications,adjoint_factorized\r\n"
     "1,9,5.000000000000e-01,1.000000000000e-02,-3.333333333333e-01,nan,"
     "3.000000000000e-03,1.000000000000e-03,-1.000000000000e-03,"
     "2.000000000000e-03,1.250000000000e+00,-5.000000000000e-01,nan,"
-    "2,12.346,4,3,nan,2.500000000000e-04\r\n"
+    "2,12.346,4,3,nan,2.500000000000e-04,0,1\r\n"
     "2,25,2.500000000000e-01,5.000000000000e-03,2.000000000000e+00,"
     "0.000000000000e+00,nan,1.230000000000e+02,-1.000000000000e-03,"
     "2.000000000000e-03,1.250000000000e+00,-5.000000000000e-01,nan,"
-    "0,0.000,10,1,7.000000000000e-09,2.500000000000e-04\r\n")
+    "0,0.000,10,1,7.000000000000e-09,2.500000000000e-04,7,0\r\n")
 HAND_MADE_DAT = (
     "# level dofs J_1 J_1_rel_error J_2 J_2_rel_error J_E_error eta_h "
     "eta_primal eta_adjoint I_eff I_effp I_effa newton_steps wall_ms "
-    "n_cells enriched_newton_steps eta_m je_surrogate\n"
+    "n_cells enriched_newton_steps eta_m je_surrogate "
+    "adjoint_applications adjoint_factorized\n"
     "1 9 5.000000000000e-01 1.000000000000e-02 -3.333333333333e-01 nan "
     "3.000000000000e-03 1.000000000000e-03 -1.000000000000e-03 "
     "2.000000000000e-03 1.250000000000e+00 -5.000000000000e-01 nan "
-    "2 12.346 4 3 nan 2.500000000000e-04\n"
+    "2 12.346 4 3 nan 2.500000000000e-04 0 1\n"
     "2 25 2.500000000000e-01 5.000000000000e-03 2.000000000000e+00 "
     "0.000000000000e+00 nan 1.230000000000e+02 -1.000000000000e-03 "
     "2.000000000000e-03 1.250000000000e+00 -5.000000000000e-01 nan "
-    "0 0.000 10 1 7.000000000000e-09 2.500000000000e-04\n")
+    "0 0.000 10 1 7.000000000000e-09 2.500000000000e-04 7 0\n")
 
 
 class TestCsv:
@@ -236,7 +256,8 @@ class TestCsv:
                                 "eta_adjoint", "I_eff", "I_effp", "I_effa",
                                 "newton_steps", "wall_ms"]
         assert header[13:] == ["n_cells", "enriched_newton_steps", "eta_m",
-                               "je_surrogate"]
+                               "je_surrogate", "adjoint_applications",
+                               "adjoint_factorized"]
         assert len(rows) == len(records)
         assert rows[0]["dofs"] == records[0].n_dofs
         assert rows[1]["eta_h"] == pytest.approx(records[1].eta_h, rel=1e-11)
@@ -246,6 +267,8 @@ class TestCsv:
             assert row["eta_m"] == pytest.approx(rec.eta_m, rel=1e-11)
             assert row["je_surrogate"] == pytest.approx(rec.je_surrogate,
                                                         rel=1e-11)
+            assert row["adjoint_applications"] == rec.adjoint_applications
+            assert row["adjoint_factorized"] == rec.adjoint_factorized
 
     def test_gnuplot_table(self, tmp_path):
         records = run_adaptive(tiny_p2_config(max_levels=2))

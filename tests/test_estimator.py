@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goalfem.assembly import assemble_jacobian
 from goalfem.errors import MeshMismatch, ZeroTrueError
-from goalfem.estimator import (EstimatorBreakdown, adjoint_weighted_form,
-                               distribute_to_cells, effectivity, estimate,
-                               fold_hanging,
-                               primal_weighted_form, solve_enriched_adjoint)
+from goalfem.estimator import (ADJOINT_CAP, EstimatorBreakdown,
+                               adjoint_weighted_form, distribute_to_cells,
+                               effectivity, estimate, fold_hanging,
+                               primal_weighted_form, solve_enriched_adjoint,
+                               transposed_jacobian)
 from goalfem.fespace import (build_constraints, build_space, gauss,
                              interpolate_between)
-from goalfem.goals import PointValue, RegionIntegral, Sum
+from goalfem.goals import PointValue, RegionIntegral, Sum, catalog
 from goalfem.linalg import factorize, max_norm
-from goalfem.mesh import build_unit_square
+from goalfem.mesh import build_slit, build_unit_square
 from goalfem.problems import PLaplaceParams, build_plaplace, build_quasilinear
+from goalfem.solver import newton_solve
 
 from conftest import linear_solve, mesh_marks, poisson_problem, refined_mesh
 
@@ -31,7 +34,7 @@ def dwr_poisson(mesh, r=1, r2=2, functional=None):
     u2, _ = linear_solve(problem, space2, cons2)
     z = space.function(cons.distribute(
         lu.solve(J.gradient(cons, u), transposed=True)))
-    z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+    z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
     bd = estimate(problem, J, cons, u, z, u2, z2)
     return problem, J, u, u2, bd
 
@@ -44,8 +47,8 @@ class TestEnrichedAdjoint:
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, _ = linear_solve(problem, space2, cons2)
-        z2 = solve_enriched_adjoint(problem, RegionIntegral(), space2, cons2,
-                                    u2)
+        z2, _ = solve_enriched_adjoint(problem, RegionIntegral(), space2,
+                                       cons2, u2)
         assert np.allclose(z2.coeffs, u2.coeffs, atol=1e-12)
 
     def test_zero_functional_gradient(self):
@@ -54,8 +57,8 @@ class TestEnrichedAdjoint:
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, _ = linear_solve(problem, space2, cons2)
-        z2 = solve_enriched_adjoint(problem, RegionIntegral(weight=0.0),
-                                    space2, cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, RegionIntegral(weight=0.0),
+                                       space2, cons2, u2)
         assert max_norm(z2.coeffs) <= 1e-14
 
     def test_adjoint_residual_replay(self):
@@ -65,12 +68,83 @@ class TestEnrichedAdjoint:
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, _ = linear_solve(problem, space2, cons2)
         J = RegionIntegral()
-        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
         A = assemble_jacobian(problem, space2, cons2, u2)
         rhs = J.gradient(cons2, u2)
         res = A.T @ z2.coeffs - rhs
         res[cons2.constrained] = 0.0
         assert max_norm(res) <= 1e-10 * (1 + max_norm(rhs))
+
+
+def slit_q2(rng):
+    """The slit system on a Q2 space with hanging nodes and Dirichlet
+    rows, at a state one fresh Newton step from a perturbed solution:
+    (problem, space, constraints, state, the Newton's last LU, stats)."""
+    problem = build_quasilinear()
+    mesh = build_slit().refine_uniform(1)
+    mesh = mesh.refine(mesh.active_cells[:6])
+    assert len(mesh.edges().hanging_face)
+    space = build_space(mesh, 2, 3, gauss(4))
+    cons = build_constraints(space, problem.dirichlet)
+    u, _, _ = newton_solve(problem, space, cons,
+                           space.function(np.ones(space.n_dofs)), 1e-8)
+    start = u.coeffs + 1e-2 * rng.normal(size=space.n_dofs)
+    u, lu, stats = newton_solve(problem, space, cons, space.function(start),
+                                1e-2)
+    return problem, space, cons, u, lu, stats
+
+
+class TestMatrixFreeAdjoint:
+    @pytest.mark.parametrize("system", ["slit", "plaplace"])
+    def test_operator_is_the_transposed_jacobian(self, system, rng):
+        if system == "slit":
+            problem, space, cons, u, _, _ = slit_q2(rng)
+        else:
+            problem = build_plaplace(PLaplaceParams(
+                4.0, 1e-2, rhs=lambda x, y: np.ones(np.shape(x))))
+            mesh = build_unit_square(4).distort(0.2, seed=3)
+            space = build_space(mesh.refine([0, 5]), 2, rule=gauss(4))
+            cons = build_constraints(space, problem.dirichlet)
+            u = space.function(cons.apply(rng.normal(size=space.n_dofs)))
+        assert cons.constrained.any()
+        A = assemble_jacobian(problem, space, cons, u).T
+        apply = transposed_jacobian(problem, cons, u)
+        for _ in range(3):
+            y = rng.normal(size=space.n_dofs)
+            want = A @ y
+            assert max_norm(apply(y) - want) <= 1e-13 * max_norm(want)
+
+    def test_newton_lu_gives_the_exact_adjoint(self, rng):
+        problem, space, cons, u, lu, stats = slit_q2(rng)
+        assert stats.rebuilds == [True]
+        J = catalog("example2")[0]
+        z, zstats = solve_enriched_adjoint(problem, J, space, cons, u, lu)
+        exact, estats = solve_enriched_adjoint(problem, J, space, cons, u)
+        assert not zstats.factorized and 0 < zstats.applications
+        assert (estats.factorized, estats.applications) == (True, 0)
+        assert max_norm(z.coeffs - exact.coeffs) \
+            <= 1e-10 * max_norm(exact.coeffs)
+
+    def test_far_preconditioner_falls_back(self, rng):
+        problem, space, cons, u, _, _ = slit_q2(rng)
+        J = catalog("example2")[0]
+        far = factorize(sp.identity(space.n_dofs))
+        z, zstats = solve_enriched_adjoint(problem, J, space, cons, u, far)
+        exact, _ = solve_enriched_adjoint(problem, J, space, cons, u)
+        assert zstats.factorized
+        # the capped GMRES, its own residual and the acceptance check
+        assert zstats.applications == ADJOINT_CAP + 2
+        assert np.array_equal(z.coeffs, exact.coeffs)
+
+    def test_zero_functional_gradient_with_lu(self):
+        problem = poisson_problem()
+        space2 = build_space(build_unit_square(2), 2)
+        cons2 = build_constraints(space2, problem.dirichlet)
+        u2, lu = linear_solve(problem, space2, cons2)
+        z2, zstats = solve_enriched_adjoint(
+            problem, RegionIntegral(weight=0.0), space2, cons2, u2, lu)
+        assert not z2.coeffs.any()
+        assert (zstats.applications, zstats.factorized) == (0, False)
 
 
 def check_pu_sums(mesh, system, seed):
@@ -250,14 +324,15 @@ class TestNonlinearEstimate:
         space, space2 = (build_space(mesh, r, rule=gauss(4)) for r in (1, 2))
         cons = build_constraints(space, problem.dirichlet)
         cons2 = build_constraints(space2, problem.dirichlet)
-        u, _ = newton_solve(problem, space, cons,
-                            space.function(np.ones(space.n_dofs)), 1e-10)
-        u2, _ = newton_solve(problem, space2, cons2,
-                             space2.function(np.ones(space2.n_dofs)), 1e-10)
+        u, _, _ = newton_solve(problem, space, cons,
+                               space.function(np.ones(space.n_dofs)), 1e-10)
+        u2, _, _ = newton_solve(problem, space2, cons2,
+                                space2.function(np.ones(space2.n_dofs)),
+                                1e-10)
         A = assemble_jacobian(problem, space, cons, u)
         z = space.function(cons.distribute(factorize(A).solve(
             J.gradient(cons, u), transposed=True)))
-        z2 = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
         bd = estimate(problem, J, cons, u, z, u2, z2)
         gap = J.value(u2) - J.value(u)
         assert abs(bd.eta_signed - gap) / abs(gap) <= 0.5

@@ -136,7 +136,7 @@ class TestConstraints:
 
         mesh = build_slit().refine_uniform(1)
         s = build_space(mesh, 1)
-        g = lambda x, y, side: float(slit_exact(x, y, side))
+        g = lambda x, y, side: slit_exact(x, y, side)
         cons = build_constraints(s, [("dirichlet", 0, g), ("neumann", 0, g)])
         got = set()
         for v in range(mesh.n_points):
@@ -219,7 +219,8 @@ def digest(*arrays):
 
 def pin_data(x, y, side):
     # the side term lives on the slit line only, so the two lips differ
-    return 1.0 + x - 0.5 * y + (0.25 * side * min(x, 0.0) if y == 0.0 else 0.0)
+    return 1.0 + x - 0.5 * y + np.where(
+        y == 0.0, 0.25 * side * np.minimum(x, 0.0), 0.0)
 
 
 @pytest.mark.parametrize("kind, degree", sorted(PINS))
@@ -313,7 +314,8 @@ class TestClosure:
         space = build_space(mesh, degree, n_comp)
         # the two slit lips (y = 0, x < 0) take different values
         dirichlet = [("dirichlet", k, lambda x, y, side, k=k:
-                      1.0 + k + x - 2.0 * y + side * min(x, 0.0) * (y == 0))
+                      1.0 + k + x - 2.0 * y + side * np.minimum(x, 0.0)
+                      * (y == 0))
                      for k in range(n_comp)]
         cons, args = build_recorded(space, dirichlet)
         C_ref, mask_ref, b_ref = reference_closure(*args)
@@ -363,6 +365,37 @@ class TestClosure:
         cons = ConstraintSet(3)
         assert not cons.constrained.any()
         assert (cons.matrix != sp.identity(3)).nnz == 0
+
+
+class TestDirichletData:
+    def test_each_datum_called_once_on_arrays(self):
+        # one call per (tag, component, g) over all nodes of its faces;
+        # a scalar result stands for constant data
+        from goalfem.problems import slit_exact
+
+        mesh = build_slit().refine_uniform(1)
+        space = build_space(mesh, 2, 2)
+        calls = []
+
+        def traced(g):
+            def data(x, y, side):
+                calls.append(np.shape(x))
+                return g(x, y, side)
+            return data
+
+        cons = build_constraints(space, [
+            ("dirichlet", 0, traced(slit_exact)),
+            ("dirichlet", 1, traced(lambda x, y, side: 2.5))])
+        assert len(calls) == 2 and calls[0] == calls[1]
+        assert len(calls[0]) == 2 and calls[0][1] == 3
+        dofs = np.flatnonzero(cons.constrained)
+        second = dofs[dofs >= space.n_nodes]
+        assert np.all(cons.inhomogeneity[second] == 2.5)
+        first = dofs[dofs < space.n_nodes]
+        x, y = space.node_coords[first].T
+        on_lip = y == 0.0
+        assert np.array_equal(cons.inhomogeneity[first][~on_lip],
+                              slit_exact(x, y)[~on_lip])
 
 
 class TestConflictingDirichlet:

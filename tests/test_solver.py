@@ -53,7 +53,8 @@ class TestNestedTolerance:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = space.function(np.zeros(space.n_dofs))
-        u, stats = newton_solve(problem, space, cons, u0, nested_tolerance(2))
+        u, _, stats = newton_solve(problem, space, cons, u0,
+                                   nested_tolerance(2))
         assert stats.residual_norms == [0.0]
         assert (stats.iterations, stats.termination) == (0, "tolerance")
         assert np.array_equal(u.coeffs, u0.coeffs)
@@ -69,7 +70,7 @@ class TestNewton:
         space = build_space(build_unit_square(3), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
         assert stats.iterations == 1
         assert stats.alphas == [1.0]
 
@@ -78,7 +79,7 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = space.function(cons.apply(np.ones(space.n_dofs)))
-        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
         # the tolerance is relative to the start's residual, which the
         # loop assembles itself
         n0 = max_norm(assemble_residual(problem, space, cons, u0))
@@ -94,7 +95,7 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
         assert stats.iterations <= 30
         assert sum(stats.rebuilds) < stats.iterations  # reuse happened
 
@@ -103,7 +104,7 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        _, stats = newton_solve(problem, space, cons, u0, 1e-6)
+        _, _, stats = newton_solve(problem, space, cons, u0, 1e-6)
         norms = stats.residual_norms
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -117,7 +118,7 @@ class TestNewton:
         sv.REBUILD_RATIO = -1.0    # rebuild every step
         try:
             u0 = ones(space)
-            _, stats = newton_solve(problem, space, cons, u0, 1e-12)
+            _, _, stats = newton_solve(problem, space, cons, u0, 1e-12)
         finally:
             sv.REBUILD_RATIO = old
         # ignore iterates at the roundoff floor
@@ -133,8 +134,8 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u1, s1 = newton_solve(problem, space, cons, u0, 1e-8)
-        u2, s2 = newton_solve(problem, space, cons, u0, 1e-8)
+        u1, _, s1 = newton_solve(problem, space, cons, u0, 1e-8)
+        u2, _, s2 = newton_solve(problem, space, cons, u0, 1e-8)
         assert np.array_equal(u1.coeffs, u2.coeffs)
         assert s1.residual_norms == s2.residual_norms
         assert s1.alphas == s2.alphas
@@ -162,7 +163,7 @@ class TestNewton:
                              + accepted[:1]])
 
         monkeypatch.setattr(sv, "line_search", recording)
-        _, stats = newton_solve(problem, space, cons, u0, 1e-8, log=log)
+        _, _, stats = newton_solve(problem, space, cons, u0, 1e-8, log=log)
         assert stats.iterations > 2
         # the start and the first accepted iterate, after the second step
         assert dead == [[True, True]]
@@ -276,7 +277,7 @@ class TestSharedNewtonLoop:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
         norms = stats.residual_norms
         tol = 1e-8 * norms[0]
         retried = [k for k in range(1, stats.iterations)
@@ -342,7 +343,7 @@ class TestSharedNewtonLoop:
         # driver ends there too instead of raising
         problem, space, cons, u0 = self._near_solution(rng)
         calls = self._exhausted(monkeypatch)
-        u, stats = newton_solve(problem, space, cons, u0, 0.0)
+        u, _, stats = newton_solve(problem, space, cons, u0, 0.0)
         assert stats.termination == "stagnation"
         assert stats.iterations == 0
         assert len(calls) == 1          # the first step is already fresh
@@ -379,7 +380,7 @@ class TestSharedNewtonLoop:
             raise AssertionError("factorized a converged start")
 
         monkeypatch.setattr(sv, "factorize", no_factorization)
-        u, stats = newton_solve(problem, space, cons, u0, 1e-2)
+        u, _, stats = newton_solve(problem, space, cons, u0, 1e-2)
         assert (stats.iterations, stats.termination) == (0, "residual_floor")
         assert stats.residual_norms == [n0]
         assert np.array_equal(u.coeffs, u0.coeffs)
@@ -397,7 +398,7 @@ class TestSharedNewtonLoop:
         projected = cons.apply(raw)
         assert not np.array_equal(raw, projected)
         starts = [space.function(raw), space.function(projected)]
-        plain = [newton_solve(problem, space, cons, u0, 1e-8)
+        plain = [newton_solve(problem, space, cons, u0, 1e-8)[::2]
                  for u0 in starts]
         balanced = [adaptive_newton_multigoal(
             problem, space, cons, u0, eta_prev=1e-6,
