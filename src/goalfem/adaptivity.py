@@ -72,10 +72,16 @@ class RunConfig:
         if self.tol_dis <= 0:
             raise ValueError("tol_dis must be positive")
         for name, least in (("initial_refines", 0), ("max_levels", 1),
-                            ("max_dofs", 1), ("n_initial", 1), ("degree", 1)):
+                            ("max_dofs", 1), ("n_initial", 1), ("degree", 1),
+                            ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, "
                                  f"not {getattr(self, name)!r}")
+        if self.system == "plaplace":
+            PLaplaceParams(self.p, self.epsilon)
+        elif self.cold_start == "homotopy":
+            raise ValueError("cold_start homotopy continues the p-Laplace "
+                             "exponent; it needs system plaplace")
         r2 = self.enriched_degree
         if r2 is not None and r2 <= self.degree:
             raise ValueError("enriched degree must exceed the primal degree")
@@ -176,29 +182,33 @@ def build_problem(config):
     return build_plaplace(_plaplace_params(config))
 
 
-def homotopy_guess(config, space, constraints):
+def homotopy_guess(config, problem, space, constraints):
     """Level-1 initial guess by continuation in the p exponent.
 
     The damping acceptance ladder cannot leave the all-ones state for
     the manufactured high-frequency data (the best contraction along the
     Newton direction there is ~1e-4, far under the required c(L)), so
     the cold start instead solves the p=2 problem with the same data and
-    walks p to its target in a few geometric steps.
+    walks p to its target in a few geometric steps.  Each step is the
+    run's ``problem`` (its load and boundary data) with the kernels of
+    exponent p_k, so every step reads the mesh's one evaluation of the
+    load.
     """
-    params = _plaplace_params(config)
     steps = 3
     path = [2.0] + [2.0 + (config.p - 2.0) * k / steps
                     for k in range(1, steps + 1)]
     u = space.function(np.ones(space.n_dofs))
     total = 0
     for p_k in path:
-        prob_k = build_plaplace(replace(params, p=p_k))
+        kernels = build_plaplace(PLaplaceParams(p_k, config.epsilon))
+        prob_k = replace(problem, residual=kernels.residual,
+                         jacobian=kernels.jacobian)
         u, _, stats = newton_solve(prob_k, space, constraints, u, 1e-2)
         total += stats.iterations
     return u, total
 
 
-def _initial_guess(config, space, cons, u_prev):
+def _initial_guess(config, problem, space, cons, u_prev):
     """Newton start on one level and the Newton steps spent on it: the
     previous level's solution ``u_prev`` transferred to ``space``, or,
     on the first level (``u_prev`` None), the configured cold start.
@@ -206,21 +216,23 @@ def _initial_guess(config, space, cons, u_prev):
     if u_prev is not None:
         return transfer_to_refined(u_prev, space), 0
     if config.cold_start == "homotopy":
-        return homotopy_guess(config, space, cons)
+        return homotopy_guess(config, problem, space, cons)
     return space.function(np.ones(space.n_dofs)), 0
 
 
-def mark_average(cellwise, threshold=0.85):
-    """Rows of cells with eta_K at or above the mean indicator.
+# mark_average marks eta_K >= MARK_THRESHOLD * mean: float-level spreads
+# still count as ties, so on near-uniform distributions (smooth problems
+# on coarse grids, spreads ~10%) every cell is marked, reproducing the
+# global early refinements of the reference runs, while strongly skewed
+# distributions are unaffected
+MARK_THRESHOLD = 0.85
 
-    ``threshold`` relaxes the comparison to eta_K >= threshold * mean so
-    that float-level spreads still count as ties: on near-uniform
-    distributions (smooth problems on coarse grids, spreads ~10%) every
-    cell is marked, reproducing the global early refinements of the
-    reference runs, while strongly skewed distributions are unaffected.
-    """
+
+def mark_average(cellwise):
+    """Rows of cells with eta_K at or above the mean indicator, ties
+    relaxed by MARK_THRESHOLD."""
     cellwise = np.asarray(cellwise)
-    return np.flatnonzero(cellwise >= threshold * cellwise.mean())
+    return np.flatnonzero(cellwise >= MARK_THRESHOLD * cellwise.mean())
 
 
 def _relative_errors(values, refs):
@@ -282,8 +294,8 @@ def _levels(config, log, on_level):
         # both warm starts first: after them nothing holds the previous
         # level (its mesh with cached bases and goal samples, its
         # solutions with their cached quadrature values) during the solves
-        u2_0, boot2 = _initial_guess(config, space2, cons2, u2_prev)
-        u0, boot1 = _initial_guess(config, space, cons, u_prev)
+        u2_0, boot2 = _initial_guess(config, problem, space2, cons2, u2_prev)
+        u0, boot1 = _initial_guess(config, problem, space, cons, u_prev)
         u_prev = u2_prev = None
 
         # enriched primal (Newton tolerances nested by level)
@@ -375,7 +387,7 @@ def uniform_reference(config, n_refines, log=None):
     for level in range(1, n_refines + 2):
         space = build_space(mesh, config.degree, problem.n_components)
         cons = build_constraints(space, problem.dirichlet)
-        u0, _ = _initial_guess(config, space, cons, u_prev)
+        u0, _ = _initial_guess(config, problem, space, cons, u_prev)
         u_h, _, _ = newton_solve(problem, space, cons, u0,
                                  nested_tolerance(level))
         emit(f"reference level {level}: dofs={space.n_dofs}")

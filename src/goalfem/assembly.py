@@ -2,11 +2,16 @@
 of the residual vector and the Jacobian matrix.
 
 Every cell operator runs once over all active cells, as straight-line
-array code.  Two tabulations are cached on the mesh: the bilinear cell
-geometry (straight-sided quads) per rule, and the cell basis per
+array code.  Three tabulations are cached on the mesh: the bilinear
+cell geometry (straight-sided quads) per rule, the cell basis per
 (degree, rule), ``B[e, d, q, b]``, holding the value (d = 0) and the
 two physical gradient components (d = 1, 2) of each local basis
-function b at each quadrature point q of every active cell e.
+function b at each quadrature point q of every active cell e, and a
+problem's load f(x, y) at the rule's points per (rule, load).  The
+load is keyed by the callable, so the problems of one run that share a
+load (the p-continuation steps of a cold start) evaluate it once per
+mesh; ``residual_densities`` subtracts it from the kernel's value
+density, the one place a load enters an integral.
 Evaluating a function, integrating densities against the test
 functions and forming local Jacobians are then batched matmuls against
 B: the basis / pointwise kernel split of cell-based operator
@@ -96,6 +101,18 @@ def cell_basis(mesh, degree, rule):
     return hit
 
 
+def load_values(mesh, rule, load):
+    """The load f(x, y) at the rule's points of every active cell,
+    (e, q); cached per (mesh, rule order, load callable)."""
+    key = ("load", rule.n, load)
+    hit = mesh._caches.get(key)
+    if hit is not None:
+        return hit
+    _, _, xq = cell_geometry(mesh, rule)
+    hit = mesh._caches[key] = load(xq[..., 0], xq[..., 1])
+    return hit
+
+
 def quadrature_values(f):
     """Values (e, k, q) and gradients (e, k, q, 2) of a discrete function
     at its space's rule points on every active cell.
@@ -134,6 +151,16 @@ def on_ray(u, delta, alpha):
     return out
 
 
+def residual_densities(problem, u):
+    """The residual densities (val (e, k, q), grd (e, k, q, 2)) at u's
+    quadrature points: the kernel's, with the problem's load subtracted
+    from the value density of component 0."""
+    val, grd = problem.residual(*quadrature_values(u))
+    if problem.load is not None:
+        val[:, 0] -= load_values(u.space.mesh, u.space.rule, problem.load)
+    return val, grd
+
+
 def basis_integrals(val, grd, wdet, B):
     """int val_k phi_b + grd_k . grad phi_b over each cell, shaped
     (e, k, b).
@@ -161,8 +188,8 @@ def assemble_residual(problem, space, constraints, u):
     zeroed (transposed constraint application).
     """
     rule = space.rule
-    det, _, xq = cell_geometry(space.mesh, rule)
-    val, grd = problem.residual(xq, *quadrature_values(u))
+    det, _, _ = cell_geometry(space.mesh, rule)
+    val, grd = residual_densities(problem, u)
     if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
         raise QuadratureFailure("non-finite residual integrand")
     local = basis_integrals(val, grd, rule.weights * det,
@@ -195,8 +222,8 @@ def local_matrices(terms, wdet, B, ncomp):
 def assemble_jacobian(problem, space, constraints, u):
     """Matrix of A'(u)(phi_j, phi_i) (rows = test), condensed."""
     rule = space.rule
-    det, _, xq = cell_geometry(space.mesh, rule)
-    A = local_matrices(problem.jacobian(xq, *quadrature_values(u)),
+    det, _, _ = cell_geometry(space.mesh, rule)
+    A = local_matrices(problem.jacobian(*quadrature_values(u)),
                        rule.weights * det,
                        cell_basis(space.mesh, space.degree, rule),
                        space.n_components)

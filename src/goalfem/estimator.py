@@ -16,12 +16,13 @@ extended by the enriched constraints and so vanishes on the Dirichlet
 boundary, where the data of the adjoint are homogeneous.
 
 Both weighted forms run through one localization routine: the primal
-form weights the residual flux, the adjoint form the "transposed flux"
-of the Jacobian kernel's terms contracted once with z_h.  The densities,
-integrated against the Q1 vertex hats of ``assembly.cell_basis``, give
-nodal values eta_i summing exactly to the global number; hanging
-vertices fold their share onto the face endpoints so the hats still
-partition unity.
+form weights the residual densities (``assembly.residual_densities``,
+the kernel's flux with the mesh's cached load subtracted), the adjoint
+form the "transposed flux" of the Jacobian kernel's terms at u_h
+contracted once with z_h.  The densities, integrated against the Q1
+vertex hats of ``assembly.cell_basis``, give nodal values eta_i summing
+exactly to the global number; hanging vertices fold their share onto
+the face endpoints so the hats still partition unity.
 
 The transposed flux is the estimator's one action of J(u)^T: integrated
 against the test basis instead of the hats, it applies the transposed
@@ -108,19 +109,12 @@ def _transposed_flux(terms, zv, zg):
     return tv, tg
 
 
-def _jacobian_terms(problem, u):
-    """The Jacobian kernel's terms at u's quadrature points."""
-    _, _, xq = assembly.cell_geometry(u.space.mesh, u.space.rule)
-    return problem.jacobian(xq, *assembly.quadrature_values(u))
-
-
 def primal_weighted_form(problem, u, weight):
     """rho(u)(w psi_a) per vertex and the global rho(u)(w) = -A(u)(w);
     the weight ``w`` may live in an enriched space on u's mesh with the
     same rule."""
-    _, _, xq = assembly.cell_geometry(u.space.mesh, u.space.rule)
-    nodal, total = _localize(
-        weight, *problem.residual(xq, *assembly.quadrature_values(u)))
+    nodal, total = _localize(weight,
+                             *assembly.residual_densities(problem, u))
     return -nodal, -total
 
 
@@ -128,7 +122,8 @@ def adjoint_weighted_form(problem, functional, u, z, weight):
     """rho*(u, z)(w psi_a) per vertex and the global
     rho*(u, z)(w) = J'(u)(w) - A'(u)(w, z)."""
     nodal, total = _localize(weight, *_transposed_flux(
-        _jacobian_terms(problem, u), *assembly.quadrature_values(z)))
+        problem.jacobian(*assembly.quadrature_values(u)),
+        *assembly.quadrature_values(z)))
     return (functional.nodal_directional(u, weight) - nodal,
             functional.directional(u, weight) - total)
 
@@ -163,7 +158,7 @@ def transposed_jacobian(problem, constraints, u):
     det, _, _ = assembly.cell_geometry(space.mesh, rule)
     wdet = rule.weights * det
     basis = assembly.cell_basis(space.mesh, space.degree, rule)
-    terms = _jacobian_terms(problem, u)
+    terms = problem.jacobian(*assembly.quadrature_values(u))
     mask = constraints.constrained
 
     def apply(y):

@@ -1,9 +1,15 @@
 """PDE kernels: regularized p-Laplacian and a quasilinear 3-field system.
 
-Kernels are pure functions of batched quadrature-point data.  Residual
-kernels return the densities pairing with test values and test
-gradients.  Jacobian kernels return the exact linearization as a list of
-its structurally nonzero terms ``(test_grad, trial_grad, k, m, c)``,
+Kernels are pure functions of the state at the quadrature points:
+``residual(u, grad_u)`` and ``jacobian(u, grad_u)``, with u (e, k, q)
+and grad_u (e, k, q, 2) on every active cell e.  No kernel sees a
+coordinate.  A load is data of the problem (``ProblemDefinition.load``,
+f(x, y) on component 0), not of the iterate: ``assembly`` evaluates it
+once per mesh and rule and subtracts it from the value density.
+Residual kernels return the densities pairing with test values and
+test gradients.  Jacobian kernels return the exact linearization as a
+list of its structurally nonzero terms
+``(test_grad, trial_grad, k, m, c)``,
 
     A'(u)(du, v) = sum over terms of  s(v_k)^T c s(du_m),
 
@@ -29,12 +35,14 @@ from .mesh import DIRICHLET
 
 @dataclass(frozen=True)
 class ProblemDefinition:
-    """Weak-form kernels plus boundary data for one PDE instance."""
+    """Weak-form kernels plus boundary data and load for one PDE
+    instance."""
 
     n_components: int
     residual: Callable
     jacobian: Callable
     dirichlet: tuple  # of (boundary tag, component, g(x, y, side))
+    load: Optional[Callable] = None  # f(x, y) on component 0, vectorized
 
 
 # ----------------------------------------------------------------------
@@ -70,19 +78,15 @@ def plaplace_flux(grad_u, params):
 
 
 def build_plaplace(params):
-    """Weak form <a(grad u), grad v> - <f, v> with Dirichlet data."""
-    f = params.rhs
+    """Weak form <a(grad u), grad v> - <f, v> with Dirichlet data; the
+    kernels form <a(grad u), grad v>, and f is the problem's load."""
     p, eps = params.p, params.epsilon
     eye = np.eye(2)
 
-    def residual(x, u, grad_u):
-        val = np.zeros_like(u)
-        if f is not None:
-            val[:, 0, :] = -f(x[..., 0], x[..., 1])
-        grad = plaplace_flux(grad_u, params)
-        return val, grad
+    def residual(u, grad_u):
+        return np.zeros_like(u), plaplace_flux(grad_u, params)
 
-    def jacobian(x, u, grad_u):
+    def jacobian(u, grad_u):
         g = grad_u[:, 0]                       # (nc, nq, 2)
         s = _norm2(g)
         base = eps ** 2 + s
@@ -94,7 +98,8 @@ def build_plaplace(params):
         return [(True, True, 0, 0, gg)]
 
     g = params.dirichlet or (lambda x, y, side: 0.0)
-    return ProblemDefinition(1, residual, jacobian, ((DIRICHLET, 0, g),))
+    return ProblemDefinition(1, residual, jacobian, ((DIRICHLET, 0, g),),
+                             load=params.rhs)
 
 
 def manufactured_rhs(grad_fn, hess_fn, params):
@@ -160,7 +165,7 @@ def build_quasilinear():
     g1, dg1, g2, dg2 = _g1, _dg1, _g2, _dg2
     eye = np.eye(2)
 
-    def residual(x, u, grad_u):
+    def residual(u, grad_u):
         u1, u2, u3 = u[:, 0], u[:, 1], u[:, 2]
         val = np.empty_like(u)
         val[:, 0] = u2 + u3 - 1.0
@@ -172,7 +177,7 @@ def build_quasilinear():
         grad[:, 2] = g2(u1 + u2)[..., None] * grad_u[:, 2]
         return val, grad
 
-    def jacobian(x, u, grad_u):
+    def jacobian(u, grad_u):
         nc, _, nq = u.shape
         u1, u2, u3 = u[:, 0], u[:, 1], u[:, 2]
         ones = np.ones((nc, nq, 1, 1))

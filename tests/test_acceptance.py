@@ -3,11 +3,19 @@
 Expensive experiment runs are cached at module scope and shared between
 criteria (the PU-consistency check inspects every estimator call made by
 the quantitative runs).  Stated runtime budgets are asserted as well.
+The last test compares every cached run's records with the committed
+``acceptance_records.json``, which
+
+    python3 tools/record_oracle.py
+
+regenerates.
 """
 
 import dataclasses
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,3 +334,65 @@ def test_criterion_9_semiregular(case):
     print(f"\n[PASS] criterion 9 ({case}): slopes adaptive {slope_a:.2f} / "
           f"uniform {slope_u:.2f}; adaptive cheaper on {wins}/{comparable} "
           f"levels ({wall:.0f}s)")
+
+
+ORACLE = Path(__file__).with_name("acceptance_records.json")
+ORACLE_EXACT = ("level", "n_dofs", "n_cells", "newton_steps",
+                "enriched_newton_steps", "adjoint_applications",
+                "adjoint_factorized")
+# three times the largest drift measured between one BLAS thread and two
+# (3.0e-12, c9 case 1's eta_primal; every count identical)
+ORACLE_RTOL = 1e-11
+
+
+def oracle_records():
+    """The records of the suite's runs without ``wall_ms``, keyed by run
+    (c3's uniform reference as one record of ``values``): what
+    ``acceptance_records.json`` holds.  Runs what is not cached yet."""
+    def plain(records):
+        return [{k: v for k, v in dataclasses.asdict(r).items()
+                 if k != "wall_ms"} for r in records]
+
+    c3, reference = _cached("c3", run_c3)
+    out = {"c2": plain(_cached("c2", run_c2)), "c3": plain(c3),
+           "c3_reference": [{"values": [float(v) for v in reference]}]}
+    for key, maker, kinds in (
+            ("c7", run_c7, ("adaptive", "uniform")),
+            ("c8", run_c8, ("adaptive", "fixed")),
+            ("c9_case1", lambda: run_c9("case1"), ("adaptive", "uniform")),
+            ("c9_case2", lambda: run_c9("case2"), ("adaptive", "uniform"))):
+        for kind, records in zip(kinds, _cached(key, maker)):
+            out[f"{key}_{kind}"] = plain(records)
+    return out
+
+
+def test_records_match_the_oracle():
+    """Every record of criteria 2, 3, 7, 8 and 9 against the committed
+    oracle: the counts of ORACLE_EXACT exactly, every other field to
+    ORACLE_RTOL relative, NaN equal to NaN."""
+    want = json.loads(ORACLE.read_text())
+    # through JSON, so both sides hold lists and Python numbers
+    have = json.loads(json.dumps(oracle_records()))
+    assert have.keys() == want.keys()
+    wrong = []
+    for run, records in want.items():
+        if len(have[run]) != len(records):
+            wrong.append(f"{run}: {len(have[run])} levels, "
+                         f"oracle {len(records)}")
+            continue
+        for level, (got, ref) in enumerate(zip(have[run], records), 1):
+            assert got.keys() == ref.keys()
+            for field, value in ref.items():
+                if field in ORACLE_EXACT:
+                    same = got[field] == value
+                else:
+                    a = np.array(got[field], dtype=float)
+                    b = np.array(value, dtype=float)
+                    same = a.shape == b.shape and np.allclose(
+                        a, b, rtol=ORACLE_RTOL, atol=0.0, equal_nan=True)
+                if not same:
+                    wrong.append(f"{run} level {level} {field}: "
+                                 f"{got[field]} != {value}")
+    assert not wrong, "\n".join(wrong)
+    print(f"\n[PASS] oracle: {sum(map(len, want.values()))} records of "
+          f"{len(want)} runs match {ORACLE.name}")

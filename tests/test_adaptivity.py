@@ -32,9 +32,11 @@ class TestMarkAverage:
         marks = mark_average(np.array([1.0, 0.0, 0.0, 0.0]))
         assert list(marks) == [0]
 
-    def test_ties_at_mean_marked(self):
-        marks = mark_average(np.array([2.0, 2.0, 2.0, 2.0]), threshold=1.0)
-        assert len(marks) == 4
+    def test_ties_at_mean_marked(self, monkeypatch):
+        assert len(mark_average(np.array([2.0, 2.0, 2.0, 2.0]))) == 4
+        # without the tie band, values exactly at the mean still count
+        monkeypatch.setattr(adaptivity, "MARK_THRESHOLD", 1.0)
+        assert len(mark_average(np.array([2.0, 2.0, 2.0, 2.0]))) == 4
 
     def test_near_uniform_tie_band(self):
         # spreads within the tie tolerance mark everything
@@ -59,6 +61,29 @@ class TestRunAdaptive:
                      meshes.append(mesh))
         orders = {key[1] for key in meshes[-1]._caches if key[0] == "geom"}
         assert orders == {cfg.r2 + 2}
+
+    def test_load_evaluated_once_per_level(self, monkeypatch):
+        # the homotopy cold start's p-steps, both spaces, every Newton
+        # residual and the estimate of a level read one evaluation of
+        # the manufactured load, on that level's mesh
+        calls = []
+        build = adaptivity.build_problem
+
+        def counted(config):
+            problem = build(config)
+
+            def load(x, y):
+                calls.append(np.shape(x))
+                return problem.load(x, y)
+
+            return dataclasses.replace(problem, load=load)
+
+        monkeypatch.setattr(adaptivity, "build_problem", counted)
+        cfg = dataclasses.replace(get_preset("example1b_case1"),
+                                  max_levels=3)
+        records = run_adaptive(cfg)
+        assert len(records) == 3
+        assert [shape[0] for shape in calls] == [r.n_cells for r in records]
 
     def test_tolerance_stops_immediately(self):
         cfg = tiny_p2_config(tol_dis=1.0, max_levels=6)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from goalfem import assembly
 from goalfem.assembly import (assemble_jacobian, assemble_residual,
                               basis_integrals, cell_basis, cell_geometry,
-                              local_matrices, on_ray, quadrature_values)
+                              local_matrices, on_ray, quadrature_values,
+                              residual_densities)
 from goalfem.errors import QuadratureFailure
 from goalfem.estimator import (_transposed_flux, adjoint_weighted_form,
                                primal_weighted_form, solve_enriched_adjoint)
@@ -164,11 +165,14 @@ def einsum_eval(space, coeffs, N, gphi):
 
 def einsum_residual(problem, space, u, rule):
     """Reference: the unconstrained residual vector by the einsum
-    contraction of the kernel densities with the test basis."""
+    contraction of the kernel densities, less the load evaluated here,
+    with the test basis."""
     det, _, xq = cell_geometry(space.mesh, rule)
     N, _ = tensor_basis(space.degree, rule.points)
     gphi = einsum_phys_gradients(space.mesh, space.degree, rule)
-    val, grd = problem.residual(xq, *einsum_eval(space, u.coeffs, N, gphi))
+    val, grd = problem.residual(*einsum_eval(space, u.coeffs, N, gphi))
+    if problem.load is not None:
+        val[:, 0] -= problem.load(xq[..., 0], xq[..., 1])
     wdet = rule.weights[None, :] * det
     rloc = np.einsum("eq,ekq,bq->ekb", wdet, val, N, optimize=True)
     rloc += np.einsum("eq,ekqi,ebqi->ekb", wdet, grd, gphi, optimize=True)
@@ -180,10 +184,10 @@ def einsum_residual(problem, space, u, rule):
 def einsum_jacobian(problem, space, u, rule):
     """Reference: the unconstrained Jacobian from the dense einsum local
     matrices, summed into a sparse matrix."""
-    det, _, xq = cell_geometry(space.mesh, rule)
+    det, _, _ = cell_geometry(space.mesh, rule)
     N, _ = tensor_basis(space.degree, rule.points)
     gphi = einsum_phys_gradients(space.mesh, space.degree, rule)
-    terms = problem.jacobian(xq, *einsum_eval(space, u.coeffs, N, gphi))
+    terms = problem.jacobian(*einsum_eval(space, u.coeffs, N, gphi))
     A = einsum_local_matrices(terms, rule.weights[None, :] * det, N, gphi,
                               space.n_components)
     ne = len(A)
@@ -320,7 +324,7 @@ class TestLocalMatrices:
             assert self.close(got, ref)
 
     def test_nonfinite_block_raises(self):
-        def jacobian(x, u, grad_u):
+        def jacobian(u, grad_u):
             vv = np.ones(u.shape[:1] + u.shape[2:] + (1, 1))
             vv[0, 0] = np.nan
             return [(False, False, 0, 0, vv)]
@@ -465,8 +469,8 @@ class TestScatterAndRay:
 
         rule = space.rule
         u = space.function(cons.apply(0.5 * rng.normal(size=space.n_dofs)))
-        det, _, xq = cell_geometry(mesh, rule)
-        val, grd = problem.residual(xq, *quadrature_values(u))
+        det, _, _ = cell_geometry(mesh, rule)
+        val, grd = residual_densities(problem, u)
         local = basis_integrals(val, grd, rule.weights * det,
                                 cell_basis(mesh, degree, rule))
         assert np.array_equal(

@@ -183,6 +183,16 @@ _BAD_VALUES = [
     ("reference_uncertainties", "experiment = example1a\n"
                                 "geometry = unit_square\n"
                                 "reference_uncertainties = inf\n"),
+    ("seed", "experiment = example1a\ngeometry = unit_square\nseed = -3\n"),
+    ("seed", "experiment = example1a\ngeometry = unit_square\n"
+             "distort_factor = 0.2\nseed = -3\n"),
+    ("p", "experiment = example1a\ngeometry = unit_square\np = 1.0\n"),
+    ("epsilon", "experiment = example1a\ngeometry = unit_square\n"
+                "epsilon = 0\n"),
+    ("epsilon", "experiment = example1a\ngeometry = unit_square\n"
+                "epsilon = -1\n"),
+    ("cold_start", "experiment = example2\ngeometry = slit\n"
+                   "system = quasilinear\ncold_start = homotopy\n"),
 ]
 
 

@@ -23,7 +23,7 @@ def test_flux_jacobian_matches_fd(gx, gy, dx, dy, p, eps):
     fd = (plaplace_flux(g + h * d, prm) - plaplace_flux(g - h * d, prm)) / (2 * h)
     # the kernel's single gradient-gradient term applied to d
     [(_, _, _, _, c)] = build_plaplace(prm).jacobian(
-        None, None, g.reshape(1, 1, 1, 2))
+        None, g.reshape(1, 1, 1, 2))
     out = c[0, 0] @ d
     scale = 1.0 + np.abs(fd).max()
     assert np.all(np.abs(out - fd) <= 2e-4 * scale)
