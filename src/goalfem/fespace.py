@@ -15,8 +15,9 @@ table exactly as ``np.add.at`` would.
 
 A space carries the Gauss rule of every integral over its functions
 (``FeSpace.rule``).  A ``DiscreteFunction`` caches its values at that
-rule's points, filled by ``assembly.quadrature_values``; its
-coefficients are read-only, so those values cannot go stale.
+rule's points, filled by ``assembly.quadrature_values``, and the value
+of each goal leaf at it, filled by ``goals.LinearLeaf.value``; its
+coefficients are read-only, so neither can go stale.
 
 Hanging-node and Dirichlet constraints are one affine map u = C u + b
 (``ConstraintSet``): the sparse matrix C, closed so that no master is
@@ -265,7 +266,8 @@ class DiscreteFunction:
     The coefficients are a read-only copy.  ``quad_values`` holds the
     function's values and gradients at the points of its space's rule
     on every active cell, or None until ``assembly.quadrature_values``
-    fills it.
+    fills it.  ``leaf_values`` maps a goal leaf to its value at the
+    function, filled by ``goals.LinearLeaf.value``.
     """
 
     def __init__(self, space, coeffs):
@@ -275,6 +277,7 @@ class DiscreteFunction:
         self.coeffs = np.array(coeffs, dtype=float)
         self.coeffs.flags.writeable = False
         self.quad_values = None
+        self.leaf_values = {}
 
 
 def build_space(mesh, degree, n_components=1, rule=None):
@@ -295,16 +298,16 @@ class ConstraintSet:
     projection.
     """
 
-    def __init__(self, n_dofs, hanging=((), (), ()), fixed=None):
+    def __init__(self, n_dofs, hanging=((), (), ()), fixed=((), ())):
         """``hanging`` holds the triplets (dofs, masters, weights) of the
-        rows dof = sum(weight * master); ``fixed`` maps a DOF to its
-        value, which overrides a hanging row of the same DOF."""
-        fixed = fixed or {}
+        rows dof = sum(weight * master); ``fixed`` holds the pair (dofs,
+        values) of the fixed DOFs, each listed once, whose value
+        overrides a hanging row of the same DOF."""
         dofs, masters = (np.asarray(a, dtype=np.int64) for a in hanging[:2])
         weights = np.asarray(hanging[2], dtype=float)
-        fixed_dofs = np.array(list(fixed), dtype=np.int64)
+        fixed_dofs = np.asarray(fixed[0], dtype=np.int64)
         b = np.zeros(n_dofs)
-        b[fixed_dofs] = list(fixed.values())
+        b[fixed_dofs] = fixed[1]
         mask = np.zeros(n_dofs, dtype=bool)
         mask[dofs] = True
         mask[fixed_dofs] = True
@@ -371,7 +374,9 @@ def build_constraints(space, dirichlet=()):
     on vertical outer faces only, and take the traces of their own sides
     through it.  A DOF keeps the value it gets first, in face order, then
     entry order, then along the face; a DOF that two faces give different
-    values raises ``ConflictingConstraints``.
+    values raises ``ConflictingConstraints``.  The hanging rows are formed
+    once on the scalar nodes and laid out per component by one
+    ``FeSpace.dof`` broadcast.
     """
     r = space.degree
     mesh = space.mesh
@@ -379,18 +384,15 @@ def build_constraints(space, dirichlet=()):
     verts = t.verts.tolist()
     vertex_node = space.vertex_node.tolist()
     edge_nodes = space.edge_nodes.tolist()
-    dofs, masters, weights = [], [], []
+    nodes, masters, weights = [], [], []
 
-    def face_nodes(e):
-        """Nodes of face e from its smaller vertex to its larger."""
-        a, b = verts[e]
-        return [vertex_node[a], *edge_nodes[e], vertex_node[b]]
-
-    # hanging faces: fine-side nodes interpolate the coarse edge trace
+    # hanging faces: fine-side nodes interpolate the coarse edge trace,
+    # whose nodes run from the face's smaller vertex to its larger
     for face, m, halves in zip(t.hanging_face.tolist(), t.hanging_mid.tolist(),
                                t.hanging_halves.tolist()):
-        coarse_nodes = np.asarray(face_nodes(face))
         a, b = verts[face]
+        coarse_nodes = np.array([vertex_node[a], *edge_nodes[face],
+                                 vertex_node[b]])
         fine = [(vertex_node[m], 0.5)]
         t_of = {a: 0.0, b: 1.0, m: 0.5}
         for half in halves:
@@ -401,18 +403,21 @@ def build_constraints(space, dirichlet=()):
         for nid, pos in fine:
             w = lagrange_1d(r, np.array([pos]))[:, 0]
             keep = np.abs(w) > 1e-14
-            for comp in range(space.n_components):
-                dofs.extend([space.dof(comp, nid)] * int(keep.sum()))
-                masters.extend(space.dof(comp, coarse_nodes[keep]))
-                weights.extend(w[keep])
+            nodes.extend([nid] * int(keep.sum()))
+            masters.extend(coarse_nodes[keep])
+            weights.extend(w[keep])
 
-    return ConstraintSet(space.n_dofs, (dofs, masters, weights),
+    comp = np.arange(space.n_components)[:, None]
+    dofs = space.dof(comp, np.array([nodes, masters], dtype=np.int64)[:, None])
+    return ConstraintSet(space.n_dofs, (*dofs.reshape(2, -1),
+                                        np.tile(weights, len(comp))),
                          _dirichlet_values(space, t, dirichlet))
 
 
 def _dirichlet_values(space, t, dirichlet):
-    """{dof: value} of the nodal interpolation of the Dirichlet data on
-    the faces of edge table ``t``, as ``build_constraints`` says."""
+    """(dofs, values) of the nodal interpolation of the Dirichlet data on
+    the faces of edge table ``t``, each DOF once, in the first-come
+    order ``build_constraints`` states."""
     mesh = space.mesh
     tagged = np.flatnonzero(np.not_equal(t.tag, None))
     pos = np.arange(space.degree + 1)
@@ -432,7 +437,7 @@ def _dirichlet_values(space, t, dirichlet):
         dof.append(space.dof(comp, nodes).ravel())
         node.append(nodes.ravel())
     if not key:
-        return {}
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
     order = np.argsort(np.concatenate(key), kind="stable")
     dof, val, node = (np.concatenate(a)[order] for a in (dof, val, node))
     _, first, inverse = np.unique(dof, return_index=True, return_inverse=True)
@@ -444,7 +449,7 @@ def _dirichlet_values(space, t, dirichlet):
         raise ConflictingConstraints(f"dof {dof[i]} at ({x}, {y}): "
                                      f"{float(prev[i])} vs {float(val[i])}")
     first.sort()
-    return dict(zip(dof[first].tolist(), val[first].tolist()))
+    return dof[first], val[first]
 
 
 # ----------------------------------------------------------------------

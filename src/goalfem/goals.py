@@ -5,14 +5,16 @@ J(u) = sum_s w_s . u(x_s): a point value is one sample, a region integral
 is its quadrature points with the weight, the quadrature weight and the
 cell Jacobian multiplied in.  The value, the directional derivative J'(v),
 the assembled gradient and the PU-nodal form J'(v psi_a) are four
-reductions of that one sum.  Composite nodes (sum, scale, shift, product,
-integer power) differentiate through ``linearize``, which flattens the
-chain/product rule into a list of (coefficient, leaf) pairs at the
-evaluation state, so no derivative form of a composite can drift from
-another.
+reductions of that one sum; the value is cached on the function.
+Composite nodes (sum, scale, shift, product, integer power) define only
+``linearize``: one traversal at the evaluation state gives the value and
+the chain/product rule flattened into (coefficient, leaf) pairs, which
+every derivative form reads, so no two forms can drift apart.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,26 +28,27 @@ class Functional:
     """Base class: differentiable scalar quantity of a discrete field."""
 
     def linearize(self, u):
+        """(J(u), [(c, leaf), ...]) with J'(u) = sum c leaf'."""
         raise NotImplementedError
 
     def value(self, u):
-        raise NotImplementedError
+        return self.linearize(u)[0]
 
     def directional(self, u, v):
         return sum(c * leaf.leaf_directional(u, v)
-                   for c, leaf in self.linearize(u))
+                   for c, leaf in self.linearize(u)[1])
 
     def gradient(self, constraints, u):
         """The condensed gradient J'(u)(phi_i) on u's space."""
         out = np.zeros(u.space.n_dofs)
-        for c, leaf in self.linearize(u):
+        for c, leaf in self.linearize(u)[1]:
             out += c * leaf.leaf_gradient(u.space, constraints)
         return out
 
     def nodal_directional(self, u, v):
         """Directional derivative against v * psi_a for every vertex hat."""
         out = np.zeros(u.space.mesh.n_points)
-        for c, leaf in self.linearize(u):
+        for c, leaf in self.linearize(u)[1]:
             out += c * leaf.leaf_nodal_directional(u, v)
         return out
 
@@ -65,7 +68,7 @@ class LinearLeaf(Functional):
     rule_free = False
 
     def linearize(self, u):
-        return [(1.0, self)]
+        return self.value(u), [(1.0, self)]
 
     def _groups(self, mesh, rule, ncomp):
         key = ("samples", self, ncomp, None if self.rule_free else rule.n)
@@ -83,7 +86,11 @@ class LinearLeaf(Functional):
             yield rows, pts, np.einsum("epk,ekp->ep", w, vals)
 
     def value(self, u):
-        return self.leaf_directional(u, u)
+        """J(u) = J'(u)(u), computed once per function and cached on it."""
+        out = u.leaf_values.get(self)
+        if out is None:
+            out = u.leaf_values[self] = self.leaf_directional(u, u)
+        return out
 
     def leaf_directional(self, u, v):
         return float(sum(d.sum() for _, _, d in self._densities(v)))
@@ -195,11 +202,10 @@ class Sum(Functional):
     def __init__(self, terms):
         self.terms = list(terms)
 
-    def value(self, u):
-        return sum(t.value(u) for t in self.terms)
-
     def linearize(self, u):
-        return [cl for t in self.terms for cl in t.linearize(u)]
+        parts = [t.linearize(u) for t in self.terms]
+        return (sum(v for v, _ in parts),
+                [cl for _, pairs in parts for cl in pairs])
 
 
 class Scale(Functional):
@@ -207,11 +213,9 @@ class Scale(Functional):
         self.factor = float(factor)
         self.inner = inner
 
-    def value(self, u):
-        return self.factor * self.inner.value(u)
-
     def linearize(self, u):
-        return [(self.factor * c, leaf) for c, leaf in self.inner.linearize(u)]
+        v, pairs = self.inner.linearize(u)
+        return self.factor * v, [(self.factor * c, leaf) for c, leaf in pairs]
 
 
 class Shift(Functional):
@@ -221,33 +225,22 @@ class Shift(Functional):
         self.inner = inner
         self.offset = float(offset)
 
-    def value(self, u):
-        return self.inner.value(u) + self.offset
-
     def linearize(self, u):
-        return self.inner.linearize(u)
+        v, pairs = self.inner.linearize(u)
+        return v + self.offset, pairs
 
 
 class Product(Functional):
     def __init__(self, factors):
         self.factors = list(factors)
 
-    def value(self, u):
-        out = 1.0
-        for f in self.factors:
-            out *= f.value(u)
-        return out
-
     def linearize(self, u):
-        vals = [f.value(u) for f in self.factors]
+        vals, pairs = zip(*(f.linearize(u) for f in self.factors))
         out = []
-        for i, f in enumerate(self.factors):
-            rest = 1.0
-            for j, v in enumerate(vals):
-                if j != i:
-                    rest *= v
-            out.extend((rest * c, leaf) for c, leaf in f.linearize(u))
-        return out
+        for i, factor_pairs in enumerate(pairs):
+            rest = math.prod(vals[:i] + vals[i + 1:])
+            out.extend((rest * c, leaf) for c, leaf in factor_pairs)
+        return math.prod(vals), out
 
 
 class Power(Functional):
@@ -259,13 +252,11 @@ class Power(Functional):
         self.inner = inner
         self.exponent = int(exponent)
 
-    def value(self, u):
-        return self.inner.value(u) ** self.exponent
-
     def linearize(self, u):
         k = self.exponent
-        c0 = k * self.inner.value(u) ** (k - 1) if k > 1 else 1.0
-        return [(c0 * c, leaf) for c, leaf in self.inner.linearize(u)]
+        v, pairs = self.inner.linearize(u)
+        c0 = k * v ** (k - 1) if k > 1 else 1.0
+        return v ** k, [(c0 * c, leaf) for c, leaf in pairs]
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The record comparison of tools/compare_records.py on synthetic records,
-and its control perturbation of the residual in process."""
+and its control perturbation of the residual and the goal gradients in
+process."""
 
 import importlib.util
 import math
@@ -19,6 +20,7 @@ def records():
              "values": (1.0 / k, 2.0), "rel_errors": (math.nan, 0.5),
              "je_error": 0.1 / k, "eta_h": 0.1 / k, "i_eff": math.nan,
              "newton_steps": 2, "enriched_newton_steps": 3,
+             "adjoint_applications": 4, "adjoint_factorized": 0,
              "wall_ms": 5.0 * k}
             for k in (1, 2, 3)]
 
@@ -38,10 +40,25 @@ def test_one_dof_changed():
     change[1]["n_dofs"] += 1
     identical, rel_diff = compare_records.compare(records(), change)
     assert identical == {"level": True, "n_dofs": False, "n_cells": True,
-                         "newton_steps": True, "enriched_newton_steps": True}
+                         "newton_steps": True, "enriched_newton_steps": True,
+                         "adjoint_applications": True,
+                         "adjoint_factorized": True}
     change.pop()
     identical, _ = compare_records.compare(records(), change + records()[:1])
     assert not identical["level"]
+
+
+def test_adjoint_path_flip_differs():
+    # one level factors its enriched adjoint instead of going matrix-free
+    change = records()
+    change[1]["adjoint_applications"] = 0
+    change[1]["adjoint_factorized"] = 1
+    identical, rel_diff = compare_records.compare(records(), change)
+    assert not identical["adjoint_factorized"]
+    assert not identical["adjoint_applications"]
+    assert "adjoint_factorized" not in rel_diff
+    lines, ok = compare_records.report("w/1", records(), change)
+    assert not ok and "adjoint_factorized NO" in lines[1]
 
 
 def test_value_drift_and_nan_mismatch():
@@ -93,21 +110,35 @@ def test_main_runs_the_control_on_the_parent(monkeypatch, capsys):
 
 
 def test_perturb_residual_scales_every_binding():
-    from goalfem import adaptivity, assembly, solver
+    # the residual at every binding, and the gradient of every goal (the
+    # adjoint right-hand sides), leaves and composites alike
+    from goalfem import adaptivity, assembly, goals, solver
+    from goalfem.multigoal import CombinedFunctional
     from conftest import poisson_setup
 
     problem, _, space, cons, u, _ = poisson_setup(3)
     u = space.function(u.coeffs + 0.1)
     original = assembly.assemble_residual
+    gradient = goals.Functional.gradient
     exact = original(problem, space, cons, u)
-    restore = compare_records.perturb_residual()
+    leaf = goals.PointValue((0.3, 0.6))
+    fns = [leaf, goals.Power(goals.RegionIntegral(), 2)]
+    combined = CombinedFunctional(fns, [1.0, 2.0], [1.5, 1.0])
+    exact_gradients = [J.gradient(cons, u) for J in fns + [combined]]
+    restore = compare_records.perturb()
     try:
         for module in (assembly, solver, adaptivity):
             assert module.assemble_residual is not original
         got = solver.assemble_residual(problem, space, cons, u)
         assert np.array_equal(got, exact * compare_records.CONTROL_SCALE)
         assert not np.array_equal(got, exact)
+        for J, want in zip(fns + [combined], exact_gradients):
+            got = J.gradient(cons, u)
+            assert np.array_equal(got, want * compare_records.CONTROL_SCALE)
+            assert not np.array_equal(got, want)
     finally:
         restore()
     for module in (assembly, solver, adaptivity):
         assert module.assemble_residual is original
+    assert goals.Functional.gradient is gradient
+    assert np.array_equal(leaf.gradient(cons, u), exact_gradients[0])

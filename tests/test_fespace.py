@@ -223,18 +223,49 @@ def pin_data(x, y, side):
         y == 0.0, 0.25 * side * np.minimum(x, 0.0), 0.0)
 
 
+def pinned_digests(space, dirichlet):
+    cons = build_constraints(space, dirichlet)
+    C = cons.matrix
+    return (digest(space.cell_dofs.astype(np.int64)),
+            digest(space.node_coords),
+            digest(C.indptr.astype(np.int64), C.indices.astype(np.int64),
+                   C.data, cons.constrained, cons.inhomogeneity))
+
+
 @pytest.mark.parametrize("kind, degree", sorted(PINS))
 def test_numbering_and_constraints_pinned(kind, degree):
     mesh = refined_mesh(kind, PIN_MARKS)
     assert reference_hanging(mesh)
     s = build_space(mesh, degree)
-    cons = build_constraints(s, [("dirichlet", 0, pin_data),
-                                 ("neumann", 0, pin_data)])
-    C = cons.matrix
-    assert (digest(s.cell_dofs.astype(np.int64)), digest(s.node_coords),
-            digest(C.indptr.astype(np.int64), C.indices.astype(np.int64),
-                   C.data, cons.constrained, cons.inhomogeneity)) \
-        == PINS[kind, degree]
+    assert pinned_digests(s, [("dirichlet", 0, pin_data),
+                              ("neumann", 0, pin_data)]) == PINS[kind, degree]
+
+
+# the same digests for three components, each with Dirichlet data of its
+# own, from the constraint build that laid out the hanging rows one
+# component at a time
+VECTOR_PINS = {
+    ("cheese", 1): ("deeed7f8cff335a6", "adc880a95bfbfa23", "740f1855281cfc50"),
+    ("cheese", 2): ("e87805d8e45ef5f9", "22ab53ce10ea6edf", "fd85ae45f978a8c2"),
+    ("slit", 1): ("98b09005cb2ba5d8", "6d1f52306578ea4b", "b1206993914e1065"),
+    ("slit", 2): ("611c340fabe32dc6", "62f9df2d55ef46e9", "6f98a2d4d912235c"),
+    ("square", 1): ("d28f16e66b9d9e4f", "f20ab230e7afde68", "c1b21e51950d1ac3"),
+    ("square", 2): ("7d6f1b9d5710a823", "cbc495d38b9f3e66", "ae04e30d50c48082"),
+}
+
+
+def component_pin_data(k):
+    return lambda x, y, side: pin_data(x, y, side) + k * (x - y) ** 2
+
+
+@pytest.mark.parametrize("kind, degree", sorted(VECTOR_PINS))
+def test_vector_constraints_pinned(kind, degree):
+    mesh = refined_mesh(kind, PIN_MARKS)
+    assert reference_hanging(mesh)
+    s = build_space(mesh, degree, 3)
+    dirichlet = [("dirichlet", k, component_pin_data(k)) for k in range(3)]
+    dirichlet.append(("neumann", 1, component_pin_data(1)))
+    assert pinned_digests(s, dirichlet) == VECTOR_PINS[kind, degree]
 
 
 def reference_closure(n_dofs, hanging, fixed):
@@ -247,8 +278,8 @@ def reference_closure(n_dofs, hanging, fixed):
         masters, weights, _ = rows.setdefault(int(dof), ([], [], 0.0))
         masters.append(int(master))
         weights.append(weight)
-    for dof, val in fixed.items():
-        rows[dof] = ([], [], val)
+    for dof, val in zip(*fixed):
+        rows[int(dof)] = ([], [], val)
 
     for dof in list(rows):
         masters, weights, inhom = rows[dof]
@@ -341,7 +372,8 @@ class TestClosure:
         # 0 -> {1, 3}, 1 -> {2, 4}, 2 fixed; 5 -> 6 -> 7 -> 8 -> 9 -> 3
         cons = ConstraintSet(
             10, ([0, 0, 1, 1, 5, 6, 7, 8, 9], [1, 3, 2, 4, 6, 7, 8, 9, 3],
-                 [0.5, 0.5, 0.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0]), {2: 4.0})
+                 [0.5, 0.5, 0.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0]),
+            ([2], [4.0]))
         assert np.flatnonzero(cons.constrained).tolist() == [0, 1, 2, 5, 6,
                                                              7, 8, 9]
         dense = cons.matrix.toarray()

@@ -1,13 +1,18 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from goalfem import goals
+from goalfem.adaptivity import run_adaptive
 from goalfem.errors import FunctionalSingular, UnknownExperiment
 from goalfem.fespace import (ConstraintSet, build_constraints, build_space,
                              gauss)
 from goalfem.goals import (PointValue, Power, Product, RegionIntegral, Scale,
                            Shift, Sum, _phi_d, catalog, example2_base)
 from goalfem.mesh import build_cheese, build_slit, build_unit_square
+from goalfem.presets import get_preset
 from goalfem.problems import build_quasilinear
 
 from conftest import poisson_problem, poisson_setup
@@ -164,10 +169,27 @@ def test_leaf_value_is_its_derivative_at_itself(experiment):
     cons = build_constraints(space, problem.dirichlet)
     u = space.function(cons.apply(np.ones(space.n_dofs)))
     leaves = {leaf for J in catalog(experiment)
-              for _, leaf in J.linearize(u)}
+              for _, leaf in J.linearize(u)[1]}
     for leaf in leaves:
         assert leaf.value(u) == pytest.approx(leaf.directional(u, u),
                                               rel=1e-13, abs=0.0)
+
+
+def test_each_leaf_value_once_per_function(monkeypatch):
+    """A slit run evaluates each leaf at each function it meets at most
+    once, although six goals share its six leaves and every goal value,
+    gradient and derivative at a state needs the leaf values there."""
+    seen = Counter()
+    original = goals.LinearLeaf.leaf_directional
+
+    def counted(self, u, v):
+        if v is u:
+            seen[self, u] += 1
+        return original(self, u, v)
+
+    monkeypatch.setattr(goals.LinearLeaf, "leaf_directional", counted)
+    run_adaptive(dataclasses.replace(get_preset("example2"), max_levels=3))
+    assert seen and max(seen.values()) == 1
 
 
 class TestPointSearch:

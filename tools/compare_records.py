@@ -8,16 +8,21 @@ workloads of their own ``perfbench/workloads.py`` (``square_q3q6`` at
 seeds 1 and 2, the seed-independent workloads once), each side in one
 subprocess with BLAS pinned to one thread.  For every run the script
 prints whether the level numbers, the DOF sequence, ``n_cells``,
-``newton_steps`` and ``enriched_newton_steps`` are identical, and the
-largest relative difference of every other record field except
-``wall_ms`` with the level it occurs at (``values 0.00235 @ 1``).
+``newton_steps``, ``enriched_newton_steps``, ``adjoint_applications``
+and ``adjoint_factorized`` are identical, and the largest relative
+difference of every other record field except ``wall_ms`` with the
+level it occurs at (``values 0.00235 @ 1``).
 
 ``--control`` runs the parent a third time with every residual vector
-it assembles scaled by (1 + 2^-52), a last-bit perturbation, and prints
-each field's drift under that control next to the change's drift.  A
-workload that amplifies roundoff (``cheese_plaplace``) moves by about
-as much under the control as under any change of summation order, so
-its drift is judged against the control rather than against zero.
+it assembles and every goal gradient (the right-hand side of both
+adjoint solves) scaled by (1 + 2^-52), a last-bit perturbation, and
+prints each field's drift under that control next to the change's
+drift.  The residual moves the primal solutions and the gradients move
+the adjoints, so the control bounds the roundoff scale of the fields
+that depend on either.  A workload that amplifies roundoff
+(``cheese_plaplace``) moves by about as much under the control as under
+any change of summation order, so its drift is judged against the
+control rather than against zero.
 
 Exit status 1 when any of those identical-or-not fields differs between
 parent and change (or a run is missing on one side), else 0; the
@@ -36,7 +41,8 @@ from pathlib import Path
 RUNS = (("slit_quasilinear", 1), ("cheese_plaplace", 1),
         ("square_q3q6", 1), ("square_q3q6", 2))
 EXACT = ("level", "n_dofs", "n_cells", "newton_steps",
-         "enriched_newton_steps")
+         "enriched_newton_steps", "adjoint_applications",
+         "adjoint_factorized")
 IGNORED = ("wall_ms",)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONTROL_SCALE = 1.0 + 2.0 ** -52
@@ -50,8 +56,8 @@ import dataclasses, json, sys
 from goalfem import adaptivity
 from workloads import WORKLOADS
 if json.loads(sys.argv[2]):
-    from compare_records import perturb_residual
-    perturb_residual()
+    from compare_records import perturb
+    perturb()
 out = {}
 for name, seed in json.loads(sys.argv[1]):
     records = adaptivity.run_adaptive(WORKLOADS[name].config(seed))
@@ -60,37 +66,46 @@ print(json.dumps(out))
 """
 
 
-def perturb_residual():
-    """Scale every residual vector goalfem assembles by (1 + 2^-52).
+def perturb():
+    """Scale every residual vector goalfem assembles and every goal
+    gradient it forms by (1 + 2^-52).
 
     Rebinds ``assemble_residual`` in every loaded goalfem module that
-    holds it (``from .assembly import`` copies the binding); returns a
+    holds it (``from .assembly import`` copies the binding) and replaces
+    ``goals.Functional.gradient``, which every goal inherits; returns a
     function that restores the originals.
     """
     import goalfem.adaptivity  # noqa: F401  (loads every user)
-    from goalfem import assembly
+    from goalfem import assembly, goals
 
     original = assembly.assemble_residual
+    gradient = goals.Functional.gradient
 
     def scaled(*args, **kwargs):
         return original(*args, **kwargs) * CONTROL_SCALE
+
+    def scaled_gradient(self, *args, **kwargs):
+        return gradient(self, *args, **kwargs) * CONTROL_SCALE
 
     holders = [m for name, m in list(sys.modules.items())
                if name.split(".")[0] == "goalfem"
                and getattr(m, "assemble_residual", None) is original]
     for module in holders:
         module.assemble_residual = scaled
+    goals.Functional.gradient = scaled_gradient
 
     def restore():
         for module in holders:
             module.assemble_residual = original
+        goals.Functional.gradient = gradient
 
     return restore
 
 
 def run_side(checkout, runs=RUNS, control=False):
     """Records of ``runs`` computed by the goalfem in ``checkout``, with
-    the residual perturbed by ``perturb_residual`` when ``control``."""
+    the residual and the goal gradients perturbed by ``perturb`` when
+    ``control``."""
     root = Path(checkout).resolve()
     env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
     env["PYTHONPATH"] = os.pathsep.join(
