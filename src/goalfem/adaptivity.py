@@ -1,10 +1,14 @@
 """The outer adaptive loop: solve, estimate, mark, refine, record.
 
-Each level runs the nested pipeline: enriched primal (warm-started from
-the previous level), coarse primal/adjoint with the balance-stopped
-Newton, combination of the goal functionals, enriched adjoint,
-estimation with PU localization, at-or-above-average marking, and
-closure refinement.  Records serialize to CSV and gnuplot tables.
+A level is two phases, each handing on only what the next one needs.
+``_open_level`` starts the level's clock and builds the primal and
+enriched spaces and constraints with their warm (on level 1, cold)
+starts.  ``_solve_level`` solves the enriched primal, the coarse primal
+and adjoint with the balance-stopped Newton, combines the goals, solves
+the enriched adjoint, estimates with PU localization, records, marks at
+or above the average and refines with closure; it hands the refined
+mesh, its two solutions and eta_h to the next ``_open_level``, and the
+rest dies with its scope.  Records serialize to CSV and gnuplot tables.
 """
 
 from __future__ import annotations
@@ -271,130 +275,105 @@ def run_adaptive(config, log=None, on_level=None):
 
 def _levels(config, log, on_level):
     """Run the adaptive loop, yielding each level's record."""
-    emit = log or (lambda line: None)
     problem = build_problem(config)
     functionals = goals.catalog(config.experiment)
     # one rule for both spaces of every level, exact for the enriched
     # mass matrix
     rule = gauss(config.r2 + 2)
-
-    mesh = build_geometry(config)
-    eta_prev = 1e-8
-    u_prev = u2_prev = None           # solutions of the previous level
-    level = 1
-    while True:
-        t0 = time.perf_counter()
-        space = build_space(mesh, config.degree, problem.n_components, rule)
-        if level > 1 and space.n_dofs > config.max_dofs:
-            break
-        space2 = build_space(mesh, config.r2, problem.n_components, rule)
-        cons = build_constraints(space, problem.dirichlet)
-        cons2 = build_constraints(space2, problem.dirichlet)
-
-        # both warm starts first: after them nothing holds the previous
-        # level (its mesh with cached bases and goal samples, its
-        # solutions with their cached quadrature values) during the solves
-        u2_0, boot2 = _initial_guess(config, problem, space2, cons2, u2_prev)
-        u0, boot1 = _initial_guess(config, problem, space, cons, u_prev)
-        u_prev = u2_prev = None
-
-        # enriched primal (Newton tolerances nested by level)
-        u2, lu2, stats2 = newton_solve(problem, space2, cons2, u2_0,
-                                       nested_tolerance(level), log=log)
-        # a factorization made for the last step, one damped step from
-        # u2, preconditions the enriched adjoint; a staler one would need
-        # about as many Krylov iterations as the direct solve costs
-        if not (stats2.rebuilds and stats2.rebuilds[-1]):
-            lu2 = None
-
-        # coarse primal + adjoint, stopped by the iteration-error balance
-        u2_values = multigoal.member_values(functionals, u2)
-
-        def goal_at(u_k):
-            """The level's goal, combination weights frozen at (u_k, u2)."""
-            if config.combine == "raw":
-                return functionals[0]
-            return multigoal.CombinedFunctional(
-                functionals, multigoal.member_values(functionals, u_k),
-                u2_values, config.omegas)
-
-        u_h, z_h, astats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev,
-            lambda u_k: goal_at(u_k).gradient(cons, u_k),
-            mode=config.newton_mode, log=log)
-
-        # combine, enriched adjoint, estimate
-        values = multigoal.member_values(functionals, u_h)
-        goal = goal_at(u_h)
-        je_surrogate = _je(config, u2_values, values)
-        z2, zstats = solve_enriched_adjoint(problem, goal, space2, cons2,
-                                            u2, lu2)
-        lu2 = None
-        breakdown = estimate(problem, goal, cons, u_h, z_h, u2, z2)
-
-        refs = config.reference_values
-        rel_errors = _relative_errors(values, refs)
-        je_ref = math.nan if refs is None else _je(config, refs, values)
-        truth = je_surrogate if config.je_truth == "surrogate" else je_ref
-        if truth and not math.isnan(truth):
-            i_eff, i_effp, i_effa = effectivity(truth, breakdown)
-        else:
-            i_eff = i_effp = i_effa = math.nan
-
-        wall_ms = 1e3 * (time.perf_counter() - t0)
-        record = ConvergenceRecord(
-            level=level, n_dofs=space.n_dofs, n_cells=len(mesh.active_cells),
-            values=tuple(values), rel_errors=rel_errors,
-            je_error=truth, je_surrogate=je_surrogate,
-            eta_h=breakdown.eta_h, eta_primal=breakdown.eta_primal_signed,
-            eta_adjoint=breakdown.eta_adjoint_signed,
-            i_eff=i_eff, i_effp=i_effp, i_effa=i_effa,
-            newton_steps=astats.iterations + boot1,
-            enriched_newton_steps=stats2.iterations + boot2,
-            eta_m=astats.eta_m[-1] if astats.eta_m else math.nan,
-            adjoint_applications=zstats.applications,
-            adjoint_factorized=int(zstats.factorized),
-            wall_ms=wall_ms)
-        yield record
-        emit(f"level {level}: dofs={record.n_dofs} eta_h={record.eta_h:.3e} "
-             f"J_E_err={record.je_error:.3e} newton={record.newton_steps} "
-             f"(enriched {record.enriched_newton_steps})")
-        if on_level is not None:
-            on_level(level, mesh, u_h, breakdown)
-
-        if breakdown.eta_h < config.tol_dis or level >= config.max_levels:
-            break
-        if config.marking == "uniform":
-            marked_rows = np.arange(len(mesh.active_cells))
-        else:
-            marked_rows = mark_average(breakdown.cellwise)
-        mesh = mesh.refine(mesh.active_cells[marked_rows])
-        # only the warm starts carry over; the transfers then drop them
-        u_prev, u2_prev = u_h, u2
-        u_h = z_h = u2 = z2 = None
-        eta_prev = breakdown.eta_h
-        level += 1
+    opened = _open_level(config, problem, rule, build_geometry(config), 1,
+                         1e-8, None, None)
+    while opened is not None:
+        opened = yield from _solve_level(config, problem, functionals, rule,
+                                         opened, log, on_level)
 
 
-def uniform_reference(config, n_refines, log=None):
-    """Goal values from plain nested Newton solves on uniformly refined
-    meshes (no estimator); the cheap in-run reference computation."""
-    emit = log or (lambda line: None)
-    problem = build_problem(config)
-    functionals = goals.catalog(config.experiment)
-    mesh = build_geometry(config)
-    u_prev = None
-    for level in range(1, n_refines + 2):
-        space = build_space(mesh, config.degree, problem.n_components)
-        cons = build_constraints(space, problem.dirichlet)
-        u0, _ = _initial_guess(config, problem, space, cons, u_prev)
-        u_h, _, _ = newton_solve(problem, space, cons, u0,
-                                 nested_tolerance(level))
-        emit(f"reference level {level}: dofs={space.n_dofs}")
-        if level == n_refines + 1:
-            return multigoal.member_values(functionals, u_h)
-        u_prev = u_h
-        mesh = mesh.refine_uniform()
+def _open_level(config, problem, rule, mesh, level, eta_prev, u_prev,
+                u2_prev):
+    """The level tuple ``_solve_level`` takes; None past max_dofs."""
+    t0 = time.perf_counter()
+    space = build_space(mesh, config.degree, problem.n_components, rule)
+    if level > 1 and space.n_dofs > config.max_dofs:
+        return None
+    space2 = build_space(mesh, config.r2, problem.n_components, rule)
+    cons = build_constraints(space, problem.dirichlet)
+    cons2 = build_constraints(space2, problem.dirichlet)
+    u2_0, boot2 = _initial_guess(config, problem, space2, cons2, u2_prev)
+    u0, boot1 = _initial_guess(config, problem, space, cons, u_prev)
+    return (t0, level, eta_prev, mesh, space, cons, u0, boot1,
+            space2, cons2, u2_0, boot2)
+
+
+def _solve_level(config, problem, functionals, rule, opened, log, on_level):
+    """Yield the level's record; return the next level opened, or None."""
+    (t0, level, eta_prev, mesh, space, cons, u0, boot1,
+     space2, cons2, u2_0, boot2) = opened
+    # enriched primal (Newton tolerances nested by level)
+    u2, lu2, stats2 = newton_solve(problem, space2, cons2, u2_0,
+                                   nested_tolerance(level), log=log)
+
+    # coarse primal + adjoint, stopped by the iteration-error balance
+    u2_values = multigoal.member_values(functionals, u2)
+
+    def goal_at(u_k):
+        """The level's goal, combination weights frozen at (u_k, u2)."""
+        if config.combine == "raw":
+            return functionals[0]
+        return multigoal.CombinedFunctional(
+            functionals, multigoal.member_values(functionals, u_k),
+            u2_values, config.omegas)
+
+    u_h, z_h, astats = adaptive_newton_multigoal(
+        problem, space, cons, u0, eta_prev,
+        lambda u_k: goal_at(u_k).gradient(cons, u_k),
+        mode=config.newton_mode, log=log)
+
+    # combine, enriched adjoint, estimate
+    values = multigoal.member_values(functionals, u_h)
+    goal = goal_at(u_h)
+    je_surrogate = _je(config, u2_values, values)
+    z2, zstats = solve_enriched_adjoint(problem, goal, space2, cons2,
+                                        u2, lu2)
+    # the enriched LU, the level's largest object, outlived the coarse
+    # solve because the weights need u_h; it goes before the estimate
+    del lu2
+    breakdown = estimate(problem, goal, cons, u_h, z_h, u2, z2)
+
+    refs = config.reference_values
+    je_ref = math.nan if refs is None else _je(config, refs, values)
+    truth = je_surrogate if config.je_truth == "surrogate" else je_ref
+    if truth and not math.isnan(truth):
+        i_eff, i_effp, i_effa = effectivity(truth, breakdown)
+    else:
+        i_eff = i_effp = i_effa = math.nan
+
+    record = ConvergenceRecord(
+        level=level, n_dofs=space.n_dofs, n_cells=len(mesh.active_cells),
+        values=tuple(values), rel_errors=_relative_errors(values, refs),
+        je_error=truth, je_surrogate=je_surrogate,
+        eta_h=breakdown.eta_h, eta_primal=breakdown.eta_primal_signed,
+        eta_adjoint=breakdown.eta_adjoint_signed,
+        i_eff=i_eff, i_effp=i_effp, i_effa=i_effa,
+        newton_steps=astats.iterations + boot1,
+        enriched_newton_steps=stats2.iterations + boot2,
+        eta_m=astats.eta_m[-1] if astats.eta_m else math.nan,
+        adjoint_applications=zstats.applications,
+        adjoint_factorized=int(zstats.factorized),
+        wall_ms=1e3 * (time.perf_counter() - t0))
+    yield record
+    if log:
+        log(f"level {level}: dofs={record.n_dofs} eta_h={record.eta_h:.3e} "
+            f"J_E_err={record.je_error:.3e} newton={record.newton_steps} "
+            f"(enriched {record.enriched_newton_steps})")
+    if on_level is not None:
+        on_level(level, mesh, u_h, breakdown)
+
+    if breakdown.eta_h < config.tol_dis or level >= config.max_levels:
+        return None
+    marked = mesh.active_cells
+    if config.marking == "estimator":
+        marked = marked[mark_average(breakdown.cellwise)]
+    return _open_level(config, problem, rule, mesh.refine(marked),
+                       level + 1, breakdown.eta_h, u_h, u2)
 
 
 # ----------------------------------------------------------------------

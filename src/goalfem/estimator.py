@@ -29,9 +29,10 @@ against the test basis instead of the hats, it applies the transposed
 condensed Jacobian without a matrix (``transposed_jacobian``).  The
 enriched adjoint z_h2 solves with that operator by GMRES, preconditioned
 by the transposed solves of the enriched Newton's last factorization,
-made one damped step from u_h2.  Only when no such factorization is at
-hand, or GMRES does not reach the residual the direct solve would, is
-J(u_h2) assembled and factored.
+which ``solver.newton_solve`` hands back only when it was made one
+damped step from u_h2.  Only when no such factorization is at hand, or
+GMRES does not reach the residual the direct solve would, is J(u_h2)
+assembled and factored.
 """
 
 from __future__ import annotations

@@ -28,10 +28,11 @@ The Jacobian is refreshed only when the residual sup-norm contracted by
 less than 0.85 over the last update; the stale factorization is reused
 otherwise, including (transposed) for the adjoint solves of the
 balanced variant.  ``newton_solve`` hands its last factorization back
-next to the iterate, so a caller can reuse it (the enriched adjoint
-takes it, transposed, as its preconditioner) and drop it when done;
-``stats.rebuilds[-1]`` tells whether it was factorized for the last
-step, one damped step from the returned iterate.  Tiny pivots pass: the
+next to the iterate only when it was made for the last step, one damped
+step from the returned iterate, so a caller can reuse it and drop it
+when done: the enriched adjoint takes it, transposed, as its
+preconditioner, and a staler one would need about as many Krylov
+iterations as the direct solve costs.  Tiny pivots pass: the
 barely-regularized p-Laplacian produces quasi-singular Jacobians that
 the damped updates handle.  A solve that overflows raises
 ``SingularMatrix``.
@@ -120,8 +121,9 @@ def newton_solve(problem, space, constraints, u0, rtol, log=None):
     floor, stagnation, iteration cap).  ``log`` receives one trace line
     per iteration (k, |A|, alpha, rebuilt flag).
 
-    Returns (u, lu, stats): ``lu`` is the last factorization, None when
-    the solve factorized nothing.
+    Returns (u, lu, stats): ``lu`` is the factorization made for the
+    last step, None when that step reused an older one or the solve
+    took no step.
     """
     stats = NewtonStats()
 
@@ -130,7 +132,8 @@ def newton_solve(problem, space, constraints, u0, rtol, log=None):
 
     u, lu = _newton(problem, space, constraints, u0, 0.9, stats, reached,
                     log=log)
-    return u, lu, stats
+    fresh = stats.rebuilds and stats.rebuilds[-1]
+    return u, lu if fresh else None, stats
 
 
 def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from goalfem import goals
+from goalfem.adaptivity import build_geometry, build_problem
 from goalfem.assembly import assemble_jacobian, assemble_residual
-from goalfem.fespace import build_constraints, build_space
+from goalfem.fespace import build_constraints, build_space, \
+    transfer_to_refined
 from goalfem.linalg import factorize
 from goalfem.mesh import build_cheese, build_slit, build_unit_square
+from goalfem.multigoal import member_values
 from goalfem.problems import PLaplaceParams, build_plaplace
+from goalfem.solver import nested_tolerance, newton_solve
 
 
 def poisson_problem(f=None):
@@ -32,6 +37,26 @@ def poisson_setup(n=4, degree=1, rule=None):
     cons = build_constraints(space, problem.dirichlet)
     u, lu = linear_solve(problem, space, cons)
     return problem, mesh, space, cons, u, lu
+
+
+def uniform_reference(config, n_refines):
+    """Goal values of plain nested Newton solves, with no estimator, on
+    ``n_refines`` uniform refinements of the run's geometry; the first
+    solve starts from all ones, each later one from the solution before,
+    transferred."""
+    problem = build_problem(config)
+    mesh = build_geometry(config)
+    u = None
+    for level in range(1, n_refines + 2):
+        if level > 1:
+            mesh = mesh.refine_uniform()
+        space = build_space(mesh, config.degree, problem.n_components)
+        cons = build_constraints(space, problem.dirichlet)
+        u0 = (space.function(np.ones(space.n_dofs)) if u is None
+              else transfer_to_refined(u, space))
+        u, _, _ = newton_solve(problem, space, cons, u0,
+                               nested_tolerance(level))
+    return member_values(goals.catalog(config.experiment), u)
 
 
 @pytest.fixture

@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from goalfem.adaptivity import (fit_rate, run_adaptive, run_uniform,
-                                uniform_reference)
+from goalfem.adaptivity import fit_rate, run_adaptive, run_uniform
 from goalfem.assembly import assemble_jacobian, assemble_residual
 from goalfem.estimator import effectivity, estimate, solve_enriched_adjoint
 from goalfem.fespace import build_constraints, build_space, gauss
@@ -33,7 +32,7 @@ from goalfem.multigoal import (CombinedFunctional, combined_error,
 from goalfem.presets import get_preset
 from goalfem.problems import PLaplaceParams, build_plaplace, build_quasilinear
 
-from conftest import linear_solve, poisson_problem
+from conftest import linear_solve, poisson_problem, uniform_reference
 
 _cache = {}
 _pu_observations = []       # (eta_signed, pu_sum, nodal_abs_sum, cell_sum)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import weakref
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from goalfem import adaptivity, estimator
 from goalfem.adaptivity import (RunConfig, build_geometry, fit_rate,
                                 mark_average, read_csv, run_adaptive,
-                                run_uniform, uniform_reference, write_csv,
-                                write_gnuplot)
+                                run_uniform, write_csv, write_gnuplot)
 from goalfem.errors import MalformedCsv
+from goalfem.mesh import Mesh
 from goalfem.presets import get_preset
+
+from conftest import uniform_reference
 
 
 def tiny_p2_config(**over):
@@ -120,6 +123,59 @@ class TestRunAdaptive:
                      on_level=lambda level, mesh, u, b:
                      meshes.append(weakref.ref(mesh)))
         assert alive == [[], [False], [False, False], [False, False, False]]
+
+    def test_enriched_lu_freed_before_the_estimate(self, monkeypatch):
+        # the enriched Newton's LU preconditions the enriched adjoint and
+        # is unreachable once the estimate runs
+        lus, alive = [], []
+        adjoint, estimate = adaptivity.solve_enriched_adjoint, \
+            adaptivity.estimate
+
+        def keeping(*args, **kwargs):
+            lus.append(weakref.ref(args[5]))
+            return adjoint(*args, **kwargs)
+
+        def checking(*args, **kwargs):
+            alive.append(lus[-1]() is not None)
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(adaptivity, "solve_enriched_adjoint", keeping)
+        monkeypatch.setattr(adaptivity, "estimate", checking)
+        run_adaptive(tiny_p2_config())
+        assert alive == [False, False, False]
+
+    def test_level_clock(self, monkeypatch):
+        # a level's wall_ms spans its own two space builds and starts
+        # after the refinement that made its mesh; each build and refine
+        # sleeps ``pause``, far longer than the few statements between a
+        # level's clock stop and its on_level call
+        build, refine = adaptivity.build_space, Mesh.refine
+        pause = 0.05
+        builds, refined, ends = [], [], []
+
+        def slow_build(*args, **kwargs):
+            builds.append(time.perf_counter())
+            time.sleep(pause)
+            return build(*args, **kwargs)
+
+        def slow_refine(*args, **kwargs):
+            time.sleep(pause)
+            mesh = refine(*args, **kwargs)
+            refined.append(time.perf_counter())
+            return mesh
+
+        monkeypatch.setattr(adaptivity, "build_space", slow_build)
+        monkeypatch.setattr(Mesh, "refine", slow_refine)
+        records = run_adaptive(tiny_p2_config(), on_level=lambda *_:
+                               ends.append(time.perf_counter()))
+        assert (len(records), len(builds), len(refined)) == (3, 6, 2)
+        # end - wall_ms is the level's clock start plus that slack
+        starts = [end - rec.wall_ms / 1e3 for rec, end in zip(records, ends)]
+        for rec, start, first_build in zip(records, starts, builds[::2]):
+            assert rec.wall_ms >= 2e3 * pause
+            assert start < first_build + pause
+        for start, made in zip(starts[1:], refined):
+            assert start >= made
 
     def test_adjoint_path_recorded(self, monkeypatch):
         # p = 2: every enriched Newton step factorizes afresh, so each

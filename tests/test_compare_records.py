@@ -109,6 +109,15 @@ def test_main_runs_the_control_on_the_parent(monkeypatch, capsys):
     assert compare_records.main(["--control", "P"]) == 2
 
 
+def test_failed_side_prints_its_error(tmp_path, capsys):
+    # a checkout without goalfem fails in its child: the child's error
+    # is printed, and the status is not the "records DIFFER" 1
+    assert compare_records.main([str(tmp_path), str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "ModuleNotFoundError" in captured.err
+    assert "records" not in captured.out
+
+
 def test_perturb_residual_scales_every_binding():
     # the residual at every binding, and the gradient of every goal (the
     # adjoint right-hand sides), leaves and composites alike

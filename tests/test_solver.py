@@ -53,8 +53,9 @@ class TestNestedTolerance:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = space.function(np.zeros(space.n_dofs))
-        u, _, stats = newton_solve(problem, space, cons, u0,
-                                   nested_tolerance(2))
+        u, lu, stats = newton_solve(problem, space, cons, u0,
+                                    nested_tolerance(2))
+        assert lu is None
         assert stats.residual_norms == [0.0]
         assert (stats.iterations, stats.termination) == (0, "tolerance")
         assert np.array_equal(u.coeffs, u0.coeffs)
@@ -73,6 +74,19 @@ class TestNewton:
         u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
         assert stats.iterations == 1
         assert stats.alphas == [1.0]
+
+    @pytest.mark.parametrize("p, n, rtol, last_rebuilt", [
+        (2.0, 3, 1e-8, True),      # the linear problem: one fresh step
+        (4.0, 4, 1e-4, True),      # a late rebuild makes the last step
+        (4.0, 2, 1e-8, False)])    # fast contraction reuses to the end
+    def test_lu_handed_back_only_when_fresh(self, p, n, rtol, last_rebuilt):
+        problem = build_plaplace(PLaplaceParams(
+            p, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
+        space = build_space(build_unit_square(n), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        _, lu, stats = newton_solve(problem, space, cons, ones(space), rtol)
+        assert stats.rebuilds[-1] == last_rebuilt
+        assert (lu is None) == (not stats.rebuilds[-1])
 
     def test_tolerance_postcondition(self):
         problem = p4_problem()

@@ -26,7 +26,8 @@ control rather than against zero.
 
 Exit status 1 when any of those identical-or-not fields differs between
 parent and change (or a run is missing on one side), else 0; the
-control does not enter the status.
+control does not enter the status.  A side whose run fails prints the
+end of its stderr and exits with status 2, as a wrong command line does.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ EXACT = ("level", "n_dofs", "n_cells", "newton_steps",
 IGNORED = ("wall_ms",)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONTROL_SCALE = 1.0 + 2.0 ** -52
+STDERR_TAIL = 20        # lines of a failed side's stderr to print
 HERE = Path(__file__).resolve().parent
 
 # runs in the subprocess, with the checkout's src/ and perfbench/ and
@@ -194,8 +196,14 @@ def main(argv=None):
     if len(args) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    sides = [run_side(d) for d in args]
-    control = run_side(args[0], control=True) if with_control else {}
+    try:
+        sides = [run_side(d) for d in args]
+        control = run_side(args[0], control=True) if with_control else {}
+    except subprocess.CalledProcessError as exc:
+        print(f"a run failed with exit status {exc.returncode}; the end of "
+              f"its stderr:", *exc.stderr.splitlines()[-STDERR_TAIL:],
+              sep="\n", file=sys.stderr)
+        return 2
     ok = True
     for key in sorted(set(sides[0]) | set(sides[1])):
         if key not in sides[0] or key not in sides[1]:
