@@ -70,6 +70,10 @@ class RunConfig:
             if get_origin(hint) is Literal and value not in get_args(hint):
                 raise ValueError(f"{name} must be one of {get_args(hint)}, "
                                  f"not {value!r}")
+            if (hint is int or hint == Optional[int] and value is not None) \
+                    and not (isinstance(value, (int, np.integer))
+                             and not isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
             numbers = {float: (value,), Optional[tuple]: value}.get(hint)
             if numbers and not all(math.isfinite(v) for v in numbers):
                 raise ValueError(f"{name} must be finite, not {value!r}")

@@ -7,13 +7,13 @@ residuals,
 
 with the enriched adjoint interpolated back for the primal weight.
 Each weight is built once as a single function of the enriched space:
-Q^r is contained in Q^r2 on one mesh, so the coarse parts i_h z2 and u_h
-are interpolated into it exactly.  i_h z2 is the coarse nodal
-interpolant of z2 passed through the level's coarse constraint set,
-``constraints.distribute``.  That set also carries the Dirichlet rows,
-which it zeroes; this equals the hanging-only projection because z2 is
-extended by the enriched constraints and so vanishes on the Dirichlet
-boundary, where the data of the adjoint are homogeneous.
+Q^r is contained in Q^r2 on one mesh, so ``fespace.interpolate_between``
+(the warm starts' nodal interpolation) carries u_h and i_h z2 into it
+exactly.  i_h z2 is the coarse interpolant of z2 passed through the
+level's coarse constraint set, ``constraints.distribute``, which also
+zeroes the Dirichlet rows; this equals the hanging-only projection
+because z2 is extended by the enriched constraints and so vanishes on
+the Dirichlet boundary, where the data of the adjoint are homogeneous.
 
 Both weighted forms run through one localization routine: the primal
 form weights the residual densities (``assembly.residual_densities``,

@@ -17,7 +17,9 @@ A space carries the Gauss rule of every integral over its functions
 (``FeSpace.rule``).  A ``DiscreteFunction`` caches its values at that
 rule's points, filled by ``assembly.quadrature_values``, and the value
 of each goal leaf at it, filled by ``goals.LinearLeaf.value``; its
-coefficients are read-only, so neither can go stale.
+coefficients are read-only, so neither can go stale.  One nodal
+interpolation, ``transfer_to_refined``, moves a function into a space
+of any degree on the same mesh or on a refinement of it.
 
 Hanging-node and Dirichlet constraints are one affine map u = C u + b
 (``ConstraintSet``): the sparse matrix C, closed so that no master is
@@ -456,29 +458,22 @@ def _dirichlet_values(space, t, dirichlet):
 # interpolation and evaluation
 # ----------------------------------------------------------------------
 def interpolate_between(source, target_space):
-    """Nodal interpolation onto another space on the same mesh."""
+    """``transfer_to_refined`` onto another space on the same mesh."""
     if source.space.mesh is not target_space.mesh:
         raise MeshMismatch("source and target live on different meshes")
-    if source.space.n_components != target_space.n_components:
-        raise MeshMismatch("component counts differ")
-    B, _ = source.space.basis_at(target_space.local_ref_nodes())
-    uloc = source.space.local_coeffs(source.coeffs)
-    vals = np.einsum("ecb,bt->ect", uloc, B)
-    out = np.zeros(target_space.n_dofs)
-    out[target_space.cell_dofs] = vals
-    return target_space.function(out)
+    return transfer_to_refined(source, target_space)
 
 
 _CHILD_OFFSET = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
 
 
 def transfer_to_refined(source, target_space):
-    """Inject a function into a space on a refinement of its mesh.
+    """Nodal interpolation into a space of any degree on the source's
+    mesh or a refinement of it, exact for Q^r data in Q^s with s >= r.
 
-    Exact for nested Q^r: children evaluate the parent polynomial at
-    their own support points.  Target cells are grouped by the chain of
-    child slots leading up to their source-active ancestor; each group
-    is one batched product with that chain's basis table.
+    Each target cell evaluates its source-active ancestor's polynomial
+    (its own, on one mesh) at its support points; cells are grouped by
+    the chain of child slots up to that ancestor, one product per chain.
     """
     src_mesh = source.space.mesh
     tgt_mesh = target_space.mesh

@@ -133,6 +133,10 @@ class TestRunSizes:
     @pytest.mark.parametrize("field, value", [
         ("initial_refines", -1), ("max_levels", 0), ("max_dofs", -5),
         ("n_initial", 0), ("degree", 0),
+        # not integers: a float would run another size or fail deep in
+        # the run, and a bool is an int to Python
+        ("degree", 1.5), ("n_initial", 2.7), ("max_levels", 1.5),
+        ("enriched_degree", 2.5), ("max_levels", True),
     ])
     def test_impossible_size_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -145,8 +149,8 @@ class TestRunSizes:
     def test_smallest_sizes_accepted(self):
         cfg = dataclasses.replace(get_preset("example2"), initial_refines=0,
                                   max_levels=1, max_dofs=1, n_initial=1,
-                                  degree=1)
-        assert cfg.max_levels == 1
+                                  degree=1, enriched_degree=np.int64(2))
+        assert cfg.max_levels == 1 and cfg.r2 == 2
 
     def test_cli_exit_3(self, tmp_path):
         assert main(["run", "--preset", "example2", "--max-levels", "0",

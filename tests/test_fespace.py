@@ -45,13 +45,17 @@ def cell_loop_transfer(source, target_space):
     return out
 
 
-# a source mesh from mesh_marks, then one or two more rounds of marks
-# giving the refinement the transfer targets
+# a source mesh from mesh_marks, then up to two more rounds of marks
+# giving the refinement the transfer targets (none: the source mesh
+# itself), and a source degree with a target degree equal to it,
+# doubled, or halved where that leaves at least 1
 transfer_case = st.tuples(
     mesh_marks,
     st.lists(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
-             min_size=1, max_size=2),
-    st.integers(1, 4), st.sampled_from([1, 3]), st.integers(0, 2 ** 16))
+             min_size=0, max_size=2),
+    st.integers(1, 4).flatmap(lambda r: st.tuples(
+        st.just(r), st.sampled_from([r, 2 * r, max(r // 2, 1)]))),
+    st.sampled_from([1, 3]), st.integers(0, 2 ** 16))
 
 
 def transfer_meshes(case, more):
@@ -489,6 +493,16 @@ class TestInterpolation:
         with pytest.raises(MeshMismatch):
             interpolate_between(f, build_space(build_unit_square(3), 1))
 
+    def test_refined_target_rejected(self):
+        # transfer_to_refined takes a refinement; interpolate_between
+        # keeps to the source's own mesh
+        m = build_unit_square(2)
+        f = build_space(m, 1).function(np.zeros(9))
+        target = build_space(m.refine([0]), 1)
+        with pytest.raises(MeshMismatch):
+            interpolate_between(f, target)
+        assert transfer_to_refined(f, target).space is target
+
     def test_transfer_to_refined_exact(self, rng):
         m = build_unit_square(2)
         s = build_space(m, 2)
@@ -505,12 +519,12 @@ class TestTransferProperties:
     @given(case=transfer_case)
     @settings(max_examples=30, deadline=None)
     def test_transfer_matches_cell_loop(self, case):
-        base, more, degree, n_comp, seed = case
+        base, more, (degree, target_degree), n_comp, seed = case
         mesh, target = transfer_meshes(base, more)
         space = build_space(mesh, degree, n_comp)
         f = space.function(
             np.random.default_rng(seed).normal(size=space.n_dofs))
-        tspace = build_space(target, degree, n_comp)
+        tspace = build_space(target, target_degree, n_comp)
         assert np.array_equal(transfer_to_refined(f, tspace).coeffs,
                               cell_loop_transfer(f, tspace))
 
@@ -523,7 +537,7 @@ class TestTransferProperties:
         equals the source function evaluated in the source cell that
         contains the point.  Checked on the cells nearest the line
         y = 0 (the slit) and on random others."""
-        base, more, degree, n_comp, seed = case
+        base, more, (degree, _), n_comp, seed = case
         mesh, target = transfer_meshes(base, more)
         rng = np.random.default_rng(seed)
         space = build_space(mesh, degree, n_comp)

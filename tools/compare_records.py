@@ -7,11 +7,11 @@ Each directory is a checkout, for example one made with
 workloads of their own ``perfbench/workloads.py`` (``square_q3q6`` at
 seeds 1 and 2, the seed-independent workloads once), each side in one
 subprocess with BLAS pinned to one thread.  For every run the script
-prints whether the level numbers, the DOF sequence, ``n_cells``,
-``newton_steps``, ``enriched_newton_steps``, ``adjoint_applications``
-and ``adjoint_factorized`` are identical, and the largest relative
-difference of every other record field except ``wall_ms`` with the
-level it occurs at (``values 0.00235 @ 1``).
+prints whether each count is identical (a field whose values are ints:
+the level numbers, the DOF sequence, ``n_cells`` and the Newton and
+adjoint counts), and the largest relative difference of every other
+record field except ``wall_ms`` with the level it occurs at
+(``values 0.00235 @ 1``).
 
 ``--control`` runs the parent a third time with every residual vector
 it assembles and every goal gradient (the right-hand side of both
@@ -24,10 +24,10 @@ that depend on either.  A workload that amplifies roundoff
 any change of summation order, so its drift is judged against the
 control rather than against zero.
 
-Exit status 1 when any of those identical-or-not fields differs between
-parent and change (or a run is missing on one side), else 0; the
-control does not enter the status.  A side whose run fails prints the
-end of its stderr and exits with status 2, as a wrong command line does.
+Exit status 1 when any count differs between parent and change (or a
+run is missing on one side), else 0; the control does not enter the
+status.  A side whose run fails prints the end of its stderr and exits
+with status 2, as a wrong command line does.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from pathlib import Path
 
 RUNS = (("slit_quasilinear", 1), ("cheese_plaplace", 1),
         ("square_q3q6", 1), ("square_q3q6", 2))
-EXACT = ("level", "n_dofs", "n_cells", "newton_steps",
-         "enriched_newton_steps", "adjoint_applications",
-         "adjoint_factorized")
 IGNORED = ("wall_ms",)
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CONTROL_SCALE = 1.0 + 2.0 ** -52
@@ -133,20 +130,21 @@ def _rel_diff(a, b):
 def compare(parent, change):
     """Compare two record lists (dicts with the ConvergenceRecord fields).
 
-    Returns ``(identical, rel_diff)``: for each field of ``EXACT``
-    whether its per-level sequence is the same on both sides, and for
-    every other field but ``IGNORED`` the pair (largest relative
-    difference over the levels the two sides share, the parent's level
-    where it first occurs, None when there is no difference).  NaN
-    against NaN counts as equal, NaN against a number as an infinite
-    difference.
+    Returns ``(identical, rel_diff)``: for each count, a field that holds
+    an int on either side, whether its per-level sequence is the same on
+    both sides, and for every other field but ``IGNORED`` the pair
+    (largest relative difference over the levels the two sides share,
+    the parent's level where it first occurs, None when there is no
+    difference).  NaN against NaN counts as equal, NaN against a number
+    as an infinite difference.
     """
-    identical = {f: [r[f] for r in parent] == [r[f] for r in change]
-                 for f in EXACT}
-    rel_diff = {}
-    fields = [f for f in next(iter(parent + change), {})
-              if f not in EXACT + IGNORED]
-    for f in fields:
+    identical, rel_diff = {}, {}
+    for f in next(iter(parent + change), {}):
+        if f in IGNORED:
+            continue
+        if any(isinstance(r[f], int) for r in parent + change):
+            identical[f] = [r[f] for r in parent] == [r[f] for r in change]
+            continue
         worst, where = 0.0, None
         for p, c in zip(parent, change):
             a, b = _flat(p[f]), _flat(c[f])
@@ -165,9 +163,9 @@ def _drift(diff):
 
 
 def report(key, parent, change, control=None):
-    """Lines describing one run, and whether its identical-or-not fields
-    agree between ``parent`` and ``change``.  With ``control`` records
-    (the perturbed parent), each drift is followed by the control's."""
+    """Lines describing one run, and whether its counts agree between
+    ``parent`` and ``change``.  With ``control`` records (the perturbed
+    parent), each drift is followed by the control's."""
     identical, rel_diff = compare(parent, change)
     dofs = [r["n_dofs"] for r in change]
     lines = [f"{key}: {len(dofs)} levels, final DOFs {dofs[-1]}",
