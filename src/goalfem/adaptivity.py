@@ -1,14 +1,15 @@
 """The outer adaptive loop: solve, estimate, mark, refine, record.
 
 A level is two phases, each handing on only what the next one needs.
-``_open_level`` starts the level's clock and builds the primal and
-enriched spaces and constraints with their warm (on level 1, cold)
-starts.  ``_solve_level`` solves the enriched primal, the coarse primal
-and adjoint with the balance-stopped Newton, combines the goals, solves
-the enriched adjoint, estimates with PU localization, records, marks at
-or above the average and refines with closure; it hands the refined
-mesh, its two solutions and eta_h to the next ``_open_level``, and the
-rest dies with its scope.  Records serialize to CSV and gnuplot tables.
+``_open_level`` starts the level's clock, builds the primal and
+enriched spaces and constraints and hands on both constraint sets with
+their warm (on level 1, cold) starts, which carry their spaces.
+``_solve_level`` solves the enriched primal, the coarse primal and
+adjoint with the balance-stopped Newton, combines the goals, solves the
+enriched adjoint, estimates with PU localization, records, marks at or
+above the average and refines with closure; it hands the refined mesh,
+its two solutions and eta_h to the next ``_open_level``, and the rest
+dies with its scope.  Records serialize to CSV and gnuplot tables.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -117,27 +118,38 @@ class RunConfig:
 CONFIG_TYPES = get_type_hints(RunConfig)
 
 
+def _column(name, spec=".12e"):
+    """A record field written as the file column ``name`` in ``spec``."""
+    return field(metadata={"column": name, "spec": spec})
+
+
 @dataclass
 class ConvergenceRecord:
+    """One level's results, in file order: level, dofs, the goals' J_i,
+    J_i_rel_error pairs, then each ``_column`` field (older files end at
+    wall_ms).  eta_primal and eta_adjoint are signed half-parts;
+    adjoint_applications counts matrix-free operator applications, and
+    adjoint_factorized is 1 when J(u2) was assembled and factored."""
+
     level: int
     n_dofs: int
-    n_cells: int
     values: tuple
     rel_errors: tuple
-    je_error: float
-    je_surrogate: float
-    eta_h: float
-    eta_primal: float            # signed half-parts
-    eta_adjoint: float
-    i_eff: float
-    i_effp: float
-    i_effa: float
-    newton_steps: int
-    enriched_newton_steps: int
-    eta_m: float
-    adjoint_applications: int    # matrix-free operator applications
-    adjoint_factorized: int      # 1 when J(u2) was assembled and factored
-    wall_ms: float
+    je_error: float = _column("J_E_error")
+    eta_h: float = _column("eta_h")
+    eta_primal: float = _column("eta_primal")
+    eta_adjoint: float = _column("eta_adjoint")
+    i_eff: float = _column("I_eff")
+    i_effp: float = _column("I_effp")
+    i_effa: float = _column("I_effa")
+    newton_steps: int = _column("newton_steps", "d")
+    wall_ms: float = _column("wall_ms", ".3f")
+    n_cells: int = _column("n_cells", "d")
+    enriched_newton_steps: int = _column("enriched_newton_steps", "d")
+    eta_m: float = _column("eta_m")
+    je_surrogate: float = _column("je_surrogate")
+    adjoint_applications: int = _column("adjoint_applications", "d")
+    adjoint_factorized: int = _column("adjoint_factorized", "d")
 
 
 def build_geometry(config):
@@ -211,7 +223,7 @@ def homotopy_guess(config, problem, space, constraints):
         kernels = build_plaplace(PLaplaceParams(p_k, config.epsilon))
         prob_k = replace(problem, residual=kernels.residual,
                          jacobian=kernels.jacobian)
-        u, _, stats = newton_solve(prob_k, space, constraints, u, 1e-2)
+        u, _, stats = newton_solve(prob_k, constraints, u, 1e-2)
         total += stats.iterations
     return u, total
 
@@ -303,16 +315,14 @@ def _open_level(config, problem, rule, mesh, level, eta_prev, u_prev,
     cons2 = build_constraints(space2, problem.dirichlet)
     u2_0, boot2 = _initial_guess(config, problem, space2, cons2, u2_prev)
     u0, boot1 = _initial_guess(config, problem, space, cons, u_prev)
-    return (t0, level, eta_prev, mesh, space, cons, u0, boot1,
-            space2, cons2, u2_0, boot2)
+    return t0, level, eta_prev, mesh, cons, u0, boot1, cons2, u2_0, boot2
 
 
 def _solve_level(config, problem, functionals, rule, opened, log, on_level):
     """Yield the level's record; return the next level opened, or None."""
-    (t0, level, eta_prev, mesh, space, cons, u0, boot1,
-     space2, cons2, u2_0, boot2) = opened
+    t0, level, eta_prev, mesh, cons, u0, boot1, cons2, u2_0, boot2 = opened
     # enriched primal (Newton tolerances nested by level)
-    u2, lu2, stats2 = newton_solve(problem, space2, cons2, u2_0,
+    u2, lu2, stats2 = newton_solve(problem, cons2, u2_0,
                                    nested_tolerance(level), log=log)
 
     # coarse primal + adjoint, stopped by the iteration-error balance
@@ -327,7 +337,7 @@ def _solve_level(config, problem, functionals, rule, opened, log, on_level):
             u2_values, config.omegas)
 
     u_h, z_h, astats = adaptive_newton_multigoal(
-        problem, space, cons, u0, eta_prev,
+        problem, cons, u0, eta_prev,
         lambda u_k: goal_at(u_k).gradient(cons, u_k),
         mode=config.newton_mode, log=log)
 
@@ -335,8 +345,7 @@ def _solve_level(config, problem, functionals, rule, opened, log, on_level):
     values = multigoal.member_values(functionals, u_h)
     goal = goal_at(u_h)
     je_surrogate = _je(config, u2_values, values)
-    z2, zstats = solve_enriched_adjoint(problem, goal, space2, cons2,
-                                        u2, lu2)
+    z2, zstats = solve_enriched_adjoint(problem, goal, cons2, u2, lu2)
     # the enriched LU, the level's largest object, outlived the coarse
     # solve because the weights need u_h; it goes before the estimate
     del lu2
@@ -351,7 +360,7 @@ def _solve_level(config, problem, functionals, rule, opened, log, on_level):
         i_eff = i_effp = i_effa = math.nan
 
     record = ConvergenceRecord(
-        level=level, n_dofs=space.n_dofs, n_cells=len(mesh.active_cells),
+        level=level, n_dofs=u_h.space.n_dofs, n_cells=len(mesh.active_cells),
         values=tuple(values), rel_errors=_relative_errors(values, refs),
         je_error=truth, je_surrogate=je_surrogate,
         eta_h=breakdown.eta_h, eta_primal=breakdown.eta_primal_signed,
@@ -383,29 +392,15 @@ def _solve_level(config, problem, functionals, rule, opened, log, on_level):
 # ----------------------------------------------------------------------
 # record serialization
 # ----------------------------------------------------------------------
-# (column, record field, format spec) of the columns after the goals'
-# J_i, J_i_rel_error pairs, in file order; older files end at wall_ms
-_E = ".12e"
-_TAIL_COLUMNS = (
-    ("J_E_error", "je_error", _E), ("eta_h", "eta_h", _E),
-    ("eta_primal", "eta_primal", _E), ("eta_adjoint", "eta_adjoint", _E),
-    ("I_eff", "i_eff", _E), ("I_effp", "i_effp", _E), ("I_effa", "i_effa", _E),
-    ("newton_steps", "newton_steps", "d"), ("wall_ms", "wall_ms", ".3f"),
-    ("n_cells", "n_cells", "d"),
-    ("enriched_newton_steps", "enriched_newton_steps", "d"),
-    ("eta_m", "eta_m", _E), ("je_surrogate", "je_surrogate", _E),
-    ("adjoint_applications", "adjoint_applications", "d"),
-    ("adjoint_factorized", "adjoint_factorized", "d"))
-
-
 def record_columns(rec):
     """The record's (column, text) pairs in file order: the one schema
     of the CSV and the gnuplot table."""
     cols = [("level", f"{rec.level:d}"), ("dofs", f"{rec.n_dofs:d}")]
     for i, (v, e) in enumerate(zip(rec.values, rec.rel_errors), 1):
         cols += [(f"J_{i}", f"{v:.12e}"), (f"J_{i}_rel_error", f"{e:.12e}")]
-    return cols + [(name, format(getattr(rec, attr), spec))
-                   for name, attr, spec in _TAIL_COLUMNS]
+    return cols + [(f.metadata["column"],
+                    format(getattr(rec, f.name), f.metadata["spec"]))
+                   for f in fields(rec) if f.metadata]
 
 
 def _table(records):

@@ -180,14 +180,14 @@ def basis_integrals(val, grd, wdet, B):
 # ----------------------------------------------------------------------
 # global assembly
 # ----------------------------------------------------------------------
-def assemble_residual(problem, space, constraints, u):
-    """Galerkin residual vector A(u)(phi_i), condensed.
+def assemble_residual(problem, constraints, u):
+    """Galerkin residual vector A(u)(phi_i) on u's space, condensed.
 
     The cell integrals are scattered onto the DOFs in one bincount;
     constrained test entries are then distributed to their masters and
     zeroed (transposed constraint application).
     """
-    rule = space.rule
+    space, rule = u.space, u.space.rule
     det, _, _ = cell_geometry(space.mesh, rule)
     val, grd = residual_densities(problem, u)
     if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
@@ -219,9 +219,9 @@ def local_matrices(terms, wdet, B, ncomp):
     return A
 
 
-def assemble_jacobian(problem, space, constraints, u):
-    """Matrix of A'(u)(phi_j, phi_i) (rows = test), condensed."""
-    rule = space.rule
+def assemble_jacobian(problem, constraints, u):
+    """Condensed matrix of A'(u)(phi_j, phi_i) on u's space (rows = test)."""
+    space, rule = u.space, u.space.rule
     det, _, _ = cell_geometry(space.mesh, rule)
     A = local_matrices(problem.jacobian(*quadrature_values(u)),
                        rule.weights * det,

@@ -50,11 +50,14 @@ from .linalg import factorize
 
 @dataclass
 class EstimatorBreakdown:
-    eta_signed: float
     eta_primal_signed: float
     eta_adjoint_signed: float
     nodal: np.ndarray          # per mesh vertex, hanging entries folded away
     cellwise: np.ndarray       # per active cell, nonnegative
+
+    @property
+    def eta_signed(self):
+        return self.eta_primal_signed + self.eta_adjoint_signed
 
     @property
     def eta_h(self):
@@ -195,10 +198,9 @@ def _krylov_adjoint(apply, rhs, lu, stats):
     return y if residual <= ADJOINT_ACCEPT * np.linalg.norm(rhs) else None
 
 
-def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2,
-                           lu=None):
-    """The enriched adjoint z_h2 of A'(u_h2)(w, z) = J'(u_h2)(w): one
-    transposed linear solve at the enriched primal state.
+def solve_enriched_adjoint(problem, functional, constraints2, u_h2, lu=None):
+    """The adjoint z_h2 of A'(u_h2)(w, z) = J'(u_h2)(w) on u_h2's
+    enriched space: one transposed linear solve at that state.
 
     ``lu``, a factorization of the condensed Jacobian near u_h2, turns
     the solve matrix-free (see the module docstring); without it, or
@@ -208,16 +210,16 @@ def solve_enriched_adjoint(problem, functional, space2, constraints2, u_h2,
     rhs = functional.gradient(constraints2, u_h2)
     stats = AdjointStats()
     if not rhs.any():
-        return space2.function(), stats
+        return u_h2.space.function(), stats
     y = None
     if lu is not None:
         y = _krylov_adjoint(transposed_jacobian(problem, constraints2, u_h2),
                             rhs, lu, stats)
     if y is None:
-        A = assembly.assemble_jacobian(problem, space2, constraints2, u_h2)
+        A = assembly.assemble_jacobian(problem, constraints2, u_h2)
         y = factorize(A).solve(rhs, transposed=True)
         stats.factorized = True
-    return space2.function(constraints2.distribute(y)), stats
+    return u_h2.space.function(constraints2.distribute(y)), stats
 
 
 def fold_hanging(mesh, nodal):
@@ -270,11 +272,8 @@ def estimate(problem, functional, constraints, u_h, z_h, u_h2, z_h2):
                                    adjoint_weight)
 
     nodal = fold_hanging(mesh, 0.5 * (pn + an))
-    primal_signed = 0.5 * pg
-    adjoint_signed = 0.5 * ag
-    cellwise = distribute_to_cells(nodal, mesh)
-    return EstimatorBreakdown(primal_signed + adjoint_signed,
-                              primal_signed, adjoint_signed, nodal, cellwise)
+    return EstimatorBreakdown(0.5 * pg, 0.5 * ag, nodal,
+                              distribute_to_cells(nodal, mesh))
 
 
 def effectivity(true_error, breakdown):

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConflictingConstraints, MeshMismatch, PointOutsideDomain
-from .mesh import EDGE_CORNERS
+from .mesh import EDGE_CORNERS, require_size
 
 # local corner index of each cell corner in the (r+1)^2 tensor grid
 _CORNER_GRID = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
@@ -140,11 +140,9 @@ class FeSpace:
     """
 
     def __init__(self, mesh, degree, n_components=1, rule=None):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
         self.mesh = mesh
-        self.degree = int(degree)
-        self.n_components = int(n_components)
+        self.degree = require_size("degree", degree)
+        self.n_components = require_size("n_components", n_components)
         self.rule = rule or gauss(self.degree + 2)
         self._build()
         self._basis_cache = {}

@@ -355,11 +355,18 @@ def _grid(x0, y0, nx, ny, h, hole=None):
                    lambda pa, pb: DIRICHLET)
 
 
+def require_size(name, value):
+    """``value`` as an int; a ValueError naming ``name`` unless it is a
+    positive integer (a NumPy one too, never a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+    return int(value)
+
+
 def build_unit_square(n_cells_per_side):
     """Uniform n x n mesh of (0,1)^2, all boundary faces Dirichlet."""
-    if n_cells_per_side < 1:
-        raise ValueError("need at least one cell per side")
-    n = int(n_cells_per_side)
+    n = require_size("n_cells_per_side", n_cells_per_side)
     return _grid(0.0, 0.0, n, n, 1.0 / n)
 
 

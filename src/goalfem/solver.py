@@ -80,10 +80,11 @@ class NewtonStats:
     eta_m: list = field(default_factory=list)
 
 
-def line_search(problem, space, constraints, u, delta, gamma, *, res_norm):
+def line_search(problem, constraints, u, delta, gamma, *, res_norm):
     """Smallest L < L_MAX with |A(u + gamma^L du)| < c(L) |A(u)| (sup
     norms), ``res_norm`` being |A(u)|.
 
+    ``delta`` holds the coefficients of the direction on u's space.
     Returns (alpha, L, new_u, new_residual, new_norm); the caller reuses
     the accepted residual.  Each trial is a point on the ray, evaluated
     from the quadrature values of u and of the direction (computed here
@@ -93,14 +94,14 @@ def line_search(problem, space, constraints, u, delta, gamma, *, res_norm):
     """
     if res_norm == 0.0:
         raise ValueError("line search requires a nonzero residual")
-    delta = space.function(delta)
+    delta = u.space.function(delta)
     for L in range(L_MAX):
         alpha = gamma ** L
         u_try = on_ray(u, delta, alpha)
-        res = assemble_residual(problem, space, constraints, u_try)
+        res = assemble_residual(problem, constraints, u_try)
         norm = max_norm(res)
         if norm < acceptance_factor(L) * res_norm:
-            return alpha, L, space.function(u_try.coeffs), res, norm
+            return alpha, L, u.space.function(u_try.coeffs), res, norm
     raise LineSearchExhausted(
         f"no damping in {L_MAX} tries from |A| = {res_norm:.3e}")
 
@@ -113,9 +114,9 @@ def nested_tolerance(level):
     return 1e-8 if level == 1 else 1e-2
 
 
-def newton_solve(problem, space, constraints, u0, rtol, log=None):
-    """Damped Newton until the residual sup-norm drops to ``rtol`` times
-    that of the constrained start.
+def newton_solve(problem, constraints, u0, rtol, log=None):
+    """Damped Newton on u0's space until the residual sup-norm drops to
+    ``rtol`` times that of the constrained start.
 
     The shared loop projects ``u0`` and owns the other exits (residual
     floor, stagnation, iteration cap).  ``log`` receives one trace line
@@ -130,15 +131,14 @@ def newton_solve(problem, space, constraints, u0, rtol, log=None):
     def reached(norm):
         return None if norm > rtol * stats.residual_norms[0] else "tolerance"
 
-    u, lu = _newton(problem, space, constraints, u0, 0.9, stats, reached,
-                    log=log)
+    u, lu = _newton(problem, constraints, u0, 0.9, stats, reached, log=log)
     fresh = stats.rebuilds and stats.rebuilds[-1]
     return u, lu if fresh else None, stats
 
 
-def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
+def adaptive_newton_multigoal(problem, constraints, u0, eta_prev,
                               adjoint_rhs, mode="adaptive", log=None):
-    """Newton iteration stopped by the iteration-error indicator.
+    """Newton on u0's space stopped by the iteration-error indicator.
 
     Each sweep solves the adjoint with the current (possibly stale)
     factorization transposed and RHS ``adjoint_rhs(u)`` evaluated at the
@@ -164,22 +164,22 @@ def adaptive_newton_multigoal(problem, space, constraints, u0, eta_prev,
             return "balanced" if stats.eta_m[-1] <= target else None
         return "tolerance" if norm <= FIXED_TOL else None
 
-    u, _ = _newton(problem, space, constraints, u0, 0.85, stats, reached,
-                   observe, log)
-    return u, space.function(z), stats
+    u, _ = _newton(problem, constraints, u0, 0.85, stats, reached, observe,
+                   log)
+    return u, u.space.function(z), stats
 
 
-def _fresh_lu(problem, space, constraints, u):
-    return factorize(assemble_jacobian(problem, space, constraints, u))
+def _fresh_lu(problem, constraints, u):
+    return factorize(assemble_jacobian(problem, constraints, u))
 
 
-def _newton(problem, space, constraints, u0, gamma, stats, reached,
-            observe=None, log=None):
+def _newton(problem, constraints, u0, gamma, stats, reached, observe=None,
+            log=None):
     """The damped Newton loop behind both drivers; returns the last
     iterate and the last factorization, and sets ``stats.termination``.
 
-    It starts from the projection of ``u0`` onto the constraints and
-    stops as the module docstring says; ``reached(norm)`` returns the
+    It starts on u0's space, from ``u0`` projected onto the constraints,
+    and stops as the module docstring says; ``reached(norm)`` returns the
     driver's termination reason once its target holds, else None.
     ``gamma`` is the line search's damping base.  ``observe(u, res, lu)``
     sees the start, factorized there for it, and every accepted iterate,
@@ -187,9 +187,9 @@ def _newton(problem, space, constraints, u0, gamma, stats, reached,
     factorizes.  A failed line search is retried along a fresh
     Jacobian only if ``lu`` was factorized at an earlier iterate.
     """
-    u = space.function(constraints.apply(u0.coeffs))
-    lu = _fresh_lu(problem, space, constraints, u) if observe else None
-    res = assemble_residual(problem, space, constraints, u)
+    u = u0.space.function(constraints.apply(u0.coeffs))
+    lu = _fresh_lu(problem, constraints, u) if observe else None
+    res = assemble_residual(problem, constraints, u)
     norm = max_norm(res)
     stats.residual_norms.append(norm)
     floor = RESIDUAL_FLOOR * (1.0 + norm)
@@ -209,7 +209,7 @@ def _newton(problem, space, constraints, u0, gamma, stats, reached,
 
     def damped_step():
         delta = constraints.distribute(lu.solve(-res))
-        return line_search(problem, space, constraints, u, delta, gamma,
+        return line_search(problem, constraints, u, delta, gamma,
                            res_norm=norm)
 
     prev_norm = None
@@ -217,7 +217,7 @@ def _newton(problem, space, constraints, u0, gamma, stats, reached,
         rebuild = lu is None or (prev_norm is not None
                                  and norm / prev_norm > REBUILD_RATIO)
         if rebuild:
-            lu = _fresh_lu(problem, space, constraints, u)
+            lu = _fresh_lu(problem, constraints, u)
         try:
             try:
                 alpha, _, u, res, new_norm = damped_step()
@@ -228,7 +228,7 @@ def _newton(problem, space, constraints, u0, gamma, stats, reached,
                     raise
                 # a stale direction may not descend at all; retry fresh
                 rebuild = True
-                lu = _fresh_lu(problem, space, constraints, u)
+                lu = _fresh_lu(problem, constraints, u)
                 alpha, _, u, res, new_norm = damped_step()
         except LineSearchExhausted:
             # float-limit stagnation of an already-converged iterate

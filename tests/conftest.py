@@ -23,8 +23,8 @@ def poisson_problem(f=None):
 def linear_solve(problem, space, constraints):
     """One exact Newton step from the constrained zero state."""
     u = space.function(constraints.apply(np.zeros(space.n_dofs)))
-    A = assemble_jacobian(problem, space, constraints, u)
-    r = assemble_residual(problem, space, constraints, u)
+    A = assemble_jacobian(problem, constraints, u)
+    r = assemble_residual(problem, constraints, u)
     lu = factorize(A)
     u = space.function(u.coeffs + constraints.distribute(lu.solve(-r)))
     return u, lu
@@ -54,7 +54,7 @@ def uniform_reference(config, n_refines):
         cons = build_constraints(space, problem.dirichlet)
         u0 = (space.function(np.ones(space.n_dofs)) if u is None
               else transfer_to_refined(u, space))
-        u, _, _ = newton_solve(problem, space, cons, u0,
+        u, _, _ = newton_solve(problem, cons, u0,
                                nested_tolerance(level))
     return member_values(goals.catalog(config.experiment), u)
 

@@ -132,7 +132,7 @@ class TestRunAdaptive:
             adaptivity.estimate
 
         def keeping(*args, **kwargs):
-            lus.append(weakref.ref(args[5]))
+            lus.append(weakref.ref(args[4]))
             return adjoint(*args, **kwargs)
 
         def checking(*args, **kwargs):
@@ -257,7 +257,7 @@ class TestRunAdaptive:
             space2 = build_space(mesh, cfg.r2)
             cons2 = build_constraints(space2, problem.dirichlet)
             u0 = space2.function(np.ones(space2.n_dofs))
-            _, _, stats = newton_solve(problem, space2, cons2, u0,
+            _, _, stats = newton_solve(problem, cons2, u0,
                                        nested_tolerance(level))
             comparisons += 1
             if rec.enriched_newton_steps <= stats.iterations:

@@ -51,15 +51,15 @@ class TestQuadrature:
 
 class TestResidual:
     def test_exact_solution_residual_vanishes(self):
-        problem, _, space, cons, u, _ = poisson_setup(n=3, degree=2)
-        assert max_norm(assemble_residual(problem, space, cons, u)) <= 1e-12
+        problem, _, _, cons, u, _ = poisson_setup(n=3, degree=2)
+        assert max_norm(assemble_residual(problem, cons, u)) <= 1e-12
 
     def test_interior_hat_entry(self):
         # p=2, u=0, f=1: the single interior Q1 node of a 2x2 mesh pairs
         # with a hat of unit integral over area 1/4
         problem, _, space, cons, _, _ = poisson_setup(n=2, degree=1)
         u0 = space.function(cons.apply(np.zeros(space.n_dofs)))
-        r = assemble_residual(problem, space, cons, u0)
+        r = assemble_residual(problem, cons, u0)
         assert r[~cons.constrained] == pytest.approx([-0.25], abs=1e-14)
 
     def test_linearity_in_f(self):
@@ -71,7 +71,7 @@ class TestResidual:
                 2.0, 1.0, rhs=lambda x, y, s=scale: s * np.ones(np.shape(x))))
             cons = build_constraints(space, prob.dirichlet)
             u = space.function(cons.apply(np.zeros(space.n_dofs)))
-            rs[scale] = assemble_residual(prob, space, cons, u)
+            rs[scale] = assemble_residual(prob, cons, u)
         assert np.allclose(rs[2.0], 2.0 * rs[1.0], atol=1e-14)
 
     def test_nonfinite_integrand_raises(self):
@@ -81,16 +81,16 @@ class TestResidual:
         space = build_space(mesh, 1)
         cons = build_constraints(space, prob.dirichlet)
         with pytest.raises(QuadratureFailure):
-            assemble_residual(prob, space, cons,
+            assemble_residual(prob, cons,
                               space.function(np.zeros(space.n_dofs)))
 
 
 class TestJacobian:
     def test_p2_stiffness_independent_of_u(self, rng):
         problem, _, space, cons, _, _ = poisson_setup(n=3, degree=1)
-        a = assemble_jacobian(problem, space, cons,
+        a = assemble_jacobian(problem, cons,
                               space.function(rng.normal(size=space.n_dofs)))
-        b = assemble_jacobian(problem, space, cons,
+        b = assemble_jacobian(problem, cons,
                               space.function(rng.normal(size=space.n_dofs)))
         assert (a - b).nnz == 0 or np.max(np.abs((a - b).data)) <= 1e-14
 
@@ -100,7 +100,7 @@ class TestJacobian:
         space = build_space(mesh, 1)
         cons = build_constraints(space, prob.dirichlet)
         u = space.function(cons.apply(rng.normal(size=space.n_dofs)))
-        A = assemble_jacobian(prob, space, cons, u)
+        A = assemble_jacobian(prob, cons, u)
         assert abs(A - A.T).max() <= 1e-12
 
     @pytest.mark.parametrize("p", [1.5, 4.0, 5.0])
@@ -113,11 +113,11 @@ class TestJacobian:
         for _ in range(5):
             u = space.function(cons.apply(rng.normal(size=space.n_dofs)))
             d = cons.distribute(rng.normal(size=space.n_dofs))
-            A = assemble_jacobian(prob, space, cons, u)
+            A = assemble_jacobian(prob, cons, u)
             h = 1e-6 * (1 + np.abs(u.coeffs).max())
-            fd = (assemble_residual(prob, space, cons,
+            fd = (assemble_residual(prob, cons,
                                     space.function(u.coeffs + h * d))
-                  - assemble_residual(prob, space, cons,
+                  - assemble_residual(prob, cons,
                                       space.function(u.coeffs - h * d))) / (2 * h)
             free = ~cons.constrained
             assert np.max(np.abs((A @ d - fd)[free])) \
@@ -133,19 +133,33 @@ class TestJacobian:
         space = build_space(mesh, 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = space.function(cons.apply(np.zeros(space.n_dofs)))
-        A = assemble_jacobian(problem, space, cons, u0)
-        r = assemble_residual(problem, space, cons, u0)
+        A = assemble_jacobian(problem, cons, u0)
+        r = assemble_residual(problem, cons, u0)
         du_condensed = cons.distribute(factorize(A).solve(-r))
 
         empty = ConstraintSet(space.n_dofs)
-        raw_A = assemble_jacobian(problem, space, empty, u0)
-        raw_r = assemble_residual(problem, space, empty, u0)
+        raw_A = assemble_jacobian(problem, empty, u0)
+        raw_r = assemble_residual(problem, empty, u0)
         free = np.flatnonzero(~cons.constrained)
         C = cons.matrix[:, free]
         K = sp.csr_matrix(C.T @ raw_A @ C)
         x = factorize(K).solve(-(C.T @ raw_r))
         du_reduced = C @ x
         assert np.max(np.abs(du_reduced - du_condensed)) <= 1e-10
+
+    def test_function_off_the_constraints_space_raises(self):
+        # the space is the function's: a Q2 function paired with the Q1
+        # constraint set of its own mesh fails the condensation's
+        # dimension check instead of assembling a Q1-sized system
+        problem = poisson_problem()
+        mesh = build_unit_square(4)
+        cons_q1 = build_constraints(build_space(mesh, 1), problem.dirichlet)
+        q2 = build_space(mesh, 2)
+        u_q2 = q2.function(np.ones(q2.n_dofs))
+        with pytest.raises(ValueError):
+            assemble_residual(problem, cons_q1, u_q2)
+        with pytest.raises(ValueError):
+            assemble_jacobian(problem, cons_q1, u_q2)
 
 
 def einsum_phys_gradients(mesh, degree, rule):
@@ -334,7 +348,7 @@ class TestLocalMatrices:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, bad.dirichlet)
         with pytest.raises(QuadratureFailure):
-            assemble_jacobian(bad, space, cons,
+            assemble_jacobian(bad, cons,
                               space.function(np.zeros(space.n_dofs)))
 
 
@@ -370,7 +384,7 @@ class TestCellBasis:
 
         problem = build_quasilinear() if n_comp == 3 else build_plaplace(
             PLaplaceParams(4.0, 0.5, rhs=lambda x, y: np.sin(3.0 * x + y)))
-        got = assemble_residual(problem, space, ConstraintSet(space.n_dofs),
+        got = assemble_residual(problem, ConstraintSet(space.n_dofs),
                                 u)
         assert self.close(got, einsum_residual(problem, space, u, rule))
 
@@ -390,8 +404,8 @@ class TestCellBasis:
             space = build_space(mesh, 2, n_comp)
             cons = ConstraintSet(space.n_dofs)
             u = space.function(rng.normal(size=space.n_dofs))
-            assemble_residual(problem, space, cons, u)
-            assemble_jacobian(problem, space, cons, u)
+            assemble_residual(problem, cons, u)
+            assemble_jacobian(problem, cons, u)
             assert cell_basis(mesh, 2, rule) is first
         assert calls.count(2) == 1
         assert cell_basis(mesh, 2, gauss(5)) is not first
@@ -423,11 +437,11 @@ class TestLargeMesh:
         u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
         none = ConstraintSet(space.n_dofs)
 
-        got = assemble_residual(problem, space, none, u)
+        got = assemble_residual(problem, none, u)
         ref = einsum_residual(problem, space, u, rule)
         assert np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
 
-        got = assemble_jacobian(problem, space, none, u)
+        got = assemble_jacobian(problem, none, u)
         ref = einsum_jacobian(problem, space, u, rule)
         assert abs(got - ref).max() <= self.RTOL * abs(ref).max()
 
@@ -474,7 +488,7 @@ class TestScatterAndRay:
         local = basis_integrals(val, grd, rule.weights * det,
                                 cell_basis(mesh, degree, rule))
         assert np.array_equal(
-            assemble_residual(problem, space, cons, u),
+            assemble_residual(problem, cons, u),
             add_at_condensed(space, cons, local))
 
         # goal leaves: the sample groups scattered in their order
@@ -577,7 +591,7 @@ def check_transposed_flux(prob, space, rng):
     """The adjoint form with a zero goal is -A'(u)(w, z) = -z.(A w) for
     the assembled Jacobian, and its PU localization sums to it."""
     u = space.function(0.5 + 0.2 * rng.normal(size=space.n_dofs))
-    A = assemble_jacobian(prob, space, build_constraints(space), u)
+    A = assemble_jacobian(prob, build_constraints(space), u)
     w = rng.normal(size=space.n_dofs)
     z = rng.normal(size=space.n_dofs)
     direct = float(z @ (A @ w))
@@ -613,7 +627,7 @@ class TestWeightedResiduals:
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, _ = linear_solve(problem, space2, cons2)
         J = RegionIntegral()
-        z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, J, cons2, u2)
         _, lhs = primal_weighted_form(problem, u, z2)
         rhs = J.value(u2) - J.value(u)
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -639,7 +653,7 @@ class TestWeightedResiduals:
         J = RegionIntegral()
         z = space.function(cons.distribute(
             lu.solve(J.gradient(cons, u), transposed=True)))
-        z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, J, cons2, u2)
         _, primal = primal_weighted_form(problem, u, space2.function(
             z2.coeffs - interpolate_between(z, space2).coeffs))
         _, adjoint = adjoint_weighted_form(problem, J, u, z, space2.function(

@@ -383,7 +383,7 @@ def test_vtk_point_data_are_vertex_coefficients(tmp_path):
     mesh = build_slit().refine([0, 3]).refine([5])
     space = build_space(mesh, 2, 3)
     u = space.function(np.random.default_rng(4).normal(size=space.n_dofs))
-    bd = EstimatorBreakdown(0.0, 0.0, 0.0, np.zeros(mesh.n_points),
+    bd = EstimatorBreakdown(0.0, 0.0, np.zeros(mesh.n_points),
                             np.zeros(len(mesh.active_cells)))
     _vtk_callback(str(tmp_path), "t")(1, mesh, u, bd)
     lines = (tmp_path / "t_level01.vtk").read_text().splitlines()

@@ -144,7 +144,7 @@ def test_perturb_residual_scales_every_binding():
     u = space.function(u.coeffs + 0.1)
     original = assembly.assemble_residual
     gradient = goals.Functional.gradient
-    exact = original(problem, space, cons, u)
+    exact = original(problem, cons, u)
     leaf = goals.PointValue((0.3, 0.6))
     fns = [leaf, goals.Power(goals.RegionIntegral(), 2)]
     combined = CombinedFunctional(fns, [1.0, 2.0], [1.5, 1.0])
@@ -153,7 +153,7 @@ def test_perturb_residual_scales_every_binding():
     try:
         for module in (assembly, solver, adaptivity):
             assert module.assemble_residual is not original
-        got = solver.assemble_residual(problem, space, cons, u)
+        got = solver.assemble_residual(problem, cons, u)
         assert np.array_equal(got, exact * compare_records.CONTROL_SCALE)
         assert not np.array_equal(got, exact)
         for J, want in zip(fns + [combined], exact_gradients):

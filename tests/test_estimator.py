@@ -34,7 +34,7 @@ def dwr_poisson(mesh, r=1, r2=2, functional=None):
     u2, _ = linear_solve(problem, space2, cons2)
     z = space.function(cons.distribute(
         lu.solve(J.gradient(cons, u), transposed=True)))
-    z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+    z2, _ = solve_enriched_adjoint(problem, J, cons2, u2)
     bd = estimate(problem, J, cons, u, z, u2, z2)
     return problem, J, u, u2, bd
 
@@ -47,8 +47,7 @@ class TestEnrichedAdjoint:
         space2 = build_space(mesh, 2)
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, _ = linear_solve(problem, space2, cons2)
-        z2, _ = solve_enriched_adjoint(problem, RegionIntegral(), space2,
-                                       cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, RegionIntegral(), cons2, u2)
         assert np.allclose(z2.coeffs, u2.coeffs, atol=1e-12)
 
     def test_zero_functional_gradient(self):
@@ -58,7 +57,7 @@ class TestEnrichedAdjoint:
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, _ = linear_solve(problem, space2, cons2)
         z2, _ = solve_enriched_adjoint(problem, RegionIntegral(weight=0.0),
-                                       space2, cons2, u2)
+                                       cons2, u2)
         assert max_norm(z2.coeffs) <= 1e-14
 
     def test_adjoint_residual_replay(self):
@@ -68,8 +67,8 @@ class TestEnrichedAdjoint:
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, _ = linear_solve(problem, space2, cons2)
         J = RegionIntegral()
-        z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
-        A = assemble_jacobian(problem, space2, cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, J, cons2, u2)
+        A = assemble_jacobian(problem, cons2, u2)
         rhs = J.gradient(cons2, u2)
         res = A.T @ z2.coeffs - rhs
         res[cons2.constrained] = 0.0
@@ -86,10 +85,10 @@ def slit_q2(rng):
     assert len(mesh.edges().hanging_face)
     space = build_space(mesh, 2, 3, gauss(4))
     cons = build_constraints(space, problem.dirichlet)
-    u, _, _ = newton_solve(problem, space, cons,
+    u, _, _ = newton_solve(problem, cons,
                            space.function(np.ones(space.n_dofs)), 1e-8)
     start = u.coeffs + 1e-2 * rng.normal(size=space.n_dofs)
-    u, lu, stats = newton_solve(problem, space, cons, space.function(start),
+    u, lu, stats = newton_solve(problem, cons, space.function(start),
                                 1e-2)
     return problem, space, cons, u, lu, stats
 
@@ -107,7 +106,7 @@ class TestMatrixFreeAdjoint:
             cons = build_constraints(space, problem.dirichlet)
             u = space.function(cons.apply(rng.normal(size=space.n_dofs)))
         assert cons.constrained.any()
-        A = assemble_jacobian(problem, space, cons, u).T
+        A = assemble_jacobian(problem, cons, u).T
         apply = transposed_jacobian(problem, cons, u)
         for _ in range(3):
             y = rng.normal(size=space.n_dofs)
@@ -115,11 +114,11 @@ class TestMatrixFreeAdjoint:
             assert max_norm(apply(y) - want) <= 1e-13 * max_norm(want)
 
     def test_newton_lu_gives_the_exact_adjoint(self, rng):
-        problem, space, cons, u, lu, stats = slit_q2(rng)
+        problem, _, cons, u, lu, stats = slit_q2(rng)
         assert stats.rebuilds == [True]
         J = catalog("example2")[0]
-        z, zstats = solve_enriched_adjoint(problem, J, space, cons, u, lu)
-        exact, estats = solve_enriched_adjoint(problem, J, space, cons, u)
+        z, zstats = solve_enriched_adjoint(problem, J, cons, u, lu)
+        exact, estats = solve_enriched_adjoint(problem, J, cons, u)
         assert not zstats.factorized and 0 < zstats.applications
         assert (estats.factorized, estats.applications) == (True, 0)
         assert max_norm(z.coeffs - exact.coeffs) \
@@ -129,8 +128,8 @@ class TestMatrixFreeAdjoint:
         problem, space, cons, u, _, _ = slit_q2(rng)
         J = catalog("example2")[0]
         far = factorize(sp.identity(space.n_dofs))
-        z, zstats = solve_enriched_adjoint(problem, J, space, cons, u, far)
-        exact, _ = solve_enriched_adjoint(problem, J, space, cons, u)
+        z, zstats = solve_enriched_adjoint(problem, J, cons, u, far)
+        exact, _ = solve_enriched_adjoint(problem, J, cons, u)
         assert zstats.factorized
         # the capped GMRES, its own residual and the acceptance check
         assert zstats.applications == ADJOINT_CAP + 2
@@ -142,7 +141,7 @@ class TestMatrixFreeAdjoint:
         cons2 = build_constraints(space2, problem.dirichlet)
         u2, lu = linear_solve(problem, space2, cons2)
         z2, zstats = solve_enriched_adjoint(
-            problem, RegionIntegral(weight=0.0), space2, cons2, u2, lu)
+            problem, RegionIntegral(weight=0.0), cons2, u2, lu)
         assert not z2.coeffs.any()
         assert (zstats.applications, zstats.factorized) == (0, False)
 
@@ -299,12 +298,12 @@ class TestEffectivity:
         assert ieff <= 0.5 * (ieffp + ieffa) + 1e-12
 
     def test_zero_error_raises(self):
-        bd = EstimatorBreakdown(1.0, 0.5, 0.5, np.zeros(1), np.zeros(1))
+        bd = EstimatorBreakdown(0.5, 0.5, np.zeros(1), np.zeros(1))
         with pytest.raises(ZeroTrueError):
             effectivity(0.0, bd)
 
     def test_parts_drop_the_halves(self):
-        bd = EstimatorBreakdown(0.3, 0.1, 0.2, np.zeros(1), np.zeros(1))
+        bd = EstimatorBreakdown(0.1, 0.2, np.zeros(1), np.zeros(1))
         ieff, ieffp, ieffa = effectivity(0.3, bd)
         assert ieff == pytest.approx(1.0)
         assert ieffp == pytest.approx(0.2 / 0.3)
@@ -324,15 +323,15 @@ class TestNonlinearEstimate:
         space, space2 = (build_space(mesh, r, rule=gauss(4)) for r in (1, 2))
         cons = build_constraints(space, problem.dirichlet)
         cons2 = build_constraints(space2, problem.dirichlet)
-        u, _, _ = newton_solve(problem, space, cons,
+        u, _, _ = newton_solve(problem, cons,
                                space.function(np.ones(space.n_dofs)), 1e-10)
-        u2, _, _ = newton_solve(problem, space2, cons2,
+        u2, _, _ = newton_solve(problem, cons2,
                                 space2.function(np.ones(space2.n_dofs)),
                                 1e-10)
-        A = assemble_jacobian(problem, space, cons, u)
+        A = assemble_jacobian(problem, cons, u)
         z = space.function(cons.distribute(factorize(A).solve(
             J.gradient(cons, u), transposed=True)))
-        z2, _ = solve_enriched_adjoint(problem, J, space2, cons2, u2)
+        z2, _ = solve_enriched_adjoint(problem, J, cons2, u2)
         bd = estimate(problem, J, cons, u, z, u2, z2)
         gap = J.value(u2) - J.value(u)
         assert abs(bd.eta_signed - gap) / abs(gap) <= 0.5

@@ -92,6 +92,18 @@ class TestDofCounts:
         s = build_space(build_unit_square(2), 1, n_components=3)
         assert s.n_dofs == 27
 
+    @pytest.mark.parametrize("name, degree, n_components", [
+        ("degree", 1.5, 1), ("degree", 2.0, 1), ("degree", True, 1),
+        ("n_components", 1, 1.7), ("n_components", 1, 0),
+        ("n_components", 1, -1), ("n_components", 1, True)])
+    def test_sizes_are_positive_integers(self, name, degree, n_components):
+        with pytest.raises(ValueError, match=name):
+            build_space(build_unit_square(2), degree, n_components)
+
+    def test_numpy_integer_sizes(self):
+        s = build_space(build_unit_square(2), np.int64(2), np.int64(3))
+        assert (s.degree, s.n_components, s.n_dofs) == (2, 3, 75)
+
     def test_cell_dofs_block_layout(self):
         s = build_space(build_unit_square(2).refine([1]), 2, n_components=3)
         assert s.cell_dofs.shape == (len(s.mesh.active_cells), 3, 9)

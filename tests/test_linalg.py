@@ -82,7 +82,7 @@ class TestOrdering:
         space = build_space(mesh, 2, 3)
         cons = build_constraints(space, prob.dirichlet)
         start = space.function(cons.apply(np.ones(space.n_dofs)))
-        return assemble_jacobian(prob, space, cons, start)
+        return assemble_jacobian(prob, cons, start)
 
     def test_solves_match_spsolve(self, jacobian, rng):
         A = jacobian
@@ -107,6 +107,6 @@ class TestMaxNorm:
         assert max_norm(np.zeros(5)) == 0.0
 
     def test_solved_poisson_residual(self):
-        problem, _, space, cons, u, _ = poisson_setup(n=4, degree=1)
-        r = assemble_residual(problem, space, cons, u)
+        problem, _, _, cons, u, _ = poisson_setup(n=4, degree=1)
+        r = assemble_residual(problem, cons, u)
         assert max_norm(r) <= 1e-10

@@ -21,6 +21,14 @@ class TestBuilders:
         m = build_unit_square(2)
         assert m.n_cells == 4 and m.n_points == 9
 
+    @pytest.mark.parametrize("n", [2.7, 3.0, True])
+    def test_cells_per_side_is_an_integer(self, n):
+        with pytest.raises(ValueError, match="n_cells_per_side"):
+            build_unit_square(n)
+
+    def test_numpy_integer_cells_per_side(self):
+        assert build_unit_square(np.int64(2)).n_cells == 4
+
     def test_all_dirichlet(self):
         m = build_unit_square(3)
         tags = m.edge_tag[np.not_equal(m.edge_tag, None)]

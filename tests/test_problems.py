@@ -100,7 +100,7 @@ class TestPLaplaceKernels:
         mesh = build_unit_square(2)
         s = build_space(mesh, 1)
         cons = build_constraints(s, prob.dirichlet)
-        r = assemble_residual(prob, s, cons, s.function(np.zeros(s.n_dofs)))
+        r = assemble_residual(prob, cons, s.function(np.zeros(s.n_dofs)))
         assert np.all(r == 0.0)
 
     def test_p2_linear_in_u_residual(self):
@@ -110,7 +110,7 @@ class TestPLaplaceKernels:
         s = build_space(mesh, 1)
         cons = build_constraints(s)   # no Dirichlet: raw Galerkin entries
         u = s.function(s.node_coords[:, 0].copy())
-        r = assemble_residual(prob, s, cons, u)
+        r = assemble_residual(prob, cons, u)
         # test function v = x has the same coefficients; pairing gives 1
         assert float(r @ u.coeffs) == pytest.approx(1.0, abs=1e-13)
 
@@ -123,8 +123,8 @@ class TestPLaplaceKernels:
                 2.0, eps, rhs=lambda x, y: np.ones(np.shape(x))))
             cons = build_constraints(s, prob.dirichlet)
             u = s.function(cons.apply(np.linspace(0, 1, s.n_dofs)))
-            vals[eps] = (assemble_residual(prob, s, cons, u),
-                         assemble_jacobian(prob, s, cons, u).toarray())
+            vals[eps] = (assemble_residual(prob, cons, u),
+                         assemble_jacobian(prob, cons, u).toarray())
         assert np.allclose(vals[1.0][0], vals[1e-3][0], atol=1e-14)
         assert np.allclose(vals[1.0][1], vals[1e-3][1], atol=1e-14)
 
@@ -221,7 +221,7 @@ class TestQuasilinear:
         cons = build_constraints(s)   # interior pairing only
         coeffs = np.zeros(s.n_dofs)
         coeffs[s.dof(1, np.arange(s.n_nodes))] = 1.0
-        r = assemble_residual(prob, s, cons, s.function(coeffs))
+        r = assemble_residual(prob, cons, s.function(coeffs))
         assert np.max(np.abs(r)) <= 1e-14
 
     def test_jacobian_fd(self, rng):
@@ -232,10 +232,10 @@ class TestQuasilinear:
         for _ in range(3):
             u = s.function(cons.apply(0.4 * rng.normal(size=s.n_dofs)))
             d = cons.distribute(rng.normal(size=s.n_dofs))
-            A = assemble_jacobian(prob, s, cons, u)
+            A = assemble_jacobian(prob, cons, u)
             h = 1e-6 * (1 + np.abs(u.coeffs).max())
-            rp = assemble_residual(prob, s, cons, s.function(u.coeffs + h * d))
-            rm = assemble_residual(prob, s, cons, s.function(u.coeffs - h * d))
+            rp = assemble_residual(prob, cons, s.function(u.coeffs + h * d))
+            rm = assemble_residual(prob, cons, s.function(u.coeffs - h * d))
             fd = (rp - rm) / (2 * h)
             free = ~cons.constrained
             assert np.max(np.abs((A @ d - fd)[free])) \
@@ -250,7 +250,7 @@ class TestQuasilinear:
             s = build_space(mesh, 1, 3)
             cons = build_constraints(s, prob.dirichlet)
             u = s.function(cons.apply(interp_exact_nodal(mesh, s)))
-            r = assemble_residual(prob, s, cons, u)
+            r = assemble_residual(prob, cons, u)
             norms.append(np.max(np.abs(r)))
         # rate >= O(h): each refinement at least halves-ish the residual
         assert norms[1] <= 0.75 * norms[0]

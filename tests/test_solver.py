@@ -53,7 +53,7 @@ class TestNestedTolerance:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = space.function(np.zeros(space.n_dofs))
-        u, lu, stats = newton_solve(problem, space, cons, u0,
+        u, lu, stats = newton_solve(problem, cons, u0,
                                     nested_tolerance(2))
         assert lu is None
         assert stats.residual_norms == [0.0]
@@ -71,7 +71,7 @@ class TestNewton:
         space = build_space(build_unit_square(3), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, cons, u0, 1e-8)
         assert stats.iterations == 1
         assert stats.alphas == [1.0]
 
@@ -84,7 +84,7 @@ class TestNewton:
             p, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
         space = build_space(build_unit_square(n), 1)
         cons = build_constraints(space, problem.dirichlet)
-        _, lu, stats = newton_solve(problem, space, cons, ones(space), rtol)
+        _, lu, stats = newton_solve(problem, cons, ones(space), rtol)
         assert stats.rebuilds[-1] == last_rebuilt
         assert (lu is None) == (not stats.rebuilds[-1])
 
@@ -93,12 +93,12 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = space.function(cons.apply(np.ones(space.n_dofs)))
-        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, cons, u0, 1e-8)
         # the tolerance is relative to the start's residual, which the
         # loop assembles itself
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
+        n0 = max_norm(assemble_residual(problem, cons, u0))
         assert stats.residual_norms[0] == n0
-        replay = assemble_residual(problem, space, cons, u)
+        replay = assemble_residual(problem, cons, u)
         assert max_norm(replay) <= 1e-8 * n0
 
     def test_p4_iteration_count(self):
@@ -109,7 +109,7 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, cons, u0, 1e-8)
         assert stats.iterations <= 30
         assert sum(stats.rebuilds) < stats.iterations  # reuse happened
 
@@ -118,7 +118,7 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        _, _, stats = newton_solve(problem, space, cons, u0, 1e-6)
+        _, _, stats = newton_solve(problem, cons, u0, 1e-6)
         norms = stats.residual_norms
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -132,7 +132,7 @@ class TestNewton:
         sv.REBUILD_RATIO = -1.0    # rebuild every step
         try:
             u0 = ones(space)
-            _, _, stats = newton_solve(problem, space, cons, u0, 1e-12)
+            _, _, stats = newton_solve(problem, cons, u0, 1e-12)
         finally:
             sv.REBUILD_RATIO = old
         # ignore iterates at the roundoff floor
@@ -148,8 +148,8 @@ class TestNewton:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u1, _, s1 = newton_solve(problem, space, cons, u0, 1e-8)
-        u2, _, s2 = newton_solve(problem, space, cons, u0, 1e-8)
+        u1, _, s1 = newton_solve(problem, cons, u0, 1e-8)
+        u2, _, s2 = newton_solve(problem, cons, u0, 1e-8)
         assert np.array_equal(u1.coeffs, u2.coeffs)
         assert s1.residual_norms == s2.residual_norms
         assert s1.alphas == s2.alphas
@@ -166,7 +166,7 @@ class TestNewton:
         original = sv.line_search
 
         def recording(*args, **kwargs):
-            starts.append(weakref.ref(args[3]))
+            starts.append(weakref.ref(args[2]))
             out = original(*args, **kwargs)
             accepted.append(weakref.ref(out[2]))
             return out
@@ -177,7 +177,7 @@ class TestNewton:
                              + accepted[:1]])
 
         monkeypatch.setattr(sv, "line_search", recording)
-        _, _, stats = newton_solve(problem, space, cons, u0, 1e-8, log=log)
+        _, _, stats = newton_solve(problem, cons, u0, 1e-8, log=log)
         assert stats.iterations > 2
         # the start and the first accepted iterate, after the second step
         assert dead == [[True, True]]
@@ -191,10 +191,10 @@ class TestLineSearch:
         from goalfem.assembly import assemble_jacobian
         from goalfem.linalg import factorize
         u = space.function(cons.apply(np.ones(space.n_dofs)))
-        res = assemble_residual(problem, space, cons, u)
-        lu = factorize(assemble_jacobian(problem, space, cons, u))
+        res = assemble_residual(problem, cons, u)
+        lu = factorize(assemble_jacobian(problem, cons, u))
         delta = cons.distribute(lu.solve(-res))
-        alpha, L, _, _, _ = line_search(problem, space, cons, u, delta,
+        alpha, L, _, _, _ = line_search(problem, cons, u, delta,
                                         0.9,
                                         res_norm=max_norm(res))
         assert (alpha, L) == (1.0, 0)
@@ -205,7 +205,7 @@ class TestLineSearch:
         cons = build_constraints(space, problem.dirichlet)
         u = ones(space)
         with pytest.raises(ValueError):
-            line_search(problem, space, cons, u,
+            line_search(problem, cons, u,
                         np.zeros(space.n_dofs), 0.9,
                         res_norm=0.0)
 
@@ -226,7 +226,7 @@ class TestAdaptiveNewton:
         space, cons, rhs = self._setup(problem)
         u0 = ones(space)
         u, z, stats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs)
+            problem, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs)
         assert stats.iterations == 1
         assert stats.termination == "balanced"
         assert stats.eta_m[-1] <= 1e-10
@@ -237,11 +237,11 @@ class TestAdaptiveNewton:
         u0 = ones(space)
         eta_prev = 1e-3
         u, z, stats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=eta_prev, adjoint_rhs=rhs)
+            problem, cons, u0, eta_prev=eta_prev, adjoint_rhs=rhs)
         assert stats.eta_m[-1] <= 1e-2 * eta_prev
         # looser target -> fewer Newton steps than a tight solve
         _, _, tight = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs)
+            problem, cons, u0, eta_prev=1e-8, adjoint_rhs=rhs)
         assert stats.iterations < tight.iterations
 
     def test_fixed_mode_hits_absolute_tolerance(self):
@@ -250,7 +250,7 @@ class TestAdaptiveNewton:
         space, cons, rhs = self._setup(problem, n=2)
         u0 = ones(space)
         u, z, stats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
+            problem, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
             mode="fixed")
         assert stats.termination == "tolerance"
         assert stats.residual_norms[-1] <= 1e-8
@@ -262,7 +262,7 @@ class TestAdaptiveNewton:
         space, cons, rhs = self._setup(problem)
         u0 = ones(space)
         _, _, stats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
+            problem, cons, u0, eta_prev=1.0, adjoint_rhs=rhs,
             mode="fixed")
         assert stats.termination == "residual_floor"
         norms = stats.residual_norms
@@ -274,7 +274,7 @@ class TestAdaptiveNewton:
         space, cons, rhs = self._setup(problem, n=2)
         u0 = ones(space)
         with pytest.raises(IterationCap) as err:
-            adaptive_newton_multigoal(problem, space, cons, u0,
+            adaptive_newton_multigoal(problem, cons, u0,
                                       eta_prev=1e-8, adjoint_rhs=rhs)
         stats = err.value.stats
         assert stats.iterations == 2
@@ -291,7 +291,7 @@ class TestSharedNewtonLoop:
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
-        u, _, stats = newton_solve(problem, space, cons, u0, 1e-8)
+        u, _, stats = newton_solve(problem, cons, u0, 1e-8)
         norms = stats.residual_norms
         tol = 1e-8 * norms[0]
         retried = [k for k in range(1, stats.iterations)
@@ -299,7 +299,7 @@ class TestSharedNewtonLoop:
                    and norms[k] / norms[k - 1] <= sv.REBUILD_RATIO]
         assert retried
         assert stats.termination == "tolerance"
-        assert max_norm(assemble_residual(problem, space, cons, u)) <= tol
+        assert max_norm(assemble_residual(problem, cons, u)) <= tol
 
     def test_newton_cap_raises_iteration_cap(self, monkeypatch):
         # the tolerance stop hits the same cap, with the same error and
@@ -310,7 +310,7 @@ class TestSharedNewtonLoop:
         cons = build_constraints(space, problem.dirichlet)
         u0 = ones(space)
         with pytest.raises(IterationCap) as err:
-            newton_solve(problem, space, cons, u0, 1e-8)
+            newton_solve(problem, cons, u0, 1e-8)
         stats = err.value.stats
         assert isinstance(stats, sv.NewtonStats)
         assert stats.iterations == 2
@@ -340,11 +340,11 @@ class TestSharedNewtonLoop:
     def test_exhausted_search_near_solution_is_stagnation(self, rng,
                                                           monkeypatch):
         monkeypatch.setattr(sv, "FIXED_TOL", 0.0)
-        problem, space, cons, u0 = self._near_solution(rng)
+        problem, _, cons, u0 = self._near_solution(rng)
         calls = self._exhausted(monkeypatch)
         J = RegionIntegral()
         u, _, stats = adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1.0,
+            problem, cons, u0, eta_prev=1.0,
             adjoint_rhs=lambda u_k: J.gradient(cons, u_k), mode="fixed")
         assert stats.termination == "stagnation"
         assert stats.iterations == 0
@@ -355,9 +355,9 @@ class TestSharedNewtonLoop:
             self, rng, monkeypatch):
         # the stagnation rule belongs to the shared loop, so the plain
         # driver ends there too instead of raising
-        problem, space, cons, u0 = self._near_solution(rng)
+        problem, _, cons, u0 = self._near_solution(rng)
         calls = self._exhausted(monkeypatch)
-        u, _, stats = newton_solve(problem, space, cons, u0, 0.0)
+        u, _, stats = newton_solve(problem, cons, u0, 0.0)
         assert stats.termination == "stagnation"
         assert stats.iterations == 0
         assert len(calls) == 1          # the first step is already fresh
@@ -370,12 +370,12 @@ class TestSharedNewtonLoop:
         J = RegionIntegral()
         calls = self._exhausted(monkeypatch)
         with pytest.raises(LineSearchExhausted):
-            newton_solve(problem, space, cons, ones(space), 1e-8)
+            newton_solve(problem, cons, ones(space), 1e-8)
         assert len(calls) == 1          # the first step is already fresh
         calls.clear()
         with pytest.raises(LineSearchExhausted):
             adaptive_newton_multigoal(
-                problem, space, cons, ones(space), eta_prev=1e-8,
+                problem, cons, ones(space), eta_prev=1e-8,
                 adjoint_rhs=lambda u_k: J.gradient(cons, u_k))
         assert len(calls) == 1          # factorized at the start: no retry
 
@@ -387,14 +387,14 @@ class TestSharedNewtonLoop:
         space = build_space(build_unit_square(3), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0, _ = linear_solve(problem, space, cons)
-        n0 = max_norm(assemble_residual(problem, space, cons, u0))
+        n0 = max_norm(assemble_residual(problem, cons, u0))
         assert 0.0 < n0 <= sv.RESIDUAL_FLOOR
 
         def no_factorization(*args):
             raise AssertionError("factorized a converged start")
 
         monkeypatch.setattr(sv, "factorize", no_factorization)
-        u, _, stats = newton_solve(problem, space, cons, u0, 1e-2)
+        u, _, stats = newton_solve(problem, cons, u0, 1e-2)
         assert (stats.iterations, stats.termination) == (0, "residual_floor")
         assert stats.residual_norms == [n0]
         assert np.array_equal(u.coeffs, u0.coeffs)
@@ -412,10 +412,10 @@ class TestSharedNewtonLoop:
         projected = cons.apply(raw)
         assert not np.array_equal(raw, projected)
         starts = [space.function(raw), space.function(projected)]
-        plain = [newton_solve(problem, space, cons, u0, 1e-8)[::2]
+        plain = [newton_solve(problem, cons, u0, 1e-8)[::2]
                  for u0 in starts]
         balanced = [adaptive_newton_multigoal(
-            problem, space, cons, u0, eta_prev=1e-6,
+            problem, cons, u0, eta_prev=1e-6,
             adjoint_rhs=lambda u_k: J.gradient(cons, u_k))
             for u0 in starts]
         for (a, sa), (b, sb) in (plain, [r[::2] for r in balanced]):
