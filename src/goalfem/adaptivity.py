@@ -36,6 +36,10 @@ from .problems import build_plaplace, build_quasilinear, manufactured_rhs, \
 from .solver import adaptive_newton_multigoal, nested_tolerance, newton_solve
 
 
+# the integer fields that may be 0; every other one is at least 1
+_MAY_BE_ZERO = ("seed", "initial_refines")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one experiment run needs, reproducibly."""
@@ -71,21 +75,14 @@ class RunConfig:
             if get_origin(hint) is Literal and value not in get_args(hint):
                 raise ValueError(f"{name} must be one of {get_args(hint)}, "
                                  f"not {value!r}")
-            if (hint is int or hint == Optional[int] and value is not None) \
-                    and not (isinstance(value, (int, np.integer))
-                             and not isinstance(value, bool)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if hint is int or hint == Optional[int] and value is not None:
+                meshmod.require_int(name, value,
+                                    least=0 if name in _MAY_BE_ZERO else 1)
             numbers = {float: (value,), Optional[tuple]: value}.get(hint)
             if numbers and not all(math.isfinite(v) for v in numbers):
                 raise ValueError(f"{name} must be finite, not {value!r}")
         if self.tol_dis <= 0:
             raise ValueError("tol_dis must be positive")
-        for name, least in (("initial_refines", 0), ("max_levels", 1),
-                            ("max_dofs", 1), ("n_initial", 1), ("degree", 1),
-                            ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, "
-                                 f"not {getattr(self, name)!r}")
         if self.system == "plaplace":
             PLaplaceParams(self.p, self.epsilon)
         elif self.cold_start == "homotopy":

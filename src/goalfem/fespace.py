@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConflictingConstraints, MeshMismatch, PointOutsideDomain
-from .mesh import EDGE_CORNERS, require_size
+from .mesh import DIRICHLET, EDGE_CORNERS, NEUMANN, require_int
 
 # local corner index of each cell corner in the (r+1)^2 tensor grid
 _CORNER_GRID = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
@@ -106,10 +106,14 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=None)
 def gauss(n):
-    """The rule of order n, built once and shared (callers never modify
-    it)."""
+    """The rule of order n (an integer >= 1), built once and shared
+    (callers never modify it)."""
+    return _gauss(require_int("n", n))
+
+
+@lru_cache(maxsize=None)
+def _gauss(n):
     t, w = np.polynomial.legendre.leggauss(n)
     t = 0.5 * (t + 1.0)
     w = 0.5 * w
@@ -141,8 +145,8 @@ class FeSpace:
 
     def __init__(self, mesh, degree, n_components=1, rule=None):
         self.mesh = mesh
-        self.degree = require_size("degree", degree)
-        self.n_components = require_size("n_components", n_components)
+        self.degree = require_int("degree", degree)
+        self.n_components = require_int("n_components", n_components)
         self.rule = rule or gauss(self.degree + 2)
         self._build()
         self._basis_cache = {}
@@ -368,15 +372,18 @@ def build_constraints(space, dirichlet=()):
     ``dirichlet`` is a list of (boundary_tag, component, g) with
     ``g(x, y, side)``, called once per entry on the arrays of all nodes
     of the faces whose tag it names; it may return a scalar for constant
-    data.  ``side`` is the sign of the owning cell's centroid y minus the
-    node's y, and 0 where the two are level.  So it is nonzero at the
-    nodes of vertical faces too: the slit mouth (-1, 0) and its copy lie
-    on vertical outer faces only, and take the traces of their own sides
-    through it.  A DOF keeps the value it gets first, in face order, then
-    entry order, then along the face; a DOF that two faces give different
-    values raises ``ConflictingConstraints``.  The hanging rows are formed
-    once on the scalar nodes and laid out per component by one
-    ``FeSpace.dof`` broadcast.
+    data.  The tag must be ``DIRICHLET``, ``NEUMANN`` or carried by a
+    face of the mesh, and the component an integer in [0, n_components);
+    anything else raises ValueError.  ``side`` is the sign of the owning
+    cell's centroid y minus the node's y, and 0 where the two are level.
+    So it is nonzero at the nodes of vertical faces too: the slit mouth
+    (-1, 0) and its copy lie on vertical outer faces only, and take the
+    traces of their own sides through it.  A DOF keeps the value it gets
+    first, in face order, then entry order, then along the face; a DOF
+    that two faces give different values raises
+    ``ConflictingConstraints``.  The hanging rows are formed once on the
+    scalar nodes and laid out per component by one ``FeSpace.dof``
+    broadcast.
     """
     r = space.degree
     mesh = space.mesh
@@ -423,7 +430,13 @@ def _dirichlet_values(space, t, dirichlet):
     pos = np.arange(space.degree + 1)
     key, dof, val, node = [], [], [], []
     for j, (btag, comp, g) in enumerate(dirichlet):
+        comp = require_int("dirichlet component", comp, least=0,
+                           below=space.n_components)
         faces = tagged[t.tag[tagged] == btag]
+        if not faces.size and btag not in (DIRICHLET, NEUMANN):
+            raise ValueError(f"dirichlet tag {btag!r} is neither "
+                             f"{DIRICHLET!r}, {NEUMANN!r} nor a face tag "
+                             f"of the mesh")
         nodes = np.column_stack([space.vertex_node[t.verts[faces, 0]],
                                  space.edge_nodes[faces],
                                  space.vertex_node[t.verts[faces, 1]]])

@@ -15,12 +15,14 @@ every derivative form reads, so no two forms can drift apart.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from . import assembly
 from .errors import FunctionalSingular, UnknownExperiment
 from .fespace import locate_point, tensor_basis
+from .mesh import require_int
 from .problems import slit_exact
 
 
@@ -125,19 +127,23 @@ class LinearLeaf(Functional):
 
 
 class PointValue(LinearLeaf):
-    """u_component(x0), with a slit-side hint when x0 sits on a lip."""
+    """u_component(x0), with a slit-side hint when x0 sits on a lip.
+
+    ``component`` is an integer >= 0 (ValueError otherwise), and below
+    the component count of every space it is sampled on."""
 
     rule_free = True
 
     def __init__(self, point, component=0, side=0):
         self.point = np.asarray(point, dtype=float)
-        self.component = component
+        self.component = require_int("component", component, least=0)
         self.side = side
 
     def _samples(self, mesh, rule, ncomp):
+        k = require_int("component", self.component, least=0, below=ncomp)
         row, ref = locate_point(mesh, self.point, self.side)
         w = np.zeros((1, 1, ncomp))
-        w[0, 0, self.component] = 1.0
+        w[0, 0, k] = 1.0
         return [(np.array([row]), ref[None, :], w)]
 
 
@@ -148,14 +154,24 @@ class RegionIntegral(LinearLeaf):
     (pairs with component 0) or stacks the component weights on the last
     axis.  Cells partially covered by the box are integrated over the
     overlap through an affine sub-mapping of the reference square, one
-    sample group per such cell.
+    sample group per such cell.  A box is (x0, x1, y0, y1), four finite
+    numbers with x0 < x1 and y0 < y1 (ValueError otherwise).
     """
 
     def __init__(self, weight=None, box=None):
         self.weight = weight if callable(weight) else (
             lambda x, y, _c=(1.0 if weight is None else float(weight)):
             np.full(np.shape(x), _c))
-        self.box = tuple(box) if box is not None else None
+        if box is not None:
+            box = tuple(box)
+            if not (len(box) == 4
+                    and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                            for v in box)
+                    and box[0] < box[1] and box[2] < box[3]):
+                raise ValueError(f"box must be four finite numbers "
+                                 f"(x0, x1, y0, y1) with x0 < x1 and "
+                                 f"y0 < y1, not {box}")
+        self.box = box
 
     def _weights_at(self, x, ncomp):
         w = np.asarray(self.weight(x[..., 0], x[..., 1]), dtype=float)
@@ -247,10 +263,8 @@ class Power(Functional):
     """Integer power J^k, k >= 1."""
 
     def __init__(self, inner, exponent):
-        if int(exponent) != exponent or exponent < 1:
-            raise ValueError("exponent must be a positive integer")
         self.inner = inner
-        self.exponent = int(exponent)
+        self.exponent = require_int("exponent", exponent)
 
     def linearize(self, u):
         k = self.exponent

@@ -211,8 +211,15 @@ class Mesh:
     def refine(self, marks):
         """Split the marked active cells (plus 1-irregularity closure).
 
-        Every mark must be the id of an active cell (ValueError)."""
-        marks = np.asarray(marks, dtype=np.int64).ravel()
+        ``marks`` are cell ids: an array or list of integers, each the
+        id of an active cell.  A bool mask or float ids raise ValueError,
+        as does an id that is not active; an empty list splits nothing.
+        """
+        marks = np.asarray(marks).ravel()
+        if marks.size and not np.issubdtype(marks.dtype, np.integer):
+            raise ValueError(f"marks must be integer cell ids, not "
+                             f"{marks.dtype} values")
+        marks = marks.astype(np.int64)
         stray = marks[~np.isin(marks, self.active_cells)]
         if stray.size:
             raise ValueError(f"cells {stray.tolist()} are not active")
@@ -268,8 +275,9 @@ class Mesh:
             np.concatenate([self.edge_tag, kid_tag.reshape(-1, 4)]))
 
     def refine_uniform(self, times=1):
+        """Split every active cell ``times`` (>= 0) times."""
         m = self
-        for _ in range(times):
+        for _ in range(require_int("times", times, least=0)):
             m = m.refine(m.active_cells)
         return m
 
@@ -355,18 +363,27 @@ def _grid(x0, y0, nx, ny, h, hole=None):
                    lambda pa, pb: DIRICHLET)
 
 
-def require_size(name, value):
-    """``value`` as an int; a ValueError naming ``name`` unless it is a
-    positive integer (a NumPy one too, never a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 1:
-        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+def require_int(name, value, least=1, below=None):
+    """``value`` as an int: the one integer rule of every public entry
+    that takes a size, a component or an exponent (``Mesh.refine``
+    checks the dtype of its cell-id array instead).
+
+    A Python or NumPy integer in ``[least, below)`` (no upper bound when
+    ``below`` is None) passes; a bool, a float (2.0 too) or a value out
+    of range raises a ValueError naming ``name``.  Nothing is truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least or below is not None and value >= below:
+        upper = "" if below is None else f" and below {below}"
+        raise ValueError(f"{name} must be at least {least}{upper}, "
+                         f"not {value!r}")
     return int(value)
 
 
 def build_unit_square(n_cells_per_side):
     """Uniform n x n mesh of (0,1)^2, all boundary faces Dirichlet."""
-    n = require_size("n_cells_per_side", n_cells_per_side)
+    n = require_int("n_cells_per_side", n_cells_per_side)
     return _grid(0.0, 0.0, n, n, 1.0 / n)
 
 

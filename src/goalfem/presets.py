@@ -1,11 +1,13 @@
 """Prefilled run configurations for the benchmark experiments.
 
-Reference values: the unit-square and cheese cases carry fine-grid
-benchmark values (with their stated uncertainties); the manufactured
-and slit cases use the closed-form exact solution.  The slit integral
-J_C was evaluated from the closed form by adaptive quadrature split
-along the slit line (tolerance 1e-13, reported error 3e-9); J_D equals
-2 exactly because its weight telescopes at the exact solution.
+Reference values: the p = 2 unit-square case (example 1a's Laplacian)
+uses the closed form of its goal, the p = 4 unit-square and the cheese
+cases carry fine-grid benchmark values (with their stated
+uncertainties), and the manufactured and slit cases use the closed-form
+exact solution.  The slit integral J_C was evaluated from the closed
+form by adaptive quadrature split along the slit line (tolerance 1e-13,
+reported error 3e-9); J_D equals 2 exactly because its weight
+telescopes at the exact solution.
 """
 
 from __future__ import annotations
@@ -30,6 +32,17 @@ _CHEESE_P133 = {
     "u_06_06": (0.024478640536, 2e-6),
     "u_25_25": (0.039616834482, 4e-6),
 }
+
+# J(u) = int u for -Laplace u = 1 on the unit square, u = 0 on its
+# boundary, from the Fourier series in x:
+# J = 1/12 - (16/pi^5) sum_{m odd} tanh(m pi/2)/m^5, summed over odd m
+# below SQUARE_TERMS.  With tanh <= 1 the omitted tail is at most
+# (16/pi^5) / (8 (SQUARE_TERMS - 2)^4) = 2.6e-21, below the double's own
+# rounding (~1e-17); 100 terms would leave it 4e-12 off.
+SQUARE_TERMS = 40_001
+SQUARE_J = 1.0 / 12.0 - 16.0 / math.pi ** 5 * math.fsum(
+    math.tanh(m * math.pi / 2.0) / m ** 5 for m in range(1, SQUARE_TERMS, 2))
+SQUARE_J_TRUNCATION = 16.0 / math.pi ** 5 / (8.0 * (SQUARE_TERMS - 2) ** 4)
 
 # closed-form values for the slit system (J_C by adaptive quadrature)
 SLIT_JC = 1.107022634790892          # +- 3e-9
@@ -74,7 +87,8 @@ _register(
     experiment="example1a", geometry="unit_square", n_initial=4,
     system="plaplace", p=2.0, epsilon=1.0, degree=3, enriched_degree=6,
     combine="raw", tol_dis=1e-12, max_levels=6, max_dofs=20_000,
-    reference_values=(0.03514425375,), reference_uncertainties=(1e-10,),
+    reference_values=(SQUARE_J,),
+    reference_uncertainties=(SQUARE_J_TRUNCATION,),
     je_truth="reference")
 
 _register(
@@ -82,7 +96,8 @@ _register(
     experiment="example1a", geometry="unit_square", n_initial=4,
     system="plaplace", p=2.0, epsilon=1.0, degree=3, enriched_degree=4,
     combine="raw", tol_dis=1e-12, max_levels=7, max_dofs=20_000,
-    reference_values=(0.03514425375,), reference_uncertainties=(1e-10,),
+    reference_values=(SQUARE_J,),
+    reference_uncertainties=(SQUARE_J_TRUNCATION,),
     je_truth="reference")
 
 _register(

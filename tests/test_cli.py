@@ -158,6 +158,19 @@ class TestRunSizes:
         assert not list(tmp_path.iterdir())
 
 
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_enriched_degree_is_a_positive_integer(self, value):
+        # rejected as a size of its own, by name, before the comparison
+        # with the primal degree
+        with pytest.raises(ValueError, match="enriched_degree"):
+            dataclasses.replace(get_preset("example1c_case1"),
+                                enriched_degree=value)
+        with pytest.raises(ValueError, match="enriched_degree"):
+            parse_config("[run]\nexperiment = example1a\n"
+                         f"geometry = unit_square\nenriched_degree = {value}\n")
+
+
 # bad values per field: goal-count fields with the wrong number of
 # entries, non-finite numbers, negative omegas and zero reference values
 _BAD_VALUES = [

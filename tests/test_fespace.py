@@ -100,6 +100,15 @@ class TestDofCounts:
         with pytest.raises(ValueError, match=name):
             build_space(build_unit_square(2), degree, n_components)
 
+    @pytest.mark.parametrize("n", [True, 2.0, 0])
+    def test_rule_order_is_a_positive_integer(self, n):
+        # True would build a one-point rule apart from gauss(1)
+        with pytest.raises(ValueError, match="n must"):
+            fespace.gauss(n)
+
+    def test_rule_built_once(self):
+        assert fespace.gauss(np.int64(3)) is fespace.gauss(3)
+
     def test_numpy_integer_sizes(self):
         s = build_space(build_unit_square(2), np.int64(2), np.int64(3))
         assert (s.degree, s.n_components, s.n_dofs) == (2, 3, 75)
@@ -444,6 +453,19 @@ class TestDirichletData:
         on_lip = y == 0.0
         assert np.array_equal(cons.inhomogeneity[first][~on_lip],
                               slit_exact(x, y)[~on_lip])
+
+
+class TestDirichletEntries:
+    @pytest.mark.parametrize("tag, component, match", [
+        ("dirichlet", -1, "component"), ("dirichlet", 3, "component"),
+        ("dirichlet", 1.0, "component"), ("dirichlet", True, "component"),
+        ("dirichlett", 0, "tag")])
+    def test_bad_entry_rejected(self, tag, component, match):
+        # a negative component would constrain the last field, and a
+        # misspelled tag would constrain nothing
+        space = build_space(build_unit_square(2), 1, 3)
+        with pytest.raises(ValueError, match=match):
+            build_constraints(space, [(tag, component, zero)])
 
 
 class TestConflictingDirichlet:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -320,3 +321,35 @@ class TestComposites:
             Power(RegionIntegral(), 0)
         with pytest.raises(ValueError):
             Power(RegionIntegral(), 1.5)
+
+    @pytest.mark.parametrize("exponent", [2.0, True, np.float64(3.0)])
+    def test_exponent_is_an_integer(self, exponent):
+        with pytest.raises(ValueError, match="exponent"):
+            Power(RegionIntegral(), exponent)
+
+
+class TestLeafArguments:
+    @pytest.mark.parametrize("component", [-1, 1.0, True])
+    def test_point_component_is_an_index(self, component):
+        # -1 would read the last field
+        with pytest.raises(ValueError, match="component"):
+            PointValue((0.5, 0.5), component=component)
+
+    def test_point_component_below_the_space_components(self):
+        s = build_space(build_unit_square(2), 1)
+        with pytest.raises(ValueError, match="component"):
+            PointValue((0.5, 0.5), component=1).value(constant_fn(s, 1.0))
+
+    @pytest.mark.parametrize("box", [
+        (0.8, 0.2, 0.0, 1.0), (0.0, 1.0, 0.6, 0.6), (0.0, 1.0, 0.0),
+        (0.0, float("nan"), 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0),
+        ("0", "1", "0", "1")])
+    def test_malformed_box_rejected(self, box):
+        # a reversed box would integrate to 0.0
+        with pytest.raises(ValueError, match="box"):
+            RegionIntegral(box=box)
+
+    def test_box_of_integers_accepted(self):
+        s = build_space(build_unit_square(2), 1)
+        J = RegionIntegral(box=(0, 1, 0, 1))
+        assert J.value(constant_fn(s, 2.0)) == pytest.approx(2.0)

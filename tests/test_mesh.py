@@ -4,7 +4,8 @@ from hypothesis import given, settings
 
 from goalfem.errors import DistortionInvertsCell
 from goalfem.mesh import (DIRICHLET, EDGE_CORNERS, NEUMANN, build_cheese,
-                          build_slit, build_unit_square, write_vtk)
+                          build_slit, build_unit_square, require_int,
+                          write_vtk)
 from goalfem.problems import slit_exact
 
 from conftest import (MESHES, ReferenceMesh, marked_cells,
@@ -28,6 +29,23 @@ class TestBuilders:
 
     def test_numpy_integer_cells_per_side(self):
         assert build_unit_square(np.int64(2)).n_cells == 4
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value, least, below", [
+        (True, 0, None), (False, 0, None), (2.0, 1, None),
+        (np.float64(1.0), 0, None), ("3", 0, None), (None, 0, None),
+        (0, 1, None), (-1, 0, None), (3, 0, 3), (np.int64(5), 0, 4)])
+    def test_rejects_by_name(self, value, least, below):
+        with pytest.raises(ValueError, match="the_size"):
+            require_int("the_size", value, least, below)
+
+    @pytest.mark.parametrize("value, least, below", [
+        (0, 0, None), (1, 1, None), (2, 0, 3), (np.int64(7), 1, None),
+        (np.uint8(2), 0, 3), (10 ** 30, 1, None)])
+    def test_accepts_an_int_in_range(self, value, least, below):
+        out = require_int("the_size", value, least, below)
+        assert type(out) is int and out == value
 
     def test_all_dirichlet(self):
         m = build_unit_square(3)
@@ -166,6 +184,20 @@ class TestRefine:
         # a negative id would index from the end of the cell arrays
         with pytest.raises(ValueError):
             build_unit_square(2).refine([mark])
+
+    @pytest.mark.parametrize("marks", [
+        np.array([False, False, True, False]), [0.5], [1.9], [2.0]],
+        ids=["bool_mask", "half", "one_point_nine", "two_point_zero"])
+    def test_marks_must_be_integer_ids(self, marks):
+        # a bool mask read as ids would split cells 0 and 1, and
+        # truncated floats would split the cells below them
+        with pytest.raises(ValueError, match="marks"):
+            build_unit_square(2).refine(marks)
+
+    @pytest.mark.parametrize("times", [-1, 1.0, True])
+    def test_uniform_times_is_a_count(self, times):
+        with pytest.raises(ValueError, match="times"):
+            build_unit_square(2).refine_uniform(times)
 
     def test_levels_and_parents(self):
         # the children are one level down: their parent is a base cell
