@@ -90,7 +90,7 @@ class RunConfig:
                              "exponent; it needs system plaplace")
         r2 = self.enriched_degree
         if r2 is not None and r2 <= self.degree:
-            raise ValueError("enriched degree must exceed the primal degree")
+            raise ValueError("enriched_degree must exceed the primal degree")
         n_goals = len(goals.catalog(self.experiment))
         for name in ("omegas", "reference_values", "reference_uncertainties"):
             value = getattr(self, name)

@@ -2,8 +2,9 @@
 of the residual vector and the Jacobian matrix.
 
 Every cell operator runs once over all active cells, as straight-line
-array code.  Three tabulations are cached on the mesh: the bilinear
-cell geometry (straight-sided quads) per rule, the cell basis per
+array code.  The mesh owns three tabulations (``Mesh.cached``): the
+bilinear cell geometry per rule, which holds the measure ``wdet`` (the
+weights times det J) that every integral reads, the cell basis per
 (degree, rule), ``B[e, d, q, b]``, holding the value (d = 0) and the
 two physical gradient components (d = 1, 2) of each local basis
 function b at each quadrature point q of every active cell e, and a
@@ -53,15 +54,16 @@ from .fespace import tensor_basis
 # cached tabulations
 # ----------------------------------------------------------------------
 def cell_geometry(mesh, rule):
-    """detJ, inv(J)^T and physical coordinates at the rule's points.
+    """The measure wdet (the weights times det J), inv(J)^T and the
+    physical coordinates at the rule's points.
 
     Arrays are indexed by active-cell row; cached per (mesh, rule order).
     """
-    key = ("geom", rule.n)
-    hit = mesh._caches.get(key)
-    if hit is not None:
-        return hit
-    corners = mesh.corners()
+    return mesh.cached(("geom", rule.n),
+                       lambda: _geometry(mesh.corners(), rule))
+
+
+def _geometry(corners, rule):
     G, dG = tensor_basis(1, rule.points)
     jac = np.einsum("ckd,kqj->cqdj", corners, dG)
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
@@ -74,9 +76,7 @@ def cell_geometry(mesh, rule):
     invJT[..., 1, 1] = jac[..., 0, 0]
     invJT /= det[..., None, None]
     xq = np.einsum("ckd,kq->cqd", corners, G)
-    hit = (det, invJT, xq)
-    mesh._caches[key] = hit
-    return hit
+    return rule.weights * det, invJT, xq
 
 
 def cell_basis(mesh, degree, rule):
@@ -87,30 +87,26 @@ def cell_basis(mesh, degree, rule):
     (mesh, degree, rule order), so spaces of any component count on one
     mesh share it.
     """
-    key = ("basis", degree, rule.n)
-    hit = mesh._caches.get(key)
-    if hit is not None:
-        return hit
-    _, invJT, _ = cell_geometry(mesh, rule)
-    N, dN = tensor_basis(degree, rule.points)
-    hit = np.empty((len(invJT), 3) + N.T.shape)
-    hit[:, 0] = N.T
-    # (e, q, i, j) @ (q, j, b) -> (e, q, i, b)
-    hit[:, 1:] = (invJT @ dN.transpose(1, 2, 0)).transpose(0, 2, 1, 3)
-    mesh._caches[key] = hit
-    return hit
+    def build():
+        _, invJT, _ = cell_geometry(mesh, rule)
+        N, dN = tensor_basis(degree, rule.points)
+        B = np.empty((len(invJT), 3) + N.T.shape)
+        B[:, 0] = N.T
+        # (e, q, i, j) @ (q, j, b) -> (e, q, i, b)
+        B[:, 1:] = (invJT @ dN.transpose(1, 2, 0)).transpose(0, 2, 1, 3)
+        return B
+
+    return mesh.cached(("basis", degree, rule.n), build)
 
 
 def load_values(mesh, rule, load):
     """The load f(x, y) at the rule's points of every active cell,
     (e, q); cached per (mesh, rule order, load callable)."""
-    key = ("load", rule.n, load)
-    hit = mesh._caches.get(key)
-    if hit is not None:
-        return hit
-    _, _, xq = cell_geometry(mesh, rule)
-    hit = mesh._caches[key] = load(xq[..., 0], xq[..., 1])
-    return hit
+    def build():
+        _, _, xq = cell_geometry(mesh, rule)
+        return load(xq[..., 0], xq[..., 1])
+
+    return mesh.cached(("load", rule.n, load), build)
 
 
 def quadrature_values(f):
@@ -188,11 +184,11 @@ def assemble_residual(problem, constraints, u):
     zeroed (transposed constraint application).
     """
     space, rule = u.space, u.space.rule
-    det, _, _ = cell_geometry(space.mesh, rule)
+    wdet, _, _ = cell_geometry(space.mesh, rule)
     val, grd = residual_densities(problem, u)
     if not (np.all(np.isfinite(val)) and np.all(np.isfinite(grd))):
         raise QuadratureFailure("non-finite residual integrand")
-    local = basis_integrals(val, grd, rule.weights * det,
+    local = basis_integrals(val, grd, wdet,
                             cell_basis(space.mesh, space.degree, rule))
     return constraints.condense_rhs(space.scatter(local))
 
@@ -222,9 +218,8 @@ def local_matrices(terms, wdet, B, ncomp):
 def assemble_jacobian(problem, constraints, u):
     """Condensed matrix of A'(u)(phi_j, phi_i) on u's space (rows = test)."""
     space, rule = u.space, u.space.rule
-    det, _, _ = cell_geometry(space.mesh, rule)
-    A = local_matrices(problem.jacobian(*quadrature_values(u)),
-                       rule.weights * det,
+    wdet, _, _ = cell_geometry(space.mesh, rule)
+    A = local_matrices(problem.jacobian(*quadrature_values(u)), wdet,
                        cell_basis(space.mesh, space.degree, rule),
                        space.n_components)
     if not np.all(np.isfinite(A)):

@@ -78,9 +78,8 @@ def _localize(weight, fv, fg):
     un-localized density rather than from the vertices.
     """
     mesh, rule = weight.space.mesh, weight.space.rule
-    det, _, _ = assembly.cell_geometry(mesh, rule)
+    wdet, _, _ = assembly.cell_geometry(mesh, rule)
     wv, wg = assembly.quadrature_values(weight)
-    wdet = rule.weights * det
     # F.(w psi) + F_g:grad(w psi) = psi (F.w + F_g:grad w)
     #                               + grad psi . (F_g^T w)
     t1 = (fv * wv).sum(axis=1) + (fg * wg).sum(axis=(1, 3))
@@ -159,8 +158,7 @@ def transposed_jacobian(problem, constraints, u):
     """
     space = u.space
     rule = space.rule
-    det, _, _ = assembly.cell_geometry(space.mesh, rule)
-    wdet = rule.weights * det
+    wdet, _, _ = assembly.cell_geometry(space.mesh, rule)
     basis = assembly.cell_basis(space.mesh, space.degree, rule)
     terms = problem.jacobian(*assembly.quadrature_values(u))
     mask = constraints.constrained

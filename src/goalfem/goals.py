@@ -73,11 +73,9 @@ class LinearLeaf(Functional):
         return self.value(u), [(1.0, self)]
 
     def _groups(self, mesh, rule, ncomp):
-        key = ("samples", self, ncomp, None if self.rule_free else rule.n)
-        hit = mesh._caches.get(key)
-        if hit is None:
-            hit = mesh._caches[key] = self._samples(mesh, rule, ncomp)
-        return hit
+        return mesh.cached(
+            ("samples", self, ncomp, None if self.rule_free else rule.n),
+            lambda: self._samples(mesh, rule, ncomp))
 
     def _densities(self, v):
         """(rows, ref_pts, w . v(x)) per group of the function v."""
@@ -184,11 +182,11 @@ class RegionIntegral(LinearLeaf):
         return w
 
     def _samples(self, mesh, rule, ncomp):
-        det, _, xq = assembly.cell_geometry(mesh, rule)
-        wdet = (rule.weights[None, :] * det)[..., None]
+        wdet, _, xq = assembly.cell_geometry(mesh, rule)
         if self.box is None:
-            full = np.arange(len(det))
-            return [(full, rule.points, self._weights_at(xq, ncomp) * wdet)]
+            full = np.arange(len(wdet))
+            return [(full, rule.points,
+                     self._weights_at(xq, ncomp) * wdet[..., None])]
         corners = mesh.corners()
         lo, hi = corners.min(axis=1), corners.max(axis=1)
         olo = np.maximum(lo, self.box[0::2])
@@ -197,7 +195,7 @@ class RegionIntegral(LinearLeaf):
         covered = overlap & np.all((olo == lo) & (ohi == hi), axis=1)
         full = np.flatnonzero(covered)
         groups = [(full, rule.points,
-                   self._weights_at(xq[full], ncomp) * wdet[full])]
+                   self._weights_at(xq[full], ncomp) * wdet[full, :, None])]
         for row in np.flatnonzero(overlap & ~covered):
             cc = corners[row]
             axis_aligned = (cc[0, 1] == cc[1, 1] and cc[2, 1] == cc[3, 1]

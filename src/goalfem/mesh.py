@@ -116,12 +116,19 @@ class Mesh:
     def n_cells(self):
         return self.cell_verts.shape[0]
 
+    def cached(self, key, build):
+        """The table stored under ``key``, made by ``build()`` on the
+        first request only: the one cache of every table derived from
+        this (immutable) mesh, ``assembly``'s and ``goals``' included."""
+        if key not in self._caches:
+            self._caches[key] = build()
+        return self._caches[key]
+
     @property
     def active_cells(self):
         """Ids of leaf cells, ascending."""
-        if "active" not in self._caches:
-            self._caches["active"] = np.flatnonzero(self.cell_children[:, 0] < 0)
-        return self._caches["active"]
+        return self.cached(
+            "active", lambda: np.flatnonzero(self.cell_children[:, 0] < 0))
 
     def corners(self, cells=None):
         """Corner coordinates, shape (n, 4, 2)."""
@@ -131,9 +138,7 @@ class Mesh:
 
     def edges(self):
         """The ``EdgeTable`` of the active cells, built once per mesh."""
-        if "edges" not in self._caches:
-            self._caches["edges"] = self._edge_table()
-        return self._caches["edges"]
+        return self.cached("edges", self._edge_table)
 
     def _edge_table(self):
         n = self.n_points
@@ -300,7 +305,7 @@ class Mesh:
         np.minimum.at(h_min, a, h)
         np.minimum.at(h_min, b, h)
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(require_int("seed", seed, least=0))
         shift = rng.uniform(-1.0, 1.0, size=(self.n_points, 2))
         movable = np.zeros(self.n_points, dtype=bool)
         movable[t.verts] = True

@@ -42,11 +42,23 @@ class TestQuadrature:
         mesh = build_unit_square(4)
         space = build_space(mesh, degree)
         rule = gauss(degree + 3)
-        det, _, _ = cell_geometry(mesh, rule)
+        wdet, _, _ = cell_geometry(mesh, rule)
         N = cell_basis(mesh, space.degree, rule)[:, 0]
-        mass = np.einsum("q,eq,eqb,eqd->ebd",
-                         rule.weights, det, N, N)
+        mass = np.einsum("eq,eqb,eqd->ebd", wdet, N, N)
         assert np.allclose(mass.sum(axis=(1, 2)), 1.0 / 16.0, atol=1e-14)
+
+
+    def test_geometry_holds_the_measure(self):
+        # weights times det J, det formed here from the corners as the
+        # bilinear map's Jacobian
+        mesh = build_unit_square(4).distort(0.3, seed=5)
+        rule = gauss(3)
+        _, dG = tensor_basis(1, rule.points)
+        jac = np.einsum("ckd,kqj->cqdj", mesh.corners(), dG)
+        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        wdet = cell_geometry(mesh, rule)[0]
+        assert np.array_equal(wdet, rule.weights * det)
+        assert wdet.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 class TestResidual:
@@ -181,13 +193,12 @@ def einsum_residual(problem, space, u, rule):
     """Reference: the unconstrained residual vector by the einsum
     contraction of the kernel densities, less the load evaluated here,
     with the test basis."""
-    det, _, xq = cell_geometry(space.mesh, rule)
+    wdet, _, xq = cell_geometry(space.mesh, rule)
     N, _ = tensor_basis(space.degree, rule.points)
     gphi = einsum_phys_gradients(space.mesh, space.degree, rule)
     val, grd = problem.residual(*einsum_eval(space, u.coeffs, N, gphi))
     if problem.load is not None:
         val[:, 0] -= problem.load(xq[..., 0], xq[..., 1])
-    wdet = rule.weights[None, :] * det
     rloc = np.einsum("eq,ekq,bq->ekb", wdet, val, N, optimize=True)
     rloc += np.einsum("eq,ekqi,ebqi->ekb", wdet, grd, gphi, optimize=True)
     raw = np.zeros(space.n_dofs)
@@ -198,12 +209,11 @@ def einsum_residual(problem, space, u, rule):
 def einsum_jacobian(problem, space, u, rule):
     """Reference: the unconstrained Jacobian from the dense einsum local
     matrices, summed into a sparse matrix."""
-    det, _, _ = cell_geometry(space.mesh, rule)
+    wdet, _, _ = cell_geometry(space.mesh, rule)
     N, _ = tensor_basis(space.degree, rule.points)
     gphi = einsum_phys_gradients(space.mesh, space.degree, rule)
     terms = problem.jacobian(*einsum_eval(space, u.coeffs, N, gphi))
-    A = einsum_local_matrices(terms, rule.weights[None, :] * det, N, gphi,
-                              space.n_components)
+    A = einsum_local_matrices(terms, wdet, N, gphi, space.n_components)
     ne = len(A)
     gdof = space.cell_dofs.reshape(ne, -1)
     rows = np.repeat(gdof, gdof.shape[1], axis=1)
@@ -483,10 +493,9 @@ class TestScatterAndRay:
 
         rule = space.rule
         u = space.function(cons.apply(0.5 * rng.normal(size=space.n_dofs)))
-        det, _, _ = cell_geometry(mesh, rule)
+        wdet, _, _ = cell_geometry(mesh, rule)
         val, grd = residual_densities(problem, u)
-        local = basis_integrals(val, grd, rule.weights * det,
-                                cell_basis(mesh, degree, rule))
+        local = basis_integrals(val, grd, wdet, cell_basis(mesh, degree, rule))
         assert np.array_equal(
             assemble_residual(problem, cons, u),
             add_at_condensed(space, cons, local))

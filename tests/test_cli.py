@@ -159,7 +159,7 @@ class TestRunSizes:
 
 
 class TestIntegerFields:
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value", [0, -1, 1])
     def test_enriched_degree_is_a_positive_integer(self, value):
         # rejected as a size of its own, by name, before the comparison
         # with the primal degree

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from goalfem import mesh as mesh_module
 from goalfem.errors import DistortionInvertsCell
 from goalfem.mesh import (DIRICHLET, EDGE_CORNERS, NEUMANN, build_cheese,
                           build_slit, build_unit_square, require_int,
@@ -280,6 +283,11 @@ class TestDistort:
         with pytest.raises(ValueError):
             build_unit_square(2).distort(0.5, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, 1.0, -1])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            build_unit_square(2).distort(0.2, seed=seed)
+
     def test_inverted_cell_detected(self):
         with pytest.raises(DistortionInvertsCell):
             # brute-force a seed that folds a cell at an extreme factor
@@ -321,6 +329,37 @@ class TestEdgeTable:
     def test_cached_per_mesh(self):
         m = build_unit_square(2).refine([0])
         assert m.edges() is m.edges()
+
+
+class TestCached:
+    def test_builds_once_per_key(self):
+        m = build_unit_square(2)
+        calls = []
+
+        def build(tag):
+            calls.append(tag)
+            return np.arange(3)
+
+        a = m.cached(("t", 1), lambda: build(1))
+        assert m.cached(("t", 1), lambda: build(2)) is a
+        assert m.cached(("t", 2), lambda: build(3)) is not a
+        assert calls == [1, 3]
+        # a new mesh has tables of its own
+        assert build_unit_square(2).cached(("t", 1), lambda: 7) == 7
+
+    @pytest.mark.parametrize("falsy", [0, np.zeros(0)])
+    def test_a_stored_falsy_table_is_not_rebuilt(self, falsy):
+        m = build_unit_square(2)
+        assert m.cached("f", lambda: falsy) is falsy
+        assert m.cached("f", lambda: pytest.fail("rebuilt")) is falsy
+
+    def test_only_the_mesh_touches_its_caches(self):
+        # every other module reads and stores its tables through
+        # Mesh.cached
+        src = Path(mesh_module.__file__).parent
+        readers = sorted(path.name for path in src.glob("*.py")
+                         if "_caches" in path.read_text())
+        assert readers == ["mesh.py"]
 
 
 def test_vtk_dump(tmp_path):

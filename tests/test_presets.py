@@ -7,8 +7,8 @@ import pytest
 
 from goalfem.adaptivity import run_adaptive
 from goalfem.errors import UnknownExperiment
-from goalfem.presets import (SLIT_JC, get_preset, preset_names,
-                             slit_references)
+from goalfem.presets import (SLIT_JC, SQUARE_J, SQUARE_TERMS, get_preset,
+                             preset_names, slit_references)
 
 
 def test_roster_complete():
@@ -37,6 +37,16 @@ def test_every_preset_has_references():
 def test_point_reference_is_exact_closed_form():
     cfg = get_preset("example1b_case1")
     assert cfg.reference_values[0] == math.sin(7.2)
+
+
+def test_square_reference_is_the_series_sum():
+    # the literal is the fsum of the Fourier series over odd m below
+    # SQUARE_TERMS, to the last bit
+    series = 1.0 / 12.0 - 16.0 / math.pi ** 5 * math.fsum(
+        math.tanh(m * math.pi / 2.0) / m ** 5
+        for m in range(1, SQUARE_TERMS, 2))
+    assert SQUARE_J == series
+    assert get_preset("example1a_case1").reference_values == (SQUARE_J,)
 
 
 def test_slit_integral_reference_oracle():
