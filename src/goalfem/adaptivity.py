@@ -99,8 +99,12 @@ class RunConfig:
                                  f"{self.experiment} has {n_goals} goals")
         if self.combine == "raw" and n_goals != 1:
             raise ValueError("raw mode needs exactly one functional")
-        if self.omegas is not None and min(self.omegas) < 0:
-            raise ValueError(f"omegas must be nonnegative, not {self.omegas}")
+        if self.omegas is not None:
+            if self.combine == "raw":
+                raise ValueError("raw mode reads no omegas")
+            if min(self.omegas) < 0 or max(self.omegas) == 0:
+                raise ValueError("omegas must be nonnegative and weigh "
+                                 f"some goal, not {self.omegas}")
         if self.reference_values is not None and 0.0 in self.reference_values:
             raise ValueError("reference_values must be nonzero: the "
                              "relative errors divide by them")

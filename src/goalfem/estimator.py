@@ -29,9 +29,8 @@ against the test basis instead of the hats, it applies the transposed
 condensed Jacobian without a matrix (``transposed_jacobian``).  The
 enriched adjoint z_h2 solves with that operator by GMRES, preconditioned
 by the transposed solves of the enriched Newton's last factorization,
-which ``solver.newton_solve`` hands back only when it was made one
-damped step from u_h2.  Only when no such factorization is at hand, or
-GMRES does not reach the residual the direct solve would, is J(u_h2)
+whatever its age.  Only when the enriched Newton took no step, or GMRES
+does not reach the residual the direct solve would, is J(u_h2)
 assembled and factored.
 """
 
@@ -133,7 +132,7 @@ def adjoint_weighted_form(problem, functional, u, z, weight):
 
 ADJOINT_RTOL = 1e-12    # GMRES target, relative to |J'(u_h2)|
 ADJOINT_ACCEPT = 1e-10  # true relative residual the Krylov result must meet
-ADJOINT_CAP = 20        # GMRES iterations; about the cost of the direct solve
+ADJOINT_CAP = 20        # GMRES iterations; cheese's stale LUs take up to 13
 
 
 @dataclass

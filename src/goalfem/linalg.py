@@ -12,12 +12,11 @@ COLAMD here.
 
 A factorization outlives the step it was made for, and is reused
 transposed: the balanced Newton solves each sweep's coarse adjoint with
-its current (possibly stale) LU, and the enriched Newton's last LU
-preconditions the matrix-free GMRES of the enriched adjoint;
-``solver.newton_solve`` hands that LU back only when it was made for
-the last step, one damped step from u_h2.  Only that adjoint's exact
-path, taken without such an LU or when GMRES falls short, factors a
-matrix for one transposed solve.
+its current (possibly stale) LU, and the enriched Newton's last LU,
+whatever its age, preconditions the matrix-free GMRES of the enriched
+adjoint.  Only that adjoint's exact path, taken when the enriched
+Newton took no step or GMRES falls short, factors a matrix for one
+transposed solve.
 """
 
 from __future__ import annotations

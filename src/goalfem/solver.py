@@ -28,14 +28,13 @@ The Jacobian is refreshed only when the residual sup-norm contracted by
 less than 0.85 over the last update; the stale factorization is reused
 otherwise, including (transposed) for the adjoint solves of the
 balanced variant.  ``newton_solve`` hands its last factorization back
-next to the iterate only when it was made for the last step, one damped
-step from the returned iterate, so a caller can reuse it and drop it
-when done: the enriched adjoint takes it, transposed, as its
-preconditioner, and a staler one would need about as many Krylov
-iterations as the direct solve costs.  Tiny pivots pass: the
-barely-regularized p-Laplacian produces quasi-singular Jacobians that
-the damped updates handle.  A solve that overflows raises
-``SingularMatrix``.
+next to the iterate, whatever its age, so a caller can reuse it and
+drop it when done: the enriched adjoint takes it, transposed, as its
+preconditioner, where a stale one only costs Krylov iterations.  So
+this rule alone decides when a factorization is stale.  Tiny pivots
+pass: the barely-regularized p-Laplacian produces quasi-singular
+Jacobians that the damped updates handle.  A solve that overflows
+raises ``SingularMatrix``.
 """
 
 from __future__ import annotations
@@ -122,9 +121,9 @@ def newton_solve(problem, constraints, u0, rtol, log=None):
     floor, stagnation, iteration cap).  ``log`` receives one trace line
     per iteration (k, |A|, alpha, rebuilt flag).
 
-    Returns (u, lu, stats): ``lu`` is the factorization made for the
-    last step, None when that step reused an older one or the solve
-    took no step.
+    Returns (u, lu, stats): ``lu`` is the loop's last factorization,
+    whatever its age; None when the start met a stop, so no step was
+    tried.
     """
     stats = NewtonStats()
 
@@ -132,8 +131,7 @@ def newton_solve(problem, constraints, u0, rtol, log=None):
         return None if norm > rtol * stats.residual_norms[0] else "tolerance"
 
     u, lu = _newton(problem, constraints, u0, 0.9, stats, reached, log=log)
-    fresh = stats.rebuilds and stats.rebuilds[-1]
-    return u, lu if fresh else None, stats
+    return u, lu, stats
 
 
 def adaptive_newton_multigoal(problem, constraints, u0, eta_prev,

@@ -27,6 +27,19 @@ def tiny_p2_config(**over):
     return RunConfig(**base)
 
 
+def enriched_last_rebuilt(lines):
+    """Per level of a run's log, the rebuilt flag of the enriched
+    Newton's last step: its step lines are the ones without the coarse
+    adjoint's eta_m note, and a level ends with its summary line."""
+    flags, last = [], None
+    for line in lines:
+        if line.startswith("  newton") and "eta_m" not in line:
+            last = line.endswith("rebuilt=True")
+        elif line.startswith("level "):
+            flags.append(last)
+    return flags
+
+
 class TestMarkAverage:
     def test_uniform_all_marked(self):
         assert len(mark_average(np.full(7, 0.3))) == 7
@@ -178,20 +191,31 @@ class TestRunAdaptive:
             assert start >= made
 
     def test_adjoint_path_recorded(self, monkeypatch):
-        # p = 2: every enriched Newton step factorizes afresh, so each
-        # level's adjoint runs matrix-free on the Newton's LU, which is
-        # J itself up to roundoff; an unmeetable acceptance bound sends
+        # each level's adjoint runs matrix-free on the enriched Newton's
+        # last LU, fresh or stale; an unmeetable acceptance bound sends
         # every level to the assembled and factored J(u2)
-        fresh = run_adaptive(tiny_p2_config())
-        assert [r.adjoint_factorized for r in fresh] == [0, 0, 0]
-        assert all(r.adjoint_applications >= 2 for r in fresh)
+        runs = [
+            # p = 2: every enriched Newton step factorizes afresh
+            (tiny_p2_config(), [True] * 3),
+            # p = 4, epsilon = 1e-2: each level's last enriched step
+            # reuses an LU factorized steps before u2
+            (tiny_p2_config(p=4.0, epsilon=1e-2, n_initial=2), [False] * 3)]
+        matrix_free = []
+        for cfg, last_rebuilt in runs:
+            lines = []
+            matrix_free.append(run_adaptive(cfg, log=lines.append))
+            assert enriched_last_rebuilt(lines) == last_rebuilt
+            assert [r.adjoint_factorized for r in matrix_free[-1]] \
+                == [0, 0, 0]
+            assert all(r.adjoint_applications >= 2 for r in matrix_free[-1])
         monkeypatch.setattr(estimator, "ADJOINT_ACCEPT", 0.0)
-        fallen = run_adaptive(tiny_p2_config())
-        assert [r.adjoint_factorized for r in fallen] == [1, 1, 1]
-        assert [r.adjoint_applications for r in fallen] \
-            == [r.adjoint_applications for r in fresh]
-        for a, b in zip(fresh, fallen):
-            assert b.eta_h == pytest.approx(a.eta_h, rel=1e-10)
+        for (cfg, _), krylov in zip(runs, matrix_free):
+            fallen = run_adaptive(cfg)
+            assert [r.adjoint_factorized for r in fallen] == [1, 1, 1]
+            assert [r.adjoint_applications for r in fallen] \
+                == [r.adjoint_applications for r in krylov]
+            for a, b in zip(krylov, fallen):
+                assert b.eta_h == pytest.approx(a.eta_h, rel=1e-10)
 
     def test_dofs_strictly_increase(self):
         records = run_adaptive(tiny_p2_config(max_levels=4))

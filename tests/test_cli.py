@@ -210,6 +210,10 @@ _BAD_VALUES = [
                 "epsilon = -1\n"),
     ("cold_start", "experiment = example2\ngeometry = slit\n"
                    "system = quasilinear\ncold_start = homotopy\n"),
+    ("omegas", "experiment = example1c\ngeometry = cheese\n"
+               "omegas = 0, 0, 0, 0\n"),
+    ("omegas", "experiment = example1a\ngeometry = unit_square\n"
+               "combine = raw\nomegas = 2.0\n"),
 ]
 
 

@@ -60,7 +60,8 @@ def test_adjoint_path_flip_differs():
     assert not identical["adjoint_applications"]
     assert "adjoint_factorized" not in rel_diff
     lines, ok = compare_records.report("w/1", records(), change)
-    assert not ok and "adjoint_factorized NO" in lines[1]
+    assert not ok and "adjoint_factorized NO @ 2" in lines[1]
+    assert "adjoint_applications NO @ 2," in lines[1]
 
 
 def test_any_int_field_is_a_count():
@@ -73,7 +74,14 @@ def test_any_int_field_is_a_count():
     assert identical["linear_iterations"] is False
     assert "linear_iterations" not in rel_diff
     lines, ok = compare_records.report("w/1", parent, change)
-    assert not ok and "linear_iterations NO" in lines[1]
+    assert not ok and "linear_iterations NO @ 3" in lines[1]
+
+
+def test_count_levels_name_a_level_one_side_lacks():
+    extra = dict(records()[-1], level=4, n_dofs=40)
+    lines, ok = compare_records.report("w/1", records(), records() + [extra])
+    assert not ok
+    assert "level NO @ 4, n_dofs NO @ 4, n_cells NO @ 4," in lines[1]
 
 
 def test_value_drift_and_nan_mismatch():
@@ -98,7 +106,7 @@ def test_report_prints_control_drift_next_to_change_drift():
     lines, ok = compare_records.report("w/1", records(), change, control)
     assert ok                 # the control does not enter the status
     assert lines[0] == "w/1: 3 levels, final DOFs 30"
-    assert "newton_steps NO" in lines[2]
+    assert "newton_steps NO @ 2," in lines[2]
     assert "eta_h 1e-09 @ 3 / 0.000999 @ 3" in lines[3]
     assert "values 0 / 0" in lines[3]
     plain, _ = compare_records.report("w/1", records(), change)

@@ -124,6 +124,27 @@ class TestMatrixFreeAdjoint:
         assert max_norm(z.coeffs - exact.coeffs) \
             <= 1e-10 * max_norm(exact.coeffs)
 
+    def test_stale_newton_lu_preconditions(self):
+        # p = 4 on a Q2 space with hanging nodes: the Newton's last LU
+        # was factorized two steps before u, and GMRES on it still meets
+        # ADJOINT_ACCEPT within one capped cycle
+        problem = build_plaplace(PLaplaceParams(
+            4.0, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
+        mesh = build_unit_square(2).refine([0])
+        assert len(mesh.edges().hanging_face)
+        space = build_space(mesh, 2, rule=gauss(4))
+        cons = build_constraints(space, problem.dirichlet)
+        u, lu, stats = newton_solve(
+            problem, cons, space.function(np.ones(space.n_dofs)), 1e-3)
+        assert stats.rebuilds[-2:] == [True, False]
+        J = RegionIntegral()
+        z, zstats = solve_enriched_adjoint(problem, J, cons, u, lu)
+        exact, _ = solve_enriched_adjoint(problem, J, cons, u)
+        assert not zstats.factorized
+        assert zstats.applications <= ADJOINT_CAP + 2
+        assert max_norm(z.coeffs - exact.coeffs) \
+            <= 1e-9 * max_norm(exact.coeffs)
+
     def test_far_preconditioner_falls_back(self, rng):
         problem, space, cons, u, _, _ = slit_q2(rng)
         J = catalog("example2")[0]

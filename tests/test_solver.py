@@ -79,14 +79,24 @@ class TestNewton:
         (2.0, 3, 1e-8, True),      # the linear problem: one fresh step
         (4.0, 4, 1e-4, True),      # a late rebuild makes the last step
         (4.0, 2, 1e-8, False)])    # fast contraction reuses to the end
-    def test_lu_handed_back_only_when_fresh(self, p, n, rtol, last_rebuilt):
+    def test_last_factorization_handed_back(self, monkeypatch, p, n, rtol,
+                                            last_rebuilt):
+        # the loop's last LU comes back whatever its age
+        made = []
+
+        def factorize(A, real=sv.factorize):
+            made.append(real(A))
+            return made[-1]
+
+        monkeypatch.setattr(sv, "factorize", factorize)
         problem = build_plaplace(PLaplaceParams(
             p, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
         space = build_space(build_unit_square(n), 1)
         cons = build_constraints(space, problem.dirichlet)
         _, lu, stats = newton_solve(problem, cons, ones(space), rtol)
         assert stats.rebuilds[-1] == last_rebuilt
-        assert (lu is None) == (not stats.rebuilds[-1])
+        assert len(made) == sum(stats.rebuilds)
+        assert lu is made[-1]
 
     def test_tolerance_postcondition(self):
         problem = p4_problem()

@@ -9,9 +9,10 @@ seeds 1 and 2, the seed-independent workloads once), each side in one
 subprocess with BLAS pinned to one thread.  For every run the script
 prints whether each count is identical (a field whose values are ints:
 the level numbers, the DOF sequence, ``n_cells`` and the Newton and
-adjoint counts), and the largest relative difference of every other
-record field except ``wall_ms`` with the level it occurs at
-(``values 0.00235 @ 1``).
+adjoint counts) or the levels where it differs
+(``adjoint_factorized NO @ 1,2``), and the largest relative difference
+of every other record field except ``wall_ms`` with the level it
+occurs at (``values 0.00235 @ 1``).
 
 ``--control`` runs the parent a third time with every residual vector
 it assembles and every goal gradient (the right-hand side of both
@@ -37,6 +38,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 RUNS = (("slit_quasilinear", 1), ("cheese_plaplace", 1),
@@ -162,6 +164,18 @@ def _drift(diff):
     return f"{worst:.3g}" if where is None else f"{worst:.3g} @ {where}"
 
 
+def _counts(identical, parent, change):
+    """``f yes`` per count, or ``f NO @ 1,2`` with the (1-based) levels
+    where it differs, levels only one side reached included."""
+    def levels(f):
+        pairs = zip_longest(*([r[f] for r in side]
+                              for side in (parent, change)))
+        return ",".join(str(k) for k, (a, b) in enumerate(pairs, 1) if a != b)
+
+    return ", ".join(f"{f} yes" if same else f"{f} NO @ {levels(f)}"
+                     for f, same in identical.items())
+
+
 def report(key, parent, change, control=None):
     """Lines describing one run, and whether its counts agree between
     ``parent`` and ``change``.  With ``control`` records (the perturbed
@@ -169,17 +183,14 @@ def report(key, parent, change, control=None):
     identical, rel_diff = compare(parent, change)
     dofs = [r["n_dofs"] for r in change]
     lines = [f"{key}: {len(dofs)} levels, final DOFs {dofs[-1]}",
-             "  identical: " + ", ".join(
-                 f"{f} {'yes' if same else 'NO'}"
-                 for f, same in identical.items())]
+             "  identical: " + _counts(identical, parent, change)]
     if control is None:
         lines.append("  largest relative difference: " + ", ".join(
             f"{f} {_drift(d)}" for f, d in rel_diff.items()))
     else:
         c_identical, c_diff = compare(parent, control)
-        lines.append("  control identical: " + ", ".join(
-            f"{f} {'yes' if same else 'NO'}"
-            for f, same in c_identical.items()))
+        lines.append("  control identical: "
+                     + _counts(c_identical, parent, control))
         lines.append("  largest relative difference (change / control): "
                      + ", ".join(f"{f} {_drift(d)} / {_drift(c_diff[f])}"
                                  for f, d in rel_diff.items()))
