@@ -27,7 +27,7 @@ from . import goals, mesh as meshmod, multigoal
 # benchmark's tracer test (perfbench/test_bench.py) checks that this
 # namespace's binding is wrapped
 from .assembly import assemble_residual
-from .errors import GoalFemError, MalformedCsv
+from .errors import GoalFemError, IterationCap, MalformedCsv
 from .estimator import effectivity, estimate, solve_enriched_adjoint
 from .fespace import build_constraints, build_space, gauss, \
     transfer_to_refined
@@ -279,13 +279,20 @@ def run_uniform(config, log=None, on_level=None):
 def run_adaptive(config, log=None, on_level=None):
     """The records of the run's levels.  A ``GoalFemError`` raised at
     some level leaves with the records of the levels before it attached
-    as ``exc.records``."""
+    as ``exc.records``; an ``IterationCap`` on the first level of a
+    p-Laplace run started from all ones names the homotopy cold start
+    in its message."""
     records = []
     try:
         for record in _levels(config, log, on_level):
             records.append(record)
     except GoalFemError as exc:
         exc.records = records
+        if isinstance(exc, IterationCap) and not records \
+                and config.system == "plaplace" \
+                and config.cold_start == "ones":
+            exc.args = (f"{exc} on level 1 from the all-ones start; "
+                        "cold_start = homotopy walks p there from 2",)
         raise
     return records
 

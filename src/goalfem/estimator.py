@@ -29,9 +29,8 @@ against the test basis instead of the hats, it applies the transposed
 condensed Jacobian without a matrix (``transposed_jacobian``).  The
 enriched adjoint z_h2 solves with that operator by GMRES, preconditioned
 by the transposed solves of the enriched Newton's last factorization,
-whatever its age.  Only when the enriched Newton took no step, or GMRES
-does not reach the residual the direct solve would, is J(u_h2)
-assembled and factored.
+whatever its age.  Only when GMRES does not reach the residual the
+direct solve would is J(u_h2) assembled and factored.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ A factorization outlives the step it was made for, and is reused
 transposed: the balanced Newton solves each sweep's coarse adjoint with
 its current (possibly stale) LU, and the enriched Newton's last LU,
 whatever its age, preconditions the matrix-free GMRES of the enriched
-adjoint.  Only that adjoint's exact path, taken when the enriched
-Newton took no step or GMRES falls short, factors a matrix for one
-transposed solve.
+adjoint.  Only that adjoint's exact path, taken when GMRES falls
+short, factors a matrix for one transposed solve.
 """
 
 from __future__ import annotations

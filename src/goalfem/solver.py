@@ -24,12 +24,13 @@ the trial's summed values over instead compounds their roundoff from
 step to step, and on ``cheese_plaplace`` (p = 4) that changed a level's
 Newton count.  No iterate or trial holds a reference to the one before.
 
-The Jacobian is refreshed only when the residual sup-norm contracted by
-less than 0.85 over the last update; the stale factorization is reused
-otherwise, including (transposed) for the adjoint solves of the
-balanced variant.  ``newton_solve`` hands its last factorization back
-next to the iterate, whatever its age, so a caller can reuse it and
-drop it when done: the enriched adjoint takes it, transposed, as its
+The loop factorizes the projected start.  After a step the Jacobian is
+refreshed only when the residual sup-norm contracted by less than 0.85
+over it; the stale factorization is reused otherwise, including
+(transposed) for the adjoint solves of the balanced variant.
+``newton_solve`` hands its last factorization back next to the
+iterate, whatever its age, so a caller can reuse it and drop it when
+done: the enriched adjoint takes it, transposed, as its
 preconditioner, where a stale one only costs Krylov iterations.  So
 this rule alone decides when a factorization is stale.  Tiny pivots
 pass: the barely-regularized p-Laplacian produces quasi-singular
@@ -69,7 +70,9 @@ def acceptance_factor(L):
 @dataclass
 class NewtonStats:
     """What one Newton solve did; ``eta_m`` stays empty under the
-    tolerance stop of ``newton_solve``."""
+    tolerance stop of ``newton_solve``.  ``rebuilds[k]`` is True when
+    step k's LU was factorized at step k's iterate, so ``sum(rebuilds)``
+    counts every factorization of a solve that ends on a step taken."""
 
     iterations: int = 0
     residual_norms: list = field(default_factory=list)
@@ -122,15 +125,14 @@ def newton_solve(problem, constraints, u0, rtol, log=None):
     per iteration (k, |A|, alpha, rebuilt flag).
 
     Returns (u, lu, stats): ``lu`` is the loop's last factorization,
-    whatever its age; None when the start met a stop, so no step was
-    tried.
+    whatever its age; the start's own when no step was taken.
     """
     stats = NewtonStats()
 
-    def reached(norm):
+    def reached(u, res, lu, norm):
         return None if norm > rtol * stats.residual_norms[0] else "tolerance"
 
-    u, lu = _newton(problem, constraints, u0, 0.9, stats, reached, log=log)
+    u, lu = _newton(problem, constraints, u0, 0.9, stats, reached, log)
     return u, lu, stats
 
 
@@ -151,19 +153,15 @@ def adaptive_newton_multigoal(problem, constraints, u0, eta_prev,
     target = 1e-2 * eta_prev
     z = None
 
-    def observe(u_k, res, lu):
+    def reached(u, res, lu, norm):
         nonlocal z
-        z = constraints.distribute(lu.solve(adjoint_rhs(u_k), transposed=True))
+        z = constraints.distribute(lu.solve(adjoint_rhs(u), transposed=True))
         stats.eta_m.append(abs(float(res @ z)))
-        return f" eta_m={stats.eta_m[-1]:.3e}"
-
-    def reached(norm):
         if mode == "adaptive":
             return "balanced" if stats.eta_m[-1] <= target else None
         return "tolerance" if norm <= FIXED_TOL else None
 
-    u, _ = _newton(problem, constraints, u0, 0.85, stats, reached, observe,
-                   log)
+    u, _ = _newton(problem, constraints, u0, 0.85, stats, reached, log)
     return u, u.space.function(z), stats
 
 
@@ -171,33 +169,32 @@ def _fresh_lu(problem, constraints, u):
     return factorize(assemble_jacobian(problem, constraints, u))
 
 
-def _newton(problem, constraints, u0, gamma, stats, reached, observe=None,
-            log=None):
+def _newton(problem, constraints, u0, gamma, stats, reached, log=None):
     """The damped Newton loop behind both drivers; returns the last
     iterate and the last factorization, and sets ``stats.termination``.
 
     It starts on u0's space, from ``u0`` projected onto the constraints,
-    and stops as the module docstring says; ``reached(norm)`` returns the
-    driver's termination reason once its target holds, else None.
-    ``gamma`` is the line search's damping base.  ``observe(u, res, lu)``
-    sees the start, factorized there for it, and every accepted iterate,
-    and returns a note for the log line; without it the first step
-    factorizes.  A failed line search is retried along a fresh
-    Jacobian only if ``lu`` was factorized at an earlier iterate.
+    which it factorizes, and stops as the module docstring says.
+    ``reached(u, res, lu, norm)`` sees the start and every accepted
+    iterate with its residual, the current factorization and |A|, and
+    returns the driver's termination reason once its target holds, else
+    None.  ``gamma`` is the line search's damping base.  ``lu`` is fresh
+    while it was factorized at the current iterate; a stale one is
+    refactorized when |A| contracted by less than ``REBUILD_RATIO``
+    over the last step, and a failed line search is retried along a
+    fresh Jacobian only if ``lu`` was stale.
     """
     u = u0.space.function(constraints.apply(u0.coeffs))
-    lu = _fresh_lu(problem, constraints, u) if observe else None
+    lu, fresh = _fresh_lu(problem, constraints, u), True
     res = assemble_residual(problem, constraints, u)
     norm = max_norm(res)
     stats.residual_norms.append(norm)
     floor = RESIDUAL_FLOOR * (1.0 + norm)
     stagnant = STAGNATION * (1.0 + norm)
-    if observe:
-        observe(u, res, lu)
 
-    def stop(norm):
-        if reason := reached(norm):
-            return reason
+    def stop(target):
+        if target:
+            return target
         if norm <= floor:
             return "residual_floor"
         if stats.iterations >= ITERATION_CAP:
@@ -210,39 +207,35 @@ def _newton(problem, constraints, u0, gamma, stats, reached, observe=None,
         return line_search(problem, constraints, u, delta, gamma,
                            res_norm=norm)
 
-    prev_norm = None
-    while (reason := stop(norm)) is None:
-        rebuild = lu is None or (prev_norm is not None
-                                 and norm / prev_norm > REBUILD_RATIO)
-        if rebuild:
-            lu = _fresh_lu(problem, constraints, u)
+    reason = stop(reached(u, res, lu, norm))
+    while reason is None:
+        if not fresh and norm / stats.residual_norms[-2] > REBUILD_RATIO:
+            lu, fresh = _fresh_lu(problem, constraints, u), True
         try:
             try:
-                alpha, _, u, res, new_norm = damped_step()
+                alpha, _, u, res, norm = damped_step()
             except LineSearchExhausted:
-                # lu is fresh after a rebuild and at the start, where
-                # it was factorized for observe or by this rebuild
-                if rebuild or stats.iterations == 0:
+                if fresh:
                     raise
                 # a stale direction may not descend at all; retry fresh
-                rebuild = True
-                lu = _fresh_lu(problem, constraints, u)
-                alpha, _, u, res, new_norm = damped_step()
+                lu, fresh = _fresh_lu(problem, constraints, u), True
+                alpha, _, u, res, norm = damped_step()
         except LineSearchExhausted:
             # float-limit stagnation of an already-converged iterate
             if norm > stagnant:
                 raise
             reason = "stagnation"
             break
-        stats.rebuilds.append(rebuild)
+        stats.rebuilds.append(fresh)
         stats.alphas.append(alpha)
-        prev_norm = norm
-        norm = new_norm
         stats.residual_norms.append(norm)
         stats.iterations += 1
-        note = observe(u, res, lu) if observe else ""
+        target = reached(u, res, lu, norm)
         if log:
+            note = f" eta_m={stats.eta_m[-1]:.3e}" if stats.eta_m else ""
             log(f"  newton k={stats.iterations} |A|={norm:.6e} "
-                f"alpha={alpha:.4g} rebuilt={rebuild}{note}")
+                f"alpha={alpha:.4g} rebuilt={fresh}{note}")
+        fresh = False
+        reason = stop(target)
     stats.termination = reason
     return u, lu

@@ -10,7 +10,7 @@ from goalfem import adaptivity, estimator
 from goalfem.adaptivity import (RunConfig, build_geometry, fit_rate,
                                 mark_average, read_csv, run_adaptive,
                                 run_uniform, write_csv, write_gnuplot)
-from goalfem.errors import MalformedCsv
+from goalfem.errors import IterationCap, MalformedCsv
 from goalfem.mesh import Mesh
 from goalfem.presets import get_preset
 
@@ -233,6 +233,27 @@ class TestRunAdaptive:
         assert [r.level for r in records] == [1, 2]
         first = records[0]
         assert (first.newton_steps, first.enriched_newton_steps) == (1, 1)
+
+    def test_capped_cold_start_names_homotopy(self):
+        # from all ones the level-1 Newton of this p = 4 run hits the
+        # cap; the homotopy cold start the message names runs every level
+        cfg = tiny_p2_config(p=4.0, epsilon=1e-2)
+        with pytest.raises(IterationCap, match="cold_start = homotopy") \
+                as err:
+            run_adaptive(cfg)
+        assert err.value.records == []
+        assert err.value.stats.iterations == 100
+        records = run_adaptive(dataclasses.replace(cfg, cold_start="homotopy"))
+        assert [r.n_dofs for r in records] == [25, 81, 225]
+
+    def test_capped_homotopy_names_no_remedy(self, monkeypatch):
+        from goalfem import solver
+        monkeypatch.setattr(solver, "ITERATION_CAP", 1)
+        cfg = tiny_p2_config(p=4.0, epsilon=1e-2, cold_start="homotopy")
+        with pytest.raises(IterationCap) as err:
+            run_adaptive(cfg)
+        assert str(err.value) == "|A| = %.3e after 1 iterations" \
+            % err.value.stats.residual_norms[-1]
 
     def test_level_log_line_reads_the_record(self):
         # the homotopy's Newton steps count in the record, so the log

@@ -310,6 +310,19 @@ class TestRunVerb:
         # no level completed: no output
         assert not (tmp_path / "hard_adaptive.csv").exists()
 
+    def test_capped_cold_start_exit_2_names_homotopy(self, tmp_path,
+                                                    capsys):
+        ini = tmp_path / "capped.ini"
+        ini.write_text(TINY_INI
+                       .replace("p = 2.0", "p = 4.0")
+                       .replace("epsilon = 1.0", "epsilon = 1e-2"))
+        assert main(["run", "--config", str(ini),
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: |A| = ")
+        assert "cold_start = homotopy" in err
+        assert not (tmp_path / "tiny_adaptive.csv").exists()
+
     def test_failed_level_keeps_completed_levels(self, tmp_path,
                                                  monkeypatch):
         from goalfem import adaptivity

@@ -22,6 +22,18 @@ def ones(space):
     return space.function(np.ones(space.n_dofs))
 
 
+def _recording_factorize(monkeypatch):
+    """The list of every LU the solver makes from now on, in order."""
+    made = []
+
+    def factorize(A, real=sv.factorize):
+        made.append(real(A))
+        return made[-1]
+
+    monkeypatch.setattr(sv, "factorize", factorize)
+    return made
+
+
 def p4_problem():
     return build_plaplace(PLaplaceParams(
         4.0, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
@@ -47,15 +59,18 @@ class TestNestedTolerance:
     def test_later_levels(self):
         assert nested_tolerance(3) == 1e-2
 
-    def test_zero_incoming(self):
-        # a start with a zero residual meets any relative tolerance
+    def test_zero_incoming(self, monkeypatch):
+        # a start with a zero residual meets any relative tolerance; the
+        # LU handed back is the one factorization, made at the start
+        made = _recording_factorize(monkeypatch)
         problem = build_plaplace(PLaplaceParams(3.0, 1.0))
         space = build_space(build_unit_square(2), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0 = space.function(np.zeros(space.n_dofs))
         u, lu, stats = newton_solve(problem, cons, u0,
                                     nested_tolerance(2))
-        assert lu is None
+        assert len(made) == 1
+        assert lu is made[0]
         assert stats.residual_norms == [0.0]
         assert (stats.iterations, stats.termination) == (0, "tolerance")
         assert np.array_equal(u.coeffs, u0.coeffs)
@@ -82,13 +97,7 @@ class TestNewton:
     def test_last_factorization_handed_back(self, monkeypatch, p, n, rtol,
                                             last_rebuilt):
         # the loop's last LU comes back whatever its age
-        made = []
-
-        def factorize(A, real=sv.factorize):
-            made.append(real(A))
-            return made[-1]
-
-        monkeypatch.setattr(sv, "factorize", factorize)
+        made = _recording_factorize(monkeypatch)
         problem = build_plaplace(PLaplaceParams(
             p, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
         space = build_space(build_unit_square(n), 1)
@@ -97,6 +106,28 @@ class TestNewton:
         assert stats.rebuilds[-1] == last_rebuilt
         assert len(made) == sum(stats.rebuilds)
         assert lu is made[-1]
+
+    @pytest.mark.parametrize("p, n, eta_prev", [
+        (2.0, 3, 1e-8),            # the linear problem: one fresh step
+        (4.0, 4, 1e-6)])           # stale steps and late rebuilds
+    def test_balanced_rebuilds_count_every_factorization(
+            self, monkeypatch, p, n, eta_prev):
+        # the start's factorization is step 0's LU, fresh at its iterate
+        made = _recording_factorize(monkeypatch)
+        problem = build_plaplace(PLaplaceParams(
+            p, 1.0, rhs=lambda x, y: np.ones(np.shape(x))))
+        space = build_space(build_unit_square(n), 1)
+        cons = build_constraints(space, problem.dirichlet)
+        J = RegionIntegral()
+        lines = []
+        _, _, stats = adaptive_newton_multigoal(
+            problem, cons, ones(space), eta_prev,
+            lambda u_k: J.gradient(cons, u_k), log=lines.append)
+        assert len(made) == sum(stats.rebuilds)
+        assert stats.iterations == len(lines) >= 1
+        assert stats.rebuilds[0] is True
+        assert lines[0].startswith("  newton k=1 ")
+        assert " rebuilt=True eta_m=" in lines[0]
 
     def test_tolerance_postcondition(self):
         problem = p4_problem()
@@ -283,11 +314,14 @@ class TestAdaptiveNewton:
         problem = p4_problem()
         space, cons, rhs = self._setup(problem, n=2)
         u0 = ones(space)
+        lines = []
         with pytest.raises(IterationCap) as err:
-            adaptive_newton_multigoal(problem, cons, u0,
-                                      eta_prev=1e-8, adjoint_rhs=rhs)
+            adaptive_newton_multigoal(problem, cons, u0, eta_prev=1e-8,
+                                      adjoint_rhs=rhs, log=lines.append)
         stats = err.value.stats
         assert stats.iterations == 2
+        # the capped step is logged before the loop raises
+        assert [line.split()[1] for line in lines] == ["k=1", "k=2"]
         assert len(stats.eta_m) == len(stats.residual_norms) == 3
         assert stats.eta_m[-1] > 1e-10
 
@@ -392,19 +426,18 @@ class TestSharedNewtonLoop:
     def test_converged_start_ends_at_residual_floor(self, monkeypatch):
         # a start that is already a solution to roundoff cannot be cut
         # by any relative tolerance; the floor ends it with no step and
-        # no factorization
+        # only the start's factorization
         problem = poisson_problem()
         space = build_space(build_unit_square(3), 1)
         cons = build_constraints(space, problem.dirichlet)
         u0, _ = linear_solve(problem, space, cons)
         n0 = max_norm(assemble_residual(problem, cons, u0))
         assert 0.0 < n0 <= sv.RESIDUAL_FLOOR
-
-        def no_factorization(*args):
-            raise AssertionError("factorized a converged start")
-
-        monkeypatch.setattr(sv, "factorize", no_factorization)
-        u, _, stats = newton_solve(problem, cons, u0, 1e-2)
+        made = _recording_factorize(monkeypatch)
+        u, lu, stats = newton_solve(problem, cons, u0, 1e-2)
+        assert len(made) == 1
+        assert lu is made[0]
+        assert stats.rebuilds == []
         assert (stats.iterations, stats.termination) == (0, "residual_floor")
         assert stats.residual_norms == [n0]
         assert np.array_equal(u.coeffs, u0.coeffs)
