@@ -1,15 +1,15 @@
 """The outer adaptive loop: solve, estimate, mark, refine, record.
 
-A level is two phases, each handing on only what the next one needs.
-``_open_level`` starts the level's clock, builds the primal and
-enriched spaces and constraints and hands on both constraint sets with
-their warm (on level 1, cold) starts, which carry their spaces.
-``_solve_level`` solves the enriched primal, the coarse primal and
-adjoint with the balance-stopped Newton, combines the goals, solves the
-enriched adjoint, estimates with PU localization, records, marks at or
-above the average and refines with closure; it hands the refined mesh,
-its two solutions and eta_h to the next ``_open_level``, and the rest
-dies with its scope.  Records serialize to CSV and gnuplot tables.
+A level is two phases, which ``_levels`` alone calls.  ``_open_level``
+starts the level's clock, builds the primal and enriched spaces and
+constraints and hands on both constraint sets with their warm (on level
+1, cold) starts, which carry their spaces.  ``_solve_level`` solves the
+enriched primal, the coarse primal and adjoint with the balance-stopped
+Newton, combines the goals, solves the enriched adjoint, estimates with
+PU localization, records, marks at or above the average and refines with
+closure; it returns only the refined mesh, its two solutions and eta_h,
+so the rest of the level dies with its frame before the next level
+opens.  Records serialize to CSV and gnuplot tables.
 """
 
 from __future__ import annotations
@@ -304,11 +304,14 @@ def _levels(config, log, on_level):
     # one rule for both spaces of every level, exact for the enriched
     # mass matrix
     rule = gauss(config.r2 + 2)
-    opened = _open_level(config, problem, rule, build_geometry(config), 1,
-                         1e-8, None, None)
-    while opened is not None:
-        opened = yield from _solve_level(config, problem, functionals, rule,
-                                         opened, log, on_level)
+    # `state` is in turn a level's inputs and the opened level: each phase's
+    # result replaces its input, so neither outlives the phase it feeds
+    state = (build_geometry(config), 1, 1e-8, None, None)
+    while state is not None:
+        state = _open_level(config, problem, rule, *state)
+        if state is not None:
+            state = yield from _solve_level(config, problem, functionals,
+                                            state, log, on_level)
 
 
 def _open_level(config, problem, rule, mesh, level, eta_prev, u_prev,
@@ -326,8 +329,8 @@ def _open_level(config, problem, rule, mesh, level, eta_prev, u_prev,
     return t0, level, eta_prev, mesh, cons, u0, boot1, cons2, u2_0, boot2
 
 
-def _solve_level(config, problem, functionals, rule, opened, log, on_level):
-    """Yield the level's record; return the next level opened, or None."""
+def _solve_level(config, problem, functionals, opened, log, on_level):
+    """Yield the level's record; return the next level's inputs, or None."""
     t0, level, eta_prev, mesh, cons, u0, boot1, cons2, u2_0, boot2 = opened
     # enriched primal (Newton tolerances nested by level)
     u2, lu2, stats2 = newton_solve(problem, cons2, u2_0,
@@ -393,8 +396,7 @@ def _solve_level(config, problem, functionals, rule, opened, log, on_level):
     marked = mesh.active_cells
     if config.marking == "estimator":
         marked = marked[mark_average(breakdown.cellwise)]
-    return _open_level(config, problem, rule, mesh.refine(marked),
-                       level + 1, breakdown.eta_h, u_h, u2)
+    return mesh.refine(marked), level + 1, breakdown.eta_h, u_h, u2
 
 
 # ----------------------------------------------------------------------

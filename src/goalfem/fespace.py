@@ -271,7 +271,7 @@ class DiscreteFunction:
     function's values and gradients at the points of its space's rule
     on every active cell, or None until ``assembly.quadrature_values``
     fills it.  ``leaf_values`` maps a goal leaf to its value at the
-    function, filled by ``goals.LinearLeaf.value``.
+    function, filled by ``goals.LinearLeaf.value`` alone.
     """
 
     def __init__(self, space, coeffs):
@@ -339,7 +339,7 @@ class ConstraintSet:
         self.constrained = mask
         self.inhomogeneity = b
         # condensed goal gradients keyed by (leaf, space), filled by
-        # LinearLeaf.leaf_gradient
+        # goals.Functional.gradient, one entry per leaf it reads
         self.gradient_cache = {}
 
     def apply(self, u):

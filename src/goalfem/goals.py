@@ -8,8 +8,9 @@ the assembled gradient and the PU-nodal form J'(v psi_a) are four
 reductions of that one sum; the value is cached on the function.
 Composite nodes (sum, scale, shift, product, integer power) define only
 ``linearize``: one traversal at the evaluation state gives the value and
-the chain/product rule flattened into (coefficient, leaf) pairs, which
-every derivative form reads, so no two forms can drift apart.
+the chain/product rule flattened into (coefficient, leaf) pairs.  Every
+derivative form reads those pairs, so no two forms can drift apart; a
+leaf's pair is (1, itself), so its derivatives form no value.
 """
 
 from __future__ import annotations
@@ -33,25 +34,27 @@ class Functional:
         """(J(u), [(c, leaf), ...]) with J'(u) = sum c leaf'."""
         raise NotImplementedError
 
+    def _pairs(self, u):
+        return self.linearize(u)[1]
+
     def value(self, u):
         return self.linearize(u)[0]
 
     def directional(self, u, v):
-        return sum(c * leaf.leaf_directional(u, v)
-                   for c, leaf in self.linearize(u)[1])
+        return sum(c * leaf._directional(u, v) for c, leaf in self._pairs(u))
 
     def gradient(self, constraints, u):
         """The condensed gradient J'(u)(phi_i) on u's space."""
         out = np.zeros(u.space.n_dofs)
-        for c, leaf in self.linearize(u)[1]:
-            out += c * leaf.leaf_gradient(u.space, constraints)
+        for c, leaf in self._pairs(u):
+            out += c * leaf._gradient(u.space, constraints)
         return out
 
     def nodal_directional(self, u, v):
         """Directional derivative against v * psi_a for every vertex hat."""
         out = np.zeros(u.space.mesh.n_points)
-        for c, leaf in self.linearize(u)[1]:
-            out += c * leaf.leaf_nodal_directional(u, v)
+        for c, leaf in self._pairs(u):
+            out += c * leaf._nodal_directional(u, v)
         return out
 
 
@@ -69,8 +72,11 @@ class LinearLeaf(Functional):
 
     rule_free = False
 
+    def _pairs(self, u):
+        return [(1.0, self)]
+
     def linearize(self, u):
-        return self.value(u), [(1.0, self)]
+        return self.value(u), self._pairs(u)
 
     def _groups(self, mesh, rule, ncomp):
         return mesh.cached(
@@ -89,13 +95,13 @@ class LinearLeaf(Functional):
         """J(u) = J'(u)(u), computed once per function and cached on it."""
         out = u.leaf_values.get(self)
         if out is None:
-            out = u.leaf_values[self] = self.leaf_directional(u, u)
+            out = u.leaf_values[self] = self._directional(u, u)
         return out
 
-    def leaf_directional(self, u, v):
+    def _directional(self, u, v):
         return float(sum(d.sum() for _, _, d in self._densities(v)))
 
-    def leaf_nodal_directional(self, u, v):
+    def _nodal_directional(self, u, v):
         mesh = u.space.mesh
         out = np.zeros(mesh.n_points)
         for rows, pts, d in self._densities(v):
@@ -111,7 +117,7 @@ class LinearLeaf(Functional):
         return space.scatter(np.concatenate(local),
                              np.concatenate([rows for rows, _, _ in groups]))
 
-    def leaf_gradient(self, space, constraints):
+    def _gradient(self, space, constraints):
         """Condensed gradient on ``space``, which a linear leaf has at
         every state; cached on the constraint set it was condensed with.
         The key holds the leaf and the space themselves, never their

@@ -405,26 +405,20 @@ def build_slit():
     boundary is Dirichlet, both slit lips are Neumann.
     """
     mesh = _grid(-1.0, -1.0, 2, 2, 1.0)
-    points = [p for p in mesh.points]
-    cell_verts = [list(v) for v in mesh.cell_verts]
-
-    on_slit = [v for v in range(len(points))
-               if points[v][1] == 0.0 and -1.0 <= points[v][0] < 0.0]
-    for v in sorted(on_slit):
-        dup = len(points)
-        points.append(points[v].copy())
-        for c, verts in enumerate(cell_verts):
-            cy = np.mean([points[q][1] for q in mesh.cell_verts[c]])
-            if cy < 0.0:
-                for k in range(4):
-                    if verts[k] == v:
-                        verts[k] = dup
+    points, cells = mesh.points, mesh.cell_verts.copy()
+    x, y = points.T
+    slit = np.flatnonzero((y == 0.0) & (-1.0 <= x) & (x < 0.0))
+    # the slit vertices' copies are numbered after the grid's, in order
+    copy = np.arange(len(points))
+    copy[slit] = len(points) + np.arange(slit.size)
+    below = points[cells, 1].mean(axis=1) < 0.0
+    cells[below] = copy[cells[below]]
 
     def lip_or_outer(pa, pb):
         on_slit = pa[1] == 0.0 and pb[1] == 0.0 and max(pa[0], pb[0]) <= 0.0
         return NEUMANN if on_slit else DIRICHLET
 
-    return _tagged(np.asarray(points), np.asarray(cell_verts, dtype=np.int64),
+    return _tagged(np.concatenate([points, points[slit]]), cells,
                    lip_or_outer)
 
 

@@ -137,6 +137,31 @@ class TestRunAdaptive:
                      meshes.append(weakref.ref(mesh)))
         assert alive == [[], [False], [False, False], [False, False, False]]
 
+    def test_level_freed_before_the_next_builds(self, monkeypatch):
+        # _levels alone runs a level's two phases, so of level k only the
+        # refined mesh, eta_h and the two solutions reach level k + 1:
+        # level k's enriched constraint set and its breakdown are gone
+        # at both space builds of level k + 1
+        refs, alive = [], []
+        adjoint, build = adaptivity.solve_enriched_adjoint, \
+            adaptivity.build_space
+
+        def keeping(*args, **kwargs):
+            refs.append(weakref.ref(args[2]))
+            return adjoint(*args, **kwargs)
+
+        def checking(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(adaptivity, "solve_enriched_adjoint", keeping)
+        monkeypatch.setattr(adaptivity, "build_space", checking)
+        run_adaptive(tiny_p2_config(),
+                     on_level=lambda level, mesh, u, b:
+                     refs.append(weakref.ref(b)))
+        assert alive == [[], [], [False] * 2, [False] * 2,
+                         [False] * 4, [False] * 4]
+
     def test_enriched_lu_freed_before_the_estimate(self, monkeypatch):
         # the enriched Newton's LU preconditions the enriched adjoint and
         # is unreachable once the estimate runs

@@ -511,7 +511,7 @@ class TestScatterAndRay:
                 np.add.at(ref, space.cell_dofs[rows],
                           np.swapaxes(w, 1, 2) @ N.T)
             assert np.array_equal(leaf._raw_gradient(space), ref)
-            assert np.array_equal(leaf.leaf_gradient(space, cons),
+            assert np.array_equal(leaf._gradient(space, cons),
                                   transposed_condense(cons, ref))
 
     @given(case=mesh_marks, degree=st.integers(1, 3),

@@ -174,3 +174,12 @@ def test_perturb_residual_scales_every_binding():
         assert module.assemble_residual is original
     assert goals.Functional.gradient is gradient
     assert np.array_equal(leaf.gradient(cons, u), exact_gradients[0])
+    # the one method perturb scales is every goal's gradient: a class
+    # that defined its own would leave its goals unperturbed
+    classes, todo = [], [goals.Functional]
+    while todo:
+        classes.append(todo.pop())
+        todo.extend(classes[-1].__subclasses__())
+    assert CombinedFunctional in classes
+    assert [cls for cls in classes if "gradient" in vars(cls)] \
+        == [goals.Functional]

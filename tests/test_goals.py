@@ -178,19 +178,40 @@ def test_leaf_value_is_its_derivative_at_itself(experiment):
 
 def test_each_leaf_value_once_per_function(monkeypatch):
     """A slit run evaluates each leaf at each function it meets at most
-    once, although six goals share its six leaves and every goal value,
-    gradient and derivative at a state needs the leaf values there."""
+    once, although six goals share its six leaves and every composite
+    goal's value and derivatives at a state read the leaf values
+    there."""
     seen = Counter()
-    original = goals.LinearLeaf.leaf_directional
+    original = goals.LinearLeaf._directional
 
     def counted(self, u, v):
         if v is u:
             seen[self, u] += 1
         return original(self, u, v)
 
-    monkeypatch.setattr(goals.LinearLeaf, "leaf_directional", counted)
+    monkeypatch.setattr(goals.LinearLeaf, "_directional", counted)
     run_adaptive(dataclasses.replace(get_preset("example2"), max_levels=3))
     assert seen and max(seen.values()) == 1
+
+
+def test_raw_goal_values_only_at_the_two_solutions(monkeypatch):
+    """A raw-mode run forms its leaf's value at each level's u2 and u_h
+    only: the coarse Newton's adjoint right-hand sides, the enriched
+    adjoint's and the estimate read the leaf pairs, which need none."""
+    formed, solutions = [], []
+    original = goals.LinearLeaf._directional
+
+    def counted(self, u, v):
+        if v is u:
+            formed.append(u)
+        return original(self, u, v)
+
+    monkeypatch.setattr(goals.LinearLeaf, "_directional", counted)
+    records = run_adaptive(
+        dataclasses.replace(get_preset("example1a_case1"), max_levels=2),
+        on_level=lambda level, mesh, u, b: solutions.append(u))
+    assert len(records) == 2 and len(formed) == 4
+    assert all(a is b for a, b in zip(formed[1::2], solutions))
 
 
 class TestPointSearch:

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -370,3 +371,35 @@ def test_vtk_dump(tmp_path):
     text = path.read_text()
     assert "UNSTRUCTURED_GRID" in text
     assert text.count("\n4 ") == len(m.active_cells)
+
+
+def mesh_digest(m):
+    """Digest of the five mesh arrays: their dtypes, shapes and values,
+    the tags by name."""
+    h = hashlib.sha256()
+    for a in (m.points, m.cell_verts, m.cell_parent, m.cell_children):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(f"{m.edge_tag.dtype.str}{m.edge_tag.shape}".encode())
+    h.update(repr(m.edge_tag.tolist()).encode())
+    return h.hexdigest()[:16]
+
+
+# the constructors' arrays, bitwise: numbering, dtypes and tags
+CONSTRUCTOR_PINS = {
+    "square1": (build_unit_square, (1,), "0438f57e8d041fd5"),
+    "square4": (build_unit_square, (4,), "e4534056b05c3eb1"),
+    "square16": (build_unit_square, (16,), "79c00f4da5e72984"),
+    "cheese": (build_cheese, (), "feb6fe5818a73227"),
+    "slit": (build_slit, (), "6517338b74b67ee4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTOR_PINS))
+def test_constructors_pinned(name):
+    build, args, pin = CONSTRUCTOR_PINS[name]
+    m = build(*args)
+    # the tags are the module's two constants themselves
+    assert all(tag is None or tag is DIRICHLET or tag is NEUMANN
+               for tag in m.edge_tag.ravel())
+    assert mesh_digest(m) == pin
