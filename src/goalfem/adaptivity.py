@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal, Optional, get_args, get_origin, get_type_hints
@@ -38,6 +39,14 @@ from .solver import adaptive_newton_multigoal, nested_tolerance, newton_solve
 
 # the integer fields that may be 0; every other one is at least 1
 _MAY_BE_ZERO = ("seed", "initial_refines")
+
+
+def _finite_numbers(values):
+    """Whether ``values`` is a tuple of finite real numbers; a bool is no
+    number here, as ``require_int`` takes none for an integer."""
+    return isinstance(values, tuple) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool)
+        and math.isfinite(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -78,9 +87,11 @@ class RunConfig:
             if hint is int or hint == Optional[int] and value is not None:
                 meshmod.require_int(name, value,
                                     least=0 if name in _MAY_BE_ZERO else 1)
-            numbers = {float: (value,), Optional[tuple]: value}.get(hint)
-            if numbers and not all(math.isfinite(v) for v in numbers):
-                raise ValueError(f"{name} must be finite, not {value!r}")
+            values = {float: (value,), Optional[tuple]: value}.get(hint)
+            if values is not None and not _finite_numbers(values):
+                kind = "number" if hint is float else "tuple of numbers"
+                raise ValueError(f"{name} must be a finite {kind}, "
+                                 f"not {value!r}")
         if self.tol_dis <= 0:
             raise ValueError("tol_dis must be positive")
         if self.system == "plaplace":

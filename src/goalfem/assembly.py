@@ -114,23 +114,22 @@ def quadrature_values(f):
     at its space's rule points on every active cell.
 
     One gather of the cell coefficients and one batched matmul against
-    the cell basis, computed once per function and kept in
-    ``f.quad_values``.
+    the cell basis, computed once per function and kept on it.
     """
-    if f.quad_values is not None:
-        return f.quad_values
-    space = f.space
-    basis = cell_basis(space.mesh, space.degree, space.rule)
-    ne, _, nq, nb = basis.shape
-    out = space.local_coeffs(f.coeffs) \
-        @ basis.reshape(ne, 3 * nq, nb).transpose(0, 2, 1)
-    out = out.reshape(ne, space.n_components, 3, nq)
-    # C-ordered copies: reductions over several axes of these values (and
-    # of densities that inherit their layout) then add in one fixed order
-    f.quad_values = (
-        np.ascontiguousarray(out[:, :, 0]),
-        np.ascontiguousarray(out[:, :, 1:].transpose(0, 1, 3, 2)))
-    return f.quad_values
+    def build():
+        space = f.space
+        basis = cell_basis(space.mesh, space.degree, space.rule)
+        ne, _, nq, nb = basis.shape
+        out = space.local_coeffs(f.coeffs) \
+            @ basis.reshape(ne, 3 * nq, nb).transpose(0, 2, 1)
+        out = out.reshape(ne, space.n_components, 3, nq)
+        # C-ordered copies: reductions over several axes of these values
+        # (and of densities that inherit their layout) then add in one
+        # fixed order
+        return (np.ascontiguousarray(out[:, :, 0]),
+                np.ascontiguousarray(out[:, :, 1:].transpose(0, 1, 3, 2)))
+
+    return f.cached("quadrature", build)
 
 
 def on_ray(u, delta, alpha):
@@ -143,7 +142,7 @@ def on_ray(u, delta, alpha):
     uv, ug = quadrature_values(u)
     dv, dg = quadrature_values(delta)
     out = u.space.function(u.coeffs + alpha * delta.coeffs)
-    out.quad_values = (uv + alpha * dv, ug + alpha * dg)
+    out.cached("quadrature", lambda: (uv + alpha * dv, ug + alpha * dg))
     return out
 
 

@@ -233,10 +233,9 @@ def fold_hanging(mesh, nodal):
 
 def distribute_to_cells(nodal, mesh):
     """Split each |eta_i| equally among the active cells at vertex i."""
-    active = mesh.active_cells
-    corners = mesh.cell_verts[active]
-    counts = np.zeros(mesh.n_points)
-    np.add.at(counts, corners, 1.0)
+    corners = mesh.cell_verts[mesh.active_cells]
+    counts = mesh.cached("vertex_cells", lambda: np.bincount(
+        corners.ravel(), minlength=mesh.n_points))
     share = np.abs(nodal) / np.maximum(counts, 1.0)
     return share[corners].sum(axis=1)
 

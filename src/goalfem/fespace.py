@@ -14,10 +14,10 @@ The scatter is one ``np.bincount``, which adds in the order of the
 table exactly as ``np.add.at`` would.
 
 A space carries the Gauss rule of every integral over its functions
-(``FeSpace.rule``).  A ``DiscreteFunction`` caches its values at that
-rule's points, filled by ``assembly.quadrature_values``, and the value
-of each goal leaf at it, filled by ``goals.LinearLeaf.value``; its
-coefficients are read-only, so neither can go stale.  One nodal
+(``FeSpace.rule``).  Spaces, functions and constraint sets are
+immutable (a function's coefficients are read-only), so, like the mesh,
+each keeps what is derived from it through ``cached``, and nothing
+kept can go stale.  One nodal
 interpolation, ``transfer_to_refined``, moves a function into a space
 of any degree on the same mesh or on a refinement of it.
 
@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConflictingConstraints, MeshMismatch, PointOutsideDomain
-from .mesh import DIRICHLET, EDGE_CORNERS, NEUMANN, require_int
+from .mesh import DIRICHLET, EDGE_CORNERS, NEUMANN, Cached, require_int
 
 # local corner index of each cell corner in the (r+1)^2 tensor grid
 _CORNER_GRID = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
@@ -76,25 +76,22 @@ def lagrange_1d_deriv(r, t):
     return out
 
 
-def tensor_basis(r, pts):
-    """Tensor-product basis values and gradients at reference points.
+def tensor_values(r, pts):
+    """Tensor-product basis values at reference points ``pts`` (m, 2),
+    shape (nb, m) with nb = (r+1)^2, local index iy*(r+1)+ix."""
+    pts = np.asarray(pts, dtype=float)
+    lx, ly = lagrange_1d(r, pts[:, 0]), lagrange_1d(r, pts[:, 1])
+    return (ly[:, None] * lx).reshape(-1, len(pts))
 
-    ``pts`` has shape (m, 2); returns ``N`` of shape (nb, m) and ``dN``
-    of shape (nb, m, 2) with nb = (r+1)^2, local index iy*(r+1)+ix.
-    """
+
+def tensor_basis(r, pts):
+    """Tensor-product basis values ``tensor_values(r, pts)`` and their
+    gradients ``dN`` of shape (nb, m, 2)."""
     pts = np.asarray(pts, dtype=float)
     lx, ly = lagrange_1d(r, pts[:, 0]), lagrange_1d(r, pts[:, 1])
     dlx, dly = lagrange_1d_deriv(r, pts[:, 0]), lagrange_1d_deriv(r, pts[:, 1])
-    nb = (r + 1) ** 2
-    N = np.empty((nb, pts.shape[0]))
-    dN = np.empty((nb, pts.shape[0], 2))
-    for iy in range(r + 1):
-        for ix in range(r + 1):
-            n = iy * (r + 1) + ix
-            N[n] = lx[ix] * ly[iy]
-            dN[n, :, 0] = dlx[ix] * ly[iy]
-            dN[n, :, 1] = lx[ix] * dly[iy]
-    return N, dN
+    dN = np.stack([ly[:, None] * dlx, dly[:, None] * lx], axis=-1)
+    return tensor_values(r, pts), dN.reshape(-1, len(pts), 2)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def bilinear_map(corners, ref):
 # ----------------------------------------------------------------------
 # the space
 # ----------------------------------------------------------------------
-class FeSpace:
+class FeSpace(Cached):
     """Q^r space (scalar or vector) on the active cells of a mesh; its
     ``rule`` is gauss(degree + 2) unless given.
 
@@ -149,7 +146,6 @@ class FeSpace:
         self.n_components = require_int("n_components", n_components)
         self.rule = rule or gauss(self.degree + 2)
         self._build()
-        self._basis_cache = {}
 
     def _build(self):
         r = self.degree
@@ -236,13 +232,9 @@ class FeSpace:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def basis_at(self, pts):
-        """Reference basis values/gradients at points, with caching."""
-        key = np.asarray(pts).tobytes()
-        hit = self._basis_cache.get(key)
-        if hit is None:
-            hit = tensor_basis(self.degree, pts)
-            self._basis_cache[key] = hit
-        return hit
+        """Reference basis values (nb, m) at points (m, 2), cached."""
+        return self.cached(("basis", np.asarray(pts).tobytes()),
+                           lambda: tensor_values(self.degree, pts))
 
     def dof(self, component, nodes):
         return np.asarray(nodes) + component * self.n_nodes
@@ -264,15 +256,9 @@ class FeSpace:
         return DiscreteFunction(self, coeffs)
 
 
-class DiscreteFunction:
-    """FE coefficient vector bound to its space.
-
-    The coefficients are a read-only copy.  ``quad_values`` holds the
-    function's values and gradients at the points of its space's rule
-    on every active cell, or None until ``assembly.quadrature_values``
-    fills it.  ``leaf_values`` maps a goal leaf to its value at the
-    function, filled by ``goals.LinearLeaf.value`` alone.
-    """
+class DiscreteFunction(Cached):
+    """FE coefficient vector bound to its space; the coefficients are a
+    read-only copy."""
 
     def __init__(self, space, coeffs):
         if len(coeffs) != space.n_dofs:
@@ -280,8 +266,6 @@ class DiscreteFunction:
         self.space = space
         self.coeffs = np.array(coeffs, dtype=float)
         self.coeffs.flags.writeable = False
-        self.quad_values = None
-        self.leaf_values = {}
 
 
 def build_space(mesh, degree, n_components=1, rule=None):
@@ -291,7 +275,7 @@ def build_space(mesh, degree, n_components=1, rule=None):
 # ----------------------------------------------------------------------
 # constraints
 # ----------------------------------------------------------------------
-class ConstraintSet:
+class ConstraintSet(Cached):
     """Closed affine constraints u = C u + b.
 
     ``matrix`` C carries the master weights on each constrained row and
@@ -338,9 +322,6 @@ class ConstraintSet:
         self._transposed = C.T.tocsr()
         self.constrained = mask
         self.inhomogeneity = b
-        # condensed goal gradients keyed by (leaf, space), filled by
-        # goals.Functional.gradient, one entry per leaf it reads
-        self.gradient_cache = {}
 
     def apply(self, u):
         """C u + b: constrained entries from their masters and b; a free
@@ -523,7 +504,7 @@ def transfer_to_refined(source, target_space):
             pts = 0.5 * (pts + _CHILD_OFFSET[slot])
         rows = np.flatnonzero(group.ravel() == g)
         vals[rows] = src_loc[src_row[cells[rows]]] \
-            @ source.space.basis_at(pts)[0]
+            @ source.space.basis_at(pts)
     # shared DOFs keep the value of their last cell, as a cell loop would
     out = np.zeros(target_space.n_dofs)
     out[target_space.cell_dofs] = vals

@@ -5,7 +5,9 @@ J(u) = sum_s w_s . u(x_s): a point value is one sample, a region integral
 is its quadrature points with the weight, the quadrature weight and the
 cell Jacobian multiplied in.  The value, the directional derivative J'(v),
 the assembled gradient and the PU-nodal form J'(v psi_a) are four
-reductions of that one sum; the value is cached on the function.
+reductions of that one sum.  What a leaf derives is kept through the
+``cached`` of the object it belongs to: its sample set on the mesh, its
+value on the function and its condensed gradient on the constraint set.
 Composite nodes (sum, scale, shift, product, integer power) define only
 ``linearize``: one traversal at the evaluation state gives the value and
 the chain/product rule flattened into (coefficient, leaf) pairs.  Every
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import assembly
 from .errors import FunctionalSingular, UnknownExperiment
-from .fespace import locate_point, tensor_basis
+from .fespace import locate_point, tensor_values
 from .mesh import require_int
 from .problems import slit_exact
 
@@ -88,15 +90,12 @@ class LinearLeaf(Functional):
         space = v.space
         for rows, pts, w in self._groups(space.mesh, space.rule,
                                          space.n_components):
-            vals = space.local_coeffs(v.coeffs, rows) @ space.basis_at(pts)[0]
+            vals = space.local_coeffs(v.coeffs, rows) @ space.basis_at(pts)
             yield rows, pts, np.einsum("epk,ekp->ep", w, vals)
 
     def value(self, u):
-        """J(u) = J'(u)(u), computed once per function and cached on it."""
-        out = u.leaf_values.get(self)
-        if out is None:
-            out = u.leaf_values[self] = self._directional(u, u)
-        return out
+        """J(u) = J'(u)(u), computed once per function and kept on it."""
+        return u.cached(("leaf", self), lambda: self._directional(u, u))
 
     def _directional(self, u, v):
         return float(sum(d.sum() for _, _, d in self._densities(v)))
@@ -105,29 +104,25 @@ class LinearLeaf(Functional):
         mesh = u.space.mesh
         out = np.zeros(mesh.n_points)
         for rows, pts, d in self._densities(v):
-            hats, _ = tensor_basis(1, pts)
             np.add.at(out, mesh.cell_verts[mesh.active_cells[rows]],
-                      d @ hats.T)
+                      d @ tensor_values(1, pts).T)
         return out
 
     def _raw_gradient(self, space):
         groups = self._groups(space.mesh, space.rule, space.n_components)
-        local = [np.swapaxes(w, 1, 2) @ space.basis_at(pts)[0].T
+        local = [np.swapaxes(w, 1, 2) @ space.basis_at(pts).T
                  for _, pts, w in groups]
         return space.scatter(np.concatenate(local),
                              np.concatenate([rows for rows, _, _ in groups]))
 
     def _gradient(self, space, constraints):
         """Condensed gradient on ``space``, which a linear leaf has at
-        every state; cached on the constraint set it was condensed with.
+        every state; kept on the constraint set it was condensed with.
         The key holds the leaf and the space themselves, never their
         ids."""
-        key = (self, space)
-        out = constraints.gradient_cache.get(key)
-        if out is None:
-            out = constraints.condense_rhs(self._raw_gradient(space))
-            constraints.gradient_cache[key] = out
-        return out
+        return constraints.cached(
+            ("gradient", self, space),
+            lambda: constraints.condense_rhs(self._raw_gradient(space)))
 
 
 class PointValue(LinearLeaf):

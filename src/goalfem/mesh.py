@@ -79,7 +79,22 @@ class EdgeTable:
     hanging_halves: np.ndarray
 
 
-class Mesh:
+class Cached:
+    """Base of the immutable objects that keep what is derived from
+    them: the mesh, a space, a function and a constraint set.  Every
+    module that derives a value from one of them stores it through
+    ``cached``, whose store is made on first use."""
+
+    def cached(self, key, build):
+        """The value stored under ``key``, made by ``build()`` on the
+        first request only."""
+        store = vars(self).setdefault("_caches", {})
+        if key not in store:
+            store[key] = build()
+        return store[key]
+
+
+class Mesh(Cached):
     """Quad mesh with refinement history.
 
     Attributes
@@ -103,7 +118,6 @@ class Mesh:
         self.cell_parent = cell_parent
         self.cell_children = cell_children
         self.edge_tag = edge_tag
-        self._caches = {}
 
     # ------------------------------------------------------------------
     # basic queries
@@ -115,14 +129,6 @@ class Mesh:
     @property
     def n_cells(self):
         return self.cell_verts.shape[0]
-
-    def cached(self, key, build):
-        """The table stored under ``key``, made by ``build()`` on the
-        first request only: the one cache of every table derived from
-        this (immutable) mesh, ``assembly``'s and ``goals``' included."""
-        if key not in self._caches:
-            self._caches[key] = build()
-        return self._caches[key]
 
     @property
     def active_cells(self):

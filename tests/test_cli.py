@@ -171,6 +171,26 @@ class TestIntegerFields:
                          f"geometry = unit_square\nenriched_degree = {value}\n")
 
 
+class TestNumberFields:
+    # values the INI parser cannot produce, given from Python to the
+    # four-goal weighted preset: a number field that is no number, or a
+    # tuple field that is no tuple of numbers (bools included)
+    @pytest.mark.parametrize("field, value", [
+        ("p", "4"), ("distort_factor", None), ("epsilon", True),
+        ("reference_values", 0.5),
+        ("reference_uncertainties", [1e-3] * 4),
+        ("omegas", (True, 1.0, 1.0, 1.0))])
+    def test_rejects_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(get_preset("example1c_case1"),
+                                **{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = dataclasses.replace(get_preset("example1c_case1"),
+                                  p=np.float64(3.0), omegas=(np.int64(1),) * 4)
+        assert cfg.p == 3.0 and cfg.omegas == (1,) * 4
+
+
 # bad values per field: goal-count fields with the wrong number of
 # entries, non-finite numbers, negative omegas and zero reference values
 _BAD_VALUES = [

@@ -40,7 +40,7 @@ def cell_loop_transfer(source, target_space):
         pts = target_space.local_ref_nodes()
         for slot in chain:
             pts = 0.5 * (pts + fespace._CHILD_OFFSET[slot])
-        B, _ = source.space.basis_at(pts)
+        B = source.space.basis_at(pts)
         out[target_space.cell_dofs[row]] = src_loc[src_row[cc]] @ B
     return out
 
@@ -646,3 +646,32 @@ class TestPointEvaluation:
         f = s.function(vals)
         assert point_value(f, (-0.5, 0.01)) == pytest.approx(
             expected, abs=1e-3)
+
+
+def loop_tensor_basis(r, pts):
+    """Tensor basis values and gradients, one local function at a time."""
+    lx = fespace.lagrange_1d(r, pts[:, 0])
+    ly = fespace.lagrange_1d(r, pts[:, 1])
+    dlx = fespace.lagrange_1d_deriv(r, pts[:, 0])
+    dly = fespace.lagrange_1d_deriv(r, pts[:, 1])
+    N = np.empty(((r + 1) ** 2, len(pts)))
+    dN = np.empty(N.shape + (2,))
+    for iy in range(r + 1):
+        for ix in range(r + 1):
+            n = iy * (r + 1) + ix
+            N[n] = lx[ix] * ly[iy]
+            dN[n, :, 0] = dlx[ix] * ly[iy]
+            dN[n, :, 1] = lx[ix] * dly[iy]
+    return N, dN
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 6])
+def test_tensor_basis_matches_the_loop_bitwise(r, rng):
+    pts = rng.uniform(size=(7, 2))
+    N, dN = fespace.tensor_basis(r, pts)
+    ref_N, ref_dN = loop_tensor_basis(r, pts)
+    assert np.array_equal(N, ref_N) and np.array_equal(dN, ref_dN)
+    # the space's cached reference basis holds the values alone
+    space = build_space(build_unit_square(1), r)
+    assert np.array_equal(space.basis_at(pts), ref_N)
+    assert space.basis_at(pts.copy()) is space.basis_at(pts)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from goalfem import mesh as mesh_module
 from goalfem.errors import DistortionInvertsCell
+from goalfem.fespace import build_constraints, build_space
 from goalfem.mesh import (DIRICHLET, EDGE_CORNERS, NEUMANN, build_cheese,
                           build_slit, build_unit_square, require_int,
                           write_vtk)
@@ -332,9 +333,24 @@ class TestEdgeTable:
         assert m.edges() is m.edges()
 
 
+# a fresh object of each kind that keeps what is derived from it
+CACHE_OWNERS = {
+    "mesh": lambda: build_unit_square(2),
+    "space": lambda: build_space(build_unit_square(2), 1),
+    "function": lambda: build_space(build_unit_square(2), 1).function(),
+    "constraints": lambda: build_constraints(
+        build_space(build_unit_square(2), 1)),
+}
+
+
+owners = pytest.mark.parametrize("make", CACHE_OWNERS.values(),
+                                 ids=CACHE_OWNERS)
+
+
 class TestCached:
-    def test_builds_once_per_key(self):
-        m = build_unit_square(2)
+    @owners
+    def test_builds_once_per_key(self, make):
+        m = make()
         calls = []
 
         def build(tag):
@@ -345,12 +361,13 @@ class TestCached:
         assert m.cached(("t", 1), lambda: build(2)) is a
         assert m.cached(("t", 2), lambda: build(3)) is not a
         assert calls == [1, 3]
-        # a new mesh has tables of its own
-        assert build_unit_square(2).cached(("t", 1), lambda: 7) == 7
+        # a new object has values of its own
+        assert make().cached(("t", 1), lambda: 7) == 7
 
+    @owners
     @pytest.mark.parametrize("falsy", [0, np.zeros(0)])
-    def test_a_stored_falsy_table_is_not_rebuilt(self, falsy):
-        m = build_unit_square(2)
+    def test_a_stored_falsy_table_is_not_rebuilt(self, make, falsy):
+        m = make()
         assert m.cached("f", lambda: falsy) is falsy
         assert m.cached("f", lambda: pytest.fail("rebuilt")) is falsy
 
@@ -361,6 +378,17 @@ class TestCached:
         readers = sorted(path.name for path in src.glob("*.py")
                          if "_caches" in path.read_text())
         assert readers == ["mesh.py"]
+
+    def test_no_cache_of_its_own(self):
+        # spaces, functions and constraint sets keep what is derived
+        # from them through the one ``cached``, not through attributes
+        # of their own
+        texts = [path.read_text() for path in
+                 Path(mesh_module.__file__).parent.glob("*.py")]
+        for name in ("quad_values", "leaf_values", "gradient_cache",
+                     "_basis_cache"):
+            assert not any(name in text for text in texts), name
+        assert sum(text.count("def cached") for text in texts) == 1
 
 
 def test_vtk_dump(tmp_path):
